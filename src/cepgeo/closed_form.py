@@ -14,6 +14,8 @@ and every tensor below has a rational closed form in the coordinates:
     T_{ij,kbar}       = -2 c_i c_j c_k conj(xi^k)
                         / ((1 - xi^i conj(xi^k)) (1 - xi^j conj(xi^k)))
     R^0_{i jbar}      = -1 / (1 - xi^i conj(xi^j))^2
+    R^{(alpha)}_{i jbar} = R^0_{i jbar}
+                        - (alpha/2) (c_i + c_j) / (1 - xi^i conj(xi^j))^2
 
 The sign of T here is the one fixed by its defining circle integral
 (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z; the quadrature module
@@ -32,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import ValidatedFilter
+from .filters import ValidatedFilter, _series_tail_bound
 
 DELTA_COINCIDE = 1e-8
 POTENTIAL_TRUNCATION_DEFAULT = 256
-WIRTINGER_STEP_DEFAULT = 1e-5
 
 
 class CoincidentRootsError(ValueError):
@@ -46,7 +47,7 @@ class CoincidentRootsError(ValueError):
 
 
 class CoincidentRootsWarning(UserWarning):
-    """Nearly coincident coordinates: closed-form inverse replaced by a solve."""
+    """Nearly coincident coordinates: the metric is nearly singular."""
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,7 @@ def kahler_potential(m: ModelPoint, trunc: int = POTENTIAL_TRUNCATION_DEFAULT) -
     powers = xi[:, None] ** r[None, :]
     s = (c[:, None] * powers).sum(axis=0)
     value = float(np.sum((s * s.conj()).real / r**2))
-    rho = max(abs(p) for p in m.params)
-    if rho == 0.0:
-        tail = 0.0
-    else:
-        tail = m.n**2 * rho ** (2 * (trunc + 1)) / ((trunc + 1) ** 2 * (1.0 - rho * rho))
+    tail = _series_tail_bound(m.n, max(abs(p) for p in m.params), trunc)
     return KahlerPotential(value, tail, trunc)
 
 
@@ -208,34 +205,25 @@ def metric(m: ModelPoint) -> HermitianMetric:
     return HermitianMetric(mixed=mixed, pure=pure, labels=m.labels)
 
 
-def inverse_metric(m: ModelPoint, delta_coincide: float = DELTA_COINCIDE) -> np.ndarray:
+def inverse_metric(m: ModelPoint) -> np.ndarray:
     """Inverse metric g^{i jbar} by the Cauchy-matrix product formula.
 
-    The closed form divides by Vandermonde factors and explodes near
-    coincident coordinates; below ``delta_coincide`` pairwise distance the
-    result falls back to a pivoted linear solve on the closed-form metric
-    and a :class:`CoincidentRootsWarning` is attached.  Exactly singular
-    metrics raise :class:`CoincidentRootsError`.
+    The formula is built from point differences, so it stays entrywise
+    accurate however close the coordinates come.  Below ``DELTA_COINCIDE``
+    pairwise distance a :class:`CoincidentRootsWarning` signals a nearly
+    singular metric; exactly coincident coordinates, or any result that is
+    not finite, raise :class:`CoincidentRootsError`.
 
     Satisfies ``sum_j B[i][j] mixed[k][j] = delta_ik``.
     """
     if m.n == 0:
         return np.zeros((0, 0), dtype=complex)
-    if m.min_pairwise_distance < delta_coincide:
+    if m.min_pairwise_distance < DELTA_COINCIDE:
         warnings.warn(
-            "coordinates nearly coincide; using a linear solve instead of the "
-            "closed-form inverse",
+            "coordinates nearly coincide; the metric is nearly singular",
             CoincidentRootsWarning,
             stacklevel=2,
         )
-        g = metric(m).mixed
-        try:
-            return np.linalg.solve(g, np.eye(m.n, dtype=complex)).T
-        except np.linalg.LinAlgError as exc:
-            raise CoincidentRootsError(
-                f"metric is singular at coincident coordinates: {exc}"
-            ) from exc
-
     xi = np.asarray(m.params, dtype=complex)
     c = np.asarray(m.signature, dtype=float)
     a = _one_minus_outer(m)  # a[i][j] = 1 - xi^i conj(xi^j)
@@ -244,9 +232,15 @@ def inverse_metric(m: ModelPoint, delta_coincide: float = DELTA_COINCIDE) -> np.
     diffs = xi[None, :] - xi[:, None]  # diffs[i][k] = xi^k - xi^i
     np.fill_diagonal(diffs, 1.0)
     p = np.prod(diffs, axis=1)  # prod_{k != i} (xi^k - xi^i)
-    return np.outer(c, c) * (row[:, None] * col[None, :]) / (
-        a * (p[:, None] * p.conj()[None, :])
-    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ginv = np.outer(c, c) * (row[:, None] * col[None, :]) / (
+            a * (p[:, None] * p.conj()[None, :])
+        )
+    if not np.all(np.isfinite(ginv)):
+        raise CoincidentRootsError(
+            "metric is singular or overflows at (nearly) coincident coordinates"
+        )
+    return ginv
 
 
 def metric_determinant(m: ModelPoint) -> float:
@@ -324,13 +318,7 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     )
 
 
-def ricci0(m: ModelPoint) -> CurvatureReport:
-    """Ricci block R^0_{i jbar} = -1/(1 - xi^i conj(xi^j))^2 and its scalar.
-
-    The scalar comes from contracting with the inverse metric, so exactly
-    coincident coordinates raise :class:`CoincidentRootsError` for the
-    scalar even though the Ricci block itself is regular.
-    """
+def _ricci0_and_inverse(m: ModelPoint) -> tuple[CurvatureReport, np.ndarray]:
     xi = np.asarray(m.params, dtype=complex)
     ricci = _hermitize(
         -1.0 / _one_minus_outer(m) ** 2, -1.0 / (1.0 - np.abs(xi) ** 2) ** 2
@@ -338,40 +326,37 @@ def ricci0(m: ModelPoint) -> CurvatureReport:
     det_g = metric_determinant(m)
     ginv = inverse_metric(m)
     scalar = float(np.sum(ginv * ricci).real)
-    return CurvatureReport(alpha=0.0, ricci=ricci, scalar=scalar, det_g=det_g)
+    return CurvatureReport(alpha=0.0, ricci=ricci, scalar=scalar, det_g=det_g), ginv
 
 
-def _t_contracted(m: ModelPoint) -> np.ndarray:
-    # t_i = g^{k lbar} T_{ik,lbar}, the trace of T against the inverse metric.
-    ginv = inverse_metric(m)
-    t = t_tensor(m).t_mixed
-    return np.einsum("kl,ikl->i", ginv, t)
+def ricci0(m: ModelPoint) -> CurvatureReport:
+    """Ricci block R^0_{i jbar} = -1/(1 - xi^i conj(xi^j))^2 and its scalar.
+
+    The scalar comes from contracting with the inverse metric, so exactly
+    coincident coordinates raise :class:`CoincidentRootsError` for the
+    scalar even though the Ricci block itself is regular.
+    """
+    return _ricci0_and_inverse(m)[0]
 
 
-def alpha_ricci(
-    m: ModelPoint, alpha: float, step: float = WIRTINGER_STEP_DEFAULT
-) -> CurvatureReport:
+def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
     """alpha-corrected Ricci: R^{(alpha)}_{i jbar} = R^0_{i jbar} + (alpha/2) d_jbar T^k_{ik}.
 
-    The contraction T^k_{ik} uses holomorphic indices only; its
-    anti-holomorphic derivative is taken by central Wirtinger differences
-    (no closed form is available).  The correction is independent of alpha,
-    so the family is exactly linear in alpha.
+    Because T_{ik,lbar} = -2 c_i conj(xi^l) g_{k lbar} / (1 - xi^i conj(xi^l)),
+    the contraction T^k_{ik} = -2 c_i sum_l conj(xi^l) / (1 - xi^i conj(xi^l))
+    needs no inverse metric, and its raw derivative is
+    d_jbar T^k_{ik} = -2 c_i / (1 - xi^i conj(xi^j))^2.  The block keeps the
+    Hermitian part of that derivative, -(c_i + c_j) / (1 - xi^i conj(xi^j))^2,
+    which vanishes on pole-zero pairs.  The correction is independent of
+    alpha, so the family is exactly linear in alpha.
     """
-    base = ricci0(m)
-    n = m.n
-    corr = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        xi_j = m.params[j]
-        tx_p = _t_contracted(m.replace_param(j, xi_j + step))
-        tx_m = _t_contracted(m.replace_param(j, xi_j - step))
-        ty_p = _t_contracted(m.replace_param(j, xi_j + 1j * step))
-        ty_m = _t_contracted(m.replace_param(j, xi_j - 1j * step))
-        dx = (tx_p - tx_m) / (2.0 * step)
-        dy = (ty_p - ty_m) / (2.0 * step)
-        corr[:, j] = 0.5 * (dx + 1j * dy)  # d/d conj(xi^j)
-    corr = 0.5 * (corr + corr.conj().T)  # enforce the Hermiticity the geometry guarantees
+    base, ginv = _ricci0_and_inverse(m)
+    xi = np.asarray(m.params, dtype=complex)
+    c = np.asarray(m.signature, dtype=float)
+    corr = _hermitize(
+        -(c[:, None] + c[None, :]) / _one_minus_outer(m) ** 2,
+        -2.0 * c / (1.0 - np.abs(xi) ** 2) ** 2,
+    )
     ricci = base.ricci + 0.5 * alpha * corr
-    ginv = inverse_metric(m)
     scalar = base.scalar + 0.5 * alpha * float(np.sum(ginv * corr).real)
     return CurvatureReport(alpha=float(alpha), ricci=ricci, scalar=scalar, det_g=base.det_g)

@@ -12,10 +12,6 @@ back to central Wirtinger differences of their evaluator.
 
 Superharmonicity reports are sampled evidence over the stability region,
 never proofs: the sample count always travels with the verdict.
-
-The Jeffreys volume density reported here is det g, unnormalised.  Nothing
-in this module integrates it; consumers that need a proper prior must
-normalise it themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import ModelPoint, inverse_metric, metric_determinant
+from .closed_form import ModelPoint, inverse_metric
 from .filters import EPS_STAB_DEFAULT
 from .sampling import sample_root_tuples
 
@@ -156,19 +152,17 @@ def wirtinger_mixed_hessian(
     return hess
 
 
-def laplace_beltrami(
-    psi: PriorFunction, m: ModelPoint, fd_step: float = FD_STEP_DEFAULT
-) -> float:
+def laplace_beltrami(psi: PriorFunction, m: ModelPoint) -> float:
     """Delta psi = 2 g^{i jbar} d_i d_jbar psi at a model point.
 
     Built-ins use their analytic mixed Hessians; custom functions are
-    differenced.  Coincident coordinates propagate the inverse-metric
-    degeneracy handling.
+    differenced with step ``FD_STEP_DEFAULT``.  Coincident coordinates
+    propagate the inverse-metric degeneracy handling.
     """
     if psi.mixed_hessian is not None:
         hess = psi.mixed_hessian(m)
     else:
-        hess = wirtinger_mixed_hessian(psi.evaluate, m, fd_step)
+        hess = wirtinger_mixed_hessian(psi.evaluate, m)
     ginv = inverse_metric(m)
     return float(np.sum(ginv * hess).real * 2.0)
 
@@ -237,7 +231,3 @@ def check_superharmonic(
         margin_histogram=histogram,
     )
 
-
-def jeffreys_density(m: ModelPoint) -> float:
-    """Unnormalised Jeffreys volume density det g at a model point."""
-    return metric_determinant(m)

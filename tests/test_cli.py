@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import cepgeo
 from cepgeo.cli import main
 from cepgeo.serialization import (
     complex_from_json,
@@ -210,7 +211,10 @@ class TestSerializationHelpers:
 def test_console_entry_point_runs(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(AR1_DOC))
-    env = dict(os.environ, CEPGEO_THREADS="1")
+    # the child process imports the same cepgeo as this one, installed or not
+    src = os.path.dirname(os.path.dirname(cepgeo.__file__))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, CEPGEO_THREADS="1", PYTHONPATH=path_var)
     result = subprocess.run(
         [sys.executable, "-m", "cepgeo", "validate", str(path)],
         capture_output=True,

@@ -1,3 +1,6 @@
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,64 @@ LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 def random_points(seed, count, n=4, signature=(-1, -1, 1, 1), radius=0.9, sep=0.05):
     rows = sample_root_tuples(seed, count, n, radius, sep)
     return [ModelPoint(tuple(row), signature) for row in rows]
+
+
+def mixed_signature(n):
+    return (-1,) * ((n + 1) // 2) + (1,) * (n // 2)
+
+
+def max_relative(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def alpha_ricci_correction(m):
+    # d_jbar T^k_{ik} (Hermitian part) as alpha_ricci applies it
+    return alpha_ricci(m, 2.0).ricci - ricci0(m).ricci
+
+
+def mp_inverse_metric(mp, m):
+    """High-precision B = g^{i jbar}, i.e. the inverse of the transposed metric."""
+    xi = [mp.mpc(p) for p in m.params]
+    c = m.signature
+    g = mp.matrix(m.n, m.n)
+    for i in range(m.n):
+        for j in range(m.n):
+            g[i, j] = c[i] * c[j] / (1 - xi[i] * mp.conj(xi[j]))
+    return g.T**-1
+
+
+def mp_alpha_ricci_correction(mp, m):
+    """Hermitian part of d_jbar (B[k,l] T[i,k,l]) by the product rule.
+
+    d_jbar B = -B (d_jbar g^T) B, and d_jbar g[k,l] and d_jbar T[i,k,l] are
+    nonzero only at l = j.
+    """
+    n, c = m.n, m.signature
+    b = mp_inverse_metric(mp, m)
+    xi = [mp.mpc(p) for p in m.params]
+    xb = [mp.conj(x) for x in xi]
+    a = [[1 - xi[i] * xb[j] for j in range(n)] for i in range(n)]
+    # t[i] is T[i,k,l] flattened over (k, l)
+    t = [
+        [-2 * c[i] * c[k] * c[l] * xb[l] / (a[i][l] * a[k][l]) for k in range(n) for l in range(n)]
+        for i in range(n)
+    ]
+    raw = [[None] * n for _ in range(n)]
+    for j in range(n):
+        dg = [c[k] * c[j] * xi[k] / a[k][j] ** 2 for k in range(n)]
+        w = [mp.fdot(dg, [b[q, l] for q in range(n)]) for l in range(n)]
+        db = [b[k, j] * w[l] for k in range(n) for l in range(n)]  # -d_jbar B, flattened
+        b_col = [b[k, j] for k in range(n)]
+        for i in range(n):
+            dt = [
+                -2 * c[i] * c[k] * c[j] * (1 - xi[i] * xi[k] * xb[j] ** 2)
+                / (a[i][j] ** 2 * a[k][j] ** 2)
+                for k in range(n)
+            ]
+            raw[i][j] = mp.fdot(b_col, dt) - mp.fdot(db, t[i])
+    return np.array(
+        [[complex((raw[i][j] + mp.conj(raw[j][i])) / 2) for j in range(n)] for i in range(n)]
+    )
 
 
 class TestModelPoint:
@@ -154,6 +215,27 @@ class TestInverseMetric:
         with pytest.warns(CoincidentRootsWarning):
             with pytest.raises(CoincidentRootsError):
                 inverse_metric(m)
+
+    def test_non_finite_result_raises(self):
+        # the separation 1e-160 squares to below the double range
+        m = ModelPoint((0.0, 1e-160), (-1, -1))
+        with pytest.warns(CoincidentRootsWarning):
+            with pytest.raises(CoincidentRootsError):
+                inverse_metric(m)
+
+    @pytest.mark.parametrize("sep", [1e-6, 1e-9, 1e-12])
+    def test_entrywise_accurate_near_coincidence(self, sep):
+        mp = pytest.importorskip("mpmath")
+        base = random_points(11, 1)[0].params
+        params = (base[0], base[0] + sep * cmath.exp(0.7j)) + base[2:]
+        m = ModelPoint(params, (-1, -1, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoincidentRootsWarning)
+            b = inverse_metric(m)
+        with mp.workdps(80):
+            ref = mp_inverse_metric(mp, m)
+        ref = np.array([[complex(ref[i, j]) for j in range(m.n)] for i in range(m.n)])
+        assert np.max(np.abs(b - ref) / np.abs(ref)) <= 1e-13
 
 
 class TestDeterminant:
@@ -346,3 +428,32 @@ class TestAlphaRicci:
         for m in random_points(27, 2):
             r = alpha_ricci(m, 0.7).ricci
             assert np.max(np.abs(r - r.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matches_wirtinger_difference_oracle(self, n):
+        # central Wirtinger differences of t_i = g^{k lbar} T_{ik,lbar}
+        step = 1e-5
+        m = random_points(11, 1, n=n, signature=mixed_signature(n))[0]
+
+        def t_contracted(pt):
+            return np.einsum("kl,ikl->i", inverse_metric(pt), t_tensor(pt).t_mixed)
+
+        raw = np.empty((n, n), dtype=complex)
+        for j in range(n):
+            xi_j = m.params[j]
+            dx = t_contracted(m.replace_param(j, xi_j + step)) - t_contracted(
+                m.replace_param(j, xi_j - step)
+            )
+            dy = t_contracted(m.replace_param(j, xi_j + 1j * step)) - t_contracted(
+                m.replace_param(j, xi_j - 1j * step)
+            )
+            raw[:, j] = 0.5 * (dx + 1j * dy) / (2.0 * step)  # d/d conj(xi^j)
+        oracle = 0.5 * (raw + raw.conj().T)
+        assert max_relative(alpha_ricci_correction(m), oracle) <= 1e-7
+
+    def test_matches_mpmath_product_rule_n16(self):
+        mp = pytest.importorskip("mpmath")
+        m = random_points(11, 1, n=16, signature=mixed_signature(16))[0]
+        with mp.workdps(30):
+            ref = mp_alpha_ricci_correction(mp, m)
+        assert max_relative(alpha_ricci_correction(m), ref) <= 1e-12

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cepgeo.closed_form import CoincidentRootsWarning, ModelPoint, metric_determinant
+from cepgeo.closed_form import ModelPoint
 from cepgeo.priors import (
     check_superharmonic,
-    jeffreys_density,
     laplace_beltrami,
     prior_custom,
     prior_psi1,
@@ -112,15 +111,3 @@ class TestCheckSuperharmonic:
             for row in sample_root_tuples(13, 50, 2, 1.0 - 1e-6, 1e-4):
                 assert psi.evaluate(ModelPoint(tuple(row), (-1, -1))) > 0.0
 
-
-class TestJeffreysDensity:
-    def test_origin(self):
-        assert jeffreys_density(ModelPoint((0.0,), (-1,))) == pytest.approx(1.0)
-
-    def test_ar1(self):
-        assert jeffreys_density(AR1_HALF) == pytest.approx(4.0 / 3.0)
-
-    def test_arma11_matches_determinant(self):
-        m = ModelPoint((0.5, 0.3), (-1, 1))
-        assert jeffreys_density(m) == metric_determinant(m)
-        assert jeffreys_density(m) == pytest.approx(0.08111842021876624, rel=1e-12)

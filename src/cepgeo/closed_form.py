@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import ValidatedFilter, _series_tail_bound
+from .filters import ValidatedFilter, _series_tail_bound, coordinate_labels
 
 DELTA_COINCIDE = 1e-8
 POTENTIAL_TRUNCATION_DEFAULT = 256
@@ -89,9 +89,7 @@ class ModelPoint:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(
-            f"{'pole' if c < 0 else 'zero'}{i}" for i, c in enumerate(self.signature)
-        )
+        return coordinate_labels(self.signature)
 
     def replace_param(self, index: int, value: complex) -> "ModelPoint":
         params = list(self.params)
@@ -169,13 +167,6 @@ def _hermitize(a: np.ndarray, real_diag: np.ndarray) -> np.ndarray:
     # (fused complex multiplies are not bit-symmetric under conjugation)
     upper = np.triu(a, 1)
     return upper + upper.conj().T + np.diag(real_diag.astype(complex))
-
-
-def _symmetrize_first_two(t: np.ndarray) -> np.ndarray:
-    upper = np.triu(t.transpose(2, 0, 1), 1)
-    diag = t.transpose(2, 0, 1) * np.eye(t.shape[0])[None, :, :]
-    sym = upper + upper.transpose(0, 2, 1) + diag
-    return sym.transpose(1, 2, 0)
 
 
 def kahler_potential(m: ModelPoint, trunc: int = POTENTIAL_TRUNCATION_DEFAULT) -> KahlerPotential:
@@ -267,15 +258,14 @@ def connection0(m: ModelPoint) -> ConnectionTensors:
     c = np.asarray(m.signature, dtype=float)
     a = _one_minus_outer(m)
     gamma = np.zeros((n, n, n), dtype=complex)
-    for j in range(n):
-        gamma[j, j, :] = c[j] * c * xi.conj() / a[j, :] ** 2
-    zeros = np.zeros((n, n, n), dtype=complex)
+    diag = np.arange(n)
+    gamma[diag, diag] = np.outer(c, c) * xi.conj() / a**2
     return ConnectionTensors(
         alpha=0.0,
         gamma_mixed=gamma,
-        gamma_pure=zeros,
-        gamma_cross=zeros.copy(),
-        gamma_cross_bar=zeros.copy(),
+        gamma_pure=np.zeros((n, n, n), dtype=complex),
+        gamma_cross=np.zeros((n, n, n), dtype=complex),
+        gamma_cross_bar=np.zeros((n, n, n), dtype=complex),
     )
 
 
@@ -284,11 +274,14 @@ def t_tensor(m: ModelPoint) -> ConnectionTensors:
     n = m.n
     xi = np.asarray(m.params, dtype=complex)
     c = np.asarray(m.signature, dtype=float)
-    a = _one_minus_outer(m)
-    t = np.empty((n, n, n), dtype=complex)
-    for k in range(n):
-        t[:, :, k] = -2.0 * c[k] * xi[k].conjugate() * np.outer(c / a[:, k], c / a[:, k])
-    t = _symmetrize_first_two(t)
+    u = c[:, None] / _one_minus_outer(m)  # u[i][k] = c_i / (1 - xi^i conj(xi^k))
+    t = u[:, None, :] * u[None, :, :]
+    np.multiply(-2.0 * c * xi.conj(), t, out=t)
+    # complex products need not commute bitwise; mirror the upper triangle
+    # so T is exactly symmetric in its first two indices
+    i, j = np.triu_indices(n, 1)
+    t[j, i] = t[i, j]
+    t += 0.0  # no negative zeros, so reports print 0.0 for a vanishing part
     return ConnectionTensors(
         alpha=0.0,
         t_mixed=t,
@@ -305,16 +298,16 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     """
     base = connection0(m)
     t = t_tensor(m).t_mixed
-    gamma_cross = -0.5 * alpha * np.transpose(t, (0, 2, 1))
-    gamma_cross_bar = -0.5 * alpha * np.conj(np.transpose(t, (2, 0, 1)))
+    gamma_mixed = base.gamma_mixed
+    gamma_mixed -= 0.5 * alpha * t
     return ConnectionTensors(
         alpha=float(alpha),
-        gamma_mixed=base.gamma_mixed - 0.5 * alpha * t,
+        gamma_mixed=gamma_mixed,
         gamma_pure=base.gamma_pure,
-        gamma_cross=gamma_cross,
-        gamma_cross_bar=gamma_cross_bar,
+        gamma_cross=-0.5 * alpha * np.transpose(t, (0, 2, 1)),
+        gamma_cross_bar=-0.5 * alpha * np.conj(np.transpose(t, (2, 0, 1))),
         t_mixed=t,
-        t_pure=np.zeros_like(t),
+        t_pure=np.zeros(t.shape, dtype=complex),
     )
 
 

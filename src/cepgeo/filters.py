@@ -88,6 +88,16 @@ class EvalAtPole(FilterError):
     code = "EVAL_AT_POLE"
 
 
+def _gain_term(gain: float) -> float:
+    """Prefactor sigma^2/(2 pi) of the transfer function."""
+    return gain * gain / (2.0 * math.pi)
+
+
+def coordinate_labels(signature) -> tuple[str, ...]:
+    """``pole<i>`` or ``zero<i>`` per coordinate, ``i`` the coordinate index."""
+    return tuple(f"{'pole' if c < 0 else 'zero'}{i}" for i, c in enumerate(signature))
+
+
 def _as_complex_tuple(values, what: str) -> tuple[complex, ...]:
     out = []
     for v in values:
@@ -128,8 +138,7 @@ class FilterSpec:
 
     @property
     def gain_term(self) -> float:
-        """Prefactor sigma^2/(2 pi) of the transfer function."""
-        return self.gain * self.gain / (2.0 * math.pi)
+        return _gain_term(self.gain)
 
 
 @dataclass(frozen=True)
@@ -163,13 +172,11 @@ class ValidatedFilter:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(f"pole{i}" for i in range(len(self.poles))) + tuple(
-            f"zero{j}" for j in range(len(self.zeros))
-        )
+        return coordinate_labels(self.signature)
 
     @property
     def gain_term(self) -> float:
-        return self.gain * self.gain / (2.0 * math.pi)
+        return _gain_term(self.gain)
 
     def to_spec(self) -> FilterSpec:
         return FilterSpec(

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import cepgeo
 from cepgeo.cli import main
 from cepgeo.serialization import (
     complex_from_json,
+    complex_to_json,
     filter_to_document,
     parse_filter_document,
     parse_tensor_document,
@@ -79,6 +81,12 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as exc_info:
             main(["validate", "--frobnicate", ar1_path])
         assert exc_info.value.code == 2
+
+
+def test_validate_and_tensors_share_labels(capsys, arma_path):
+    _, validated = run_json(capsys, ["validate", arma_path])
+    _, tensors = run_json(capsys, ["tensors", arma_path])
+    assert validated["labels"] == tensors["labels"] == ["pole0", "zero1"]
 
 
 class TestTensorsCommand:
@@ -224,3 +232,44 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["valid"] is True
+
+
+def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
+    # BLAS splits products this large (n = 10) across threads; the reports
+    # must not move
+    doc = {
+        "gain": GAIN_UNIT,
+        "poles": [complex_to_json(0.8 * cmath.exp(0.6j * k)) for k in range(5)],
+        "zeros": [complex_to_json(-0.7 * cmath.exp(0.6j * k)) for k in range(5)],
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    allpass = tmp_path / "allpass.json"
+    allpass.write_text(json.dumps({"gain": GAIN_UNIT}))
+    commands = [
+        ["oracle-compare", str(path)],
+        ["duality-check", str(path)],
+        ["invariance-check", str(path)],
+        ["divergence", str(allpass), str(path), "--alpha", "-1"],
+    ]
+    src = os.path.dirname(os.path.dirname(cepgeo.__file__))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    reports = {}
+    for threads in ("1", "2"):
+        env = dict(base, CEPGEO_THREADS=threads, PYTHONPATH=path_var)
+        for argv in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "cepgeo", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.setdefault(argv[0], []).append(result.stdout)
+    for command, (one, two) in reports.items():
+        assert one == two, command

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cepgeo.closed_form import ModelPoint, connection0, metric, ricci0, t_tensor
+from cepgeo.closed_form import (
+    ModelPoint,
+    alpha_connection,
+    connection0,
+    metric,
+    ricci0,
+    t_tensor,
+)
 from cepgeo.filters import FilterSpec, cepstrum, reciprocal, validate
 from cepgeo.quadrature import (
     QuadratureConfig,
@@ -167,6 +174,50 @@ class TestOracleAgreement:
             assert ricci0(m).scalar == pytest.approx(
                 scalar_curvature_numeric(f, cfg), abs=1e-8
             )
+
+
+class TestConnectionFamiliesAtNonzeroAlpha:
+    FAMILIES = ("gamma_mixed", "gamma_pure", "gamma_cross", "gamma_cross_bar", "t_mixed", "t_pure")
+
+    def test_every_family_matches_closed_form(self):
+        rows = sample_root_tuples(21, 3, 4, 0.9, 0.05)
+        for row in rows:
+            f = arma_from_roots(row, 2)
+            closed = alpha_connection(ModelPoint.from_filter(f), 0.5)
+            conn = connection_numeric(f, 0.5, CFG)
+            t = t_tensor_numeric(f, CFG)
+            numeric = dict(
+                {name: getattr(conn, name) for name in self.FAMILIES[:4]},
+                t_mixed=t.t_mixed,
+                t_pure=t.t_pure,
+            )
+            # zero families (gamma_pure, t_pure) are measured against the
+            # size of the connection
+            scale = max(np.max(np.abs(getattr(closed, name))) for name in self.FAMILIES)
+            for name in self.FAMILIES:
+                err = np.max(np.abs(numeric[name] - getattr(closed, name)))
+                assert err <= 1e-10 * scale, name
+
+    def test_triple_families_match_direct_grid_means(self):
+        # the matrix-product kernels against plain grid means on the same nodes
+        f = arma_from_roots(sample_root_tuples(22, 1, 4, 0.9, 0.05)[0], 2)
+        d = log_derivatives(f, CFG)
+        dc = d.conj()
+        conn = connection_numeric(f, 0.5, CFG)
+        t = t_tensor_numeric(f, CFG)
+        m = CFG.nodes
+        pairs = {
+            "gamma_cross": (conn.gamma_cross, -0.5 * np.einsum("im,jm,km->ijk", d, dc, d) / m),
+            "gamma_cross_bar": (
+                conn.gamma_cross_bar,
+                -0.5 * np.einsum("im,jm,km->ijk", d, dc, dc) / m,
+            ),
+            "t_mixed": (t.t_mixed, 2.0 * np.einsum("im,jm,km->ijk", d, d, dc) / m),
+            "t_pure": (t.t_pure, 2.0 * np.einsum("im,jm,km->ijk", d, d, d) / m),
+        }
+        scale = np.max(np.abs(t.t_mixed))
+        for name, (actual, expected) in pairs.items():
+            assert np.max(np.abs(actual - expected)) <= 1e-13 * scale, name
 
 
 class TestDivergence:

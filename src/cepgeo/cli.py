@@ -232,9 +232,9 @@ def _cmd_check_prior(args) -> dict:
 
 
 def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
-    scale = float(np.max(np.abs(numeric)))
+    scale = float(np.max(np.abs(numeric), initial=0.0))
     if scale == 0.0:
-        return float(np.max(np.abs(closed)))
+        return float(np.max(np.abs(closed), initial=0.0))
     return float(np.max(np.abs(closed - numeric)) / scale)
 
 

@@ -13,7 +13,15 @@ between the two is a genuine cross-check.
 
 Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
-<d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.
+<d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  Both
+are symmetric in i and j, so only j >= i is summed.  Second derivatives
+are sampled only where a tensor reads them (connections, Ricci, duality).
+
+The duality check costs little more than one connection: its full-index
+(holomorphic and anti-holomorphic) Gamma is assembled from the two n-index
+triples, and because log h separates per root, each Wirtinger step of its
+left side re-samples one row of d log h and rebuilds only the two metric
+rows that row changes.
 
 Integrands are sampled once on 2m nodes.  The even half is bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-half and
@@ -83,51 +91,47 @@ def circle_nodes(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _deriv_arrays(f: ValidatedFilter, z: np.ndarray, include_gain: bool = False):
-    """First and second parameter derivatives of log h on a grid.
+def _log_deriv_row(f: ValidatedFilter, i: int, z: np.ndarray) -> np.ndarray:
+    # d_i log h = -c_i/(z - xi_i): +1/(z - p) for a pole p, -1/(z - q) for a zero q
+    return -f.signature[i] / (z - f.coordinates[i])
 
-    For a pole p:  d_p log h = 1/(z - p),  d_p^2 log h = 1/(z - p)^2;
-    for a zero the sign flips.  Cross second derivatives vanish because
-    log h separates per root.  With ``include_gain`` a leading row for the
-    gain coordinate (d_sigma log h = 2/sigma, constant on the grid) is
-    prepended.
+
+def _first_derivs(f: ValidatedFilter, z: np.ndarray, include_gain: bool = False) -> np.ndarray:
+    """d_i log h on a grid, one row per coordinate.
+
+    With ``include_gain`` a leading row for the gain coordinate
+    (d_sigma log h = 2/sigma, constant on the grid) is prepended.
     """
-    roots = f.coordinates
-    signs = f.signature
-    n = len(roots)
     extra = 1 if include_gain else 0
-    d = np.empty((n + extra, z.size), dtype=complex)
-    dd = np.empty((n + extra, z.size), dtype=complex)
+    d = np.empty((extra + f.dimension, z.size), dtype=complex)
     if include_gain:
         d[0] = 2.0 / f.gain
-        dd[0] = -2.0 / (f.gain * f.gain)
-    for i, (root, c) in enumerate(zip(roots, signs)):
-        d[extra + i] = -c / (z - root)
-        dd[extra + i] = -c / (z - root) ** 2
-    return d, dd
+    for i in range(f.dimension):
+        d[extra + i] = _log_deriv_row(f, i, z)
+    return d
+
+
+def _second_derivs(f: ValidatedFilter, z: np.ndarray) -> np.ndarray:
+    """d_i^2 log h = -c_i/(z - xi_i)^2 on a grid, one row per root coordinate.
+
+    Cross second derivatives vanish because log h separates per root.
+    """
+    dd = np.empty((f.dimension, z.size), dtype=complex)
+    for i, (root, c) in enumerate(zip(f.coordinates, f.signature)):
+        dd[i] = -c / (z - root) ** 2
+    return dd
 
 
 def log_derivatives(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> np.ndarray:
     """d_i log h evaluated at the circle nodes, one row per coordinate."""
-    d, _ = _deriv_arrays(f, circle_nodes(cfg.nodes))
-    return d
+    return _first_derivs(f, circle_nodes(cfg.nodes))
 
 
 def _mean2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Grid mean of a_i b_j."""
     return a @ b.T / a.shape[1]
-
-
-def _mean3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Grid mean of a_i b_j c_k, one (n, m) @ (m, n) product per i (no n^2 m buffer)."""
-    out = np.empty((a.shape[0], b.shape[0], c.shape[0]), dtype=complex)
-    ct = c.T
-    for i, a_i in enumerate(a):
-        out[i] = (a_i * b) @ ct
-    out /= a.shape[1]
-    return out
 
 
 def _doubled_grid(m: int) -> np.ndarray:
@@ -182,15 +186,30 @@ def metric_numeric(
     row, whose mixed entries against root coordinates vanish while the pure
     gain-gain entry does not.
     """
-    d2 = _deriv_arrays(f, _doubled_grid(cfg.nodes), include_gain)[0]
+    d2 = _first_derivs(f, _doubled_grid(cfg.nodes), include_gain)
     (mixed, pure), residual, converged = _half_grid(_metric_blocks, (d2,), tol, "metric")
     labels = (("gain",) if include_gain else ()) + f.labels
     return HermitianMetric(mixed, pure, labels, residual, converged)
 
 
 def _triples(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two third moments <d_i d_j conj(d_k)> and <d_i d_j d_k>."""
-    return _mean3(d, d, d.conj()), _mean3(d, d, d)
+    """The two third moments <d_i d_j conj(d_k)> and <d_i d_j d_k>.
+
+    Both are symmetric in i and j, so only j >= i is summed and the rest is
+    mirrored.  The two moments share the products d_i d_j, one (n - i, m)
+    block per i in a reused (n, m) buffer; no n^2 m buffer is built.
+    """
+    n, m = d.shape
+    dct, dt = d.conj().T, d.T
+    buf = np.empty((n, m), dtype=complex)
+    out = np.empty((n, n, 2 * n), dtype=complex)
+    for i in range(n):
+        prod = np.multiply(d[i], d[i:], out=buf[: n - i])
+        out[i, i:, :n] = prod @ dct
+        out[i, i:, n:] = prod @ dt
+        out[i + 1 :, i] = out[i, i + 1 :]
+    out /= m
+    return out[..., :n], out[..., n:]
 
 
 def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
@@ -224,9 +243,10 @@ def connection_numeric(
     are an unbarred pair (or, by conjugation, a barred pair); purely mixed
     pairs carry only the -alpha triple product.
     """
+    z = _doubled_grid(cfg.nodes)
     fams, residual, converged = _half_grid(
         lambda d, dd: _gamma_families(d, dd, alpha),
-        _deriv_arrays(f, _doubled_grid(cfg.nodes)),
+        (_first_derivs(f, z), _second_derivs(f, z)),
         tol,
         "connection",
     )
@@ -242,7 +262,7 @@ def t_tensor_numeric(
 
     T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z.
     """
-    d2 = _deriv_arrays(f, _doubled_grid(cfg.nodes))[0]
+    d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
     (tm, tp), residual, converged = _half_grid(
         lambda d: tuple(2.0 * t for t in _triples(d)), (d2,), tol, "t_tensor"
     )
@@ -252,7 +272,8 @@ def t_tensor_numeric(
 
 
 def _ricci_and_inverse(f: ValidatedFilter, cfg: QuadratureConfig):
-    d, dd = _deriv_arrays(f, circle_nodes(cfg.nodes))
+    z = circle_nodes(cfg.nodes)
+    d, dd = _first_derivs(f, z), _second_derivs(f, z)
     w = _mean2(dd, dd.conj())
     dc = d.conj()
     ginv = np.linalg.inv(_mean2(d, dc))
@@ -428,20 +449,60 @@ class DualityReport:
     reciprocal_residual: float
 
 
-def _full_index(f: ValidatedFilter, m: int):
-    # rows for the holomorphic, then the anti-holomorphic coordinates
-    return (np.vstack([x, x.conj()]) for x in _deriv_arrays(f, circle_nodes(m)))
+def _gamma_parts(d: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triple and second-derivative parts of Gamma over the full 2n index range.
+
+    The full index runs over D = [d; conj(d)], the holomorphic then the
+    anti-holomorphic coordinates.  Each block of <D_a D_b D_c> is a
+    transpose or conjugate of one of the two n-index triples, and each block
+    of <dd_a D_b> is one of <dd_i d_k>, <dd_i conj(d_k)> or a conjugate.
+    """
+    mixed, pure = _triples(d)
+    jk = mixed.transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
+    ij = mixed.transpose(2, 0, 1)  # <conj(d_i) d_j d_k>
+    triple = np.block(
+        [[[pure, mixed], [jk, ij.conj()]], [[ij, jk.conj()], [mixed.conj(), pure.conj()]]]
+    )
+    s_pure, s_mixed = _mean2(dd, d), _mean2(dd, d.conj())
+    second = np.block([[s_pure, s_mixed], [s_mixed.conj(), s_pure.conj()]])
+    return triple, second
 
 
-def _gamma_parts(f: ValidatedFilter, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triple and second-derivative parts of Gamma over the full 2n index range."""
-    d, dd = _full_index(f, m)
-    return _mean3(d, d, d), _mean2(dd, d)
+def _metric_derivatives(
+    f: ValidatedFilter, i: int, d: np.ndarray, z: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central Wirtinger differences of the full-index metric <D_a D_b> in xi_i and conj(xi_i).
 
-
-def _metric_full(f: ValidatedFilter, m: int) -> np.ndarray:
-    d = next(_full_index(f, m))  # the second-derivative rows are not needed
-    return _mean2(d, d)
+    D = [d; conj(d)], with ``d`` sampled on the grid ``z``.  log h
+    separates per root, so moving xi_i changes row i of d alone: only rows
+    and columns i and n+i of the metric move, and each of the four steps
+    re-samples only row i.  Each stepped filter still goes through
+    :func:`cepgeo.filters.validate`.
+    """
+    n = f.dimension
+    xi = f.coordinates[i]
+    rows = np.array(
+        [
+            _log_deriv_row(_with_coordinate(f, i, xi + s), i, z)
+            for s in (step, -step, 1j * step, -1j * step)
+        ]
+    )
+    # metric row i: <r D_b> against the unmoved rows, with <r conj(d_b)> =
+    # conj(<conj(r) d_b>), then against r itself at b = i and b = n+i
+    u = np.hstack([_mean2(rows, d), _mean2(rows.conj(), d).conj()])
+    u[:, i] = np.mean(rows * rows, axis=1)
+    u[:, n + i] = np.mean(rows * rows.conj(), axis=1)
+    dx = (u[0] - u[1]) / (2.0 * step)
+    dy = (u[2] - u[3]) / (2.0 * step)
+    d_hol, d_anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+    out = []
+    for row, twin in ((d_hol, d_anti), (d_anti, d_hol)):
+        # row n+i is <conj(r) D_b> = conj(<r D_(b+n mod 2n)>); the metric is symmetric
+        dg = np.zeros((2 * n, 2 * n), dtype=complex)
+        dg[i] = dg[:, i] = row
+        dg[n + i] = dg[:, n + i] = np.roll(twin.conj(), n)
+        out.append(dg)
+    return tuple(out)
 
 
 def _with_coordinate(f: ValidatedFilter, index: int, value: complex) -> ValidatedFilter:
@@ -461,30 +522,23 @@ def duality_check(
 
     Both sides run over all holomorphic and anti-holomorphic index
     combinations; the left side uses central Wirtinger differences of the
-    quadrature metric, so the residual is finite-difference limited.  Also
+    quadrature metric (one re-sampled row per step, see
+    :func:`_metric_derivatives`), so the residual is finite-difference
+    limited.  A filter with no roots has residuals of 0.  Also
     checks the reciprocal-system swap: the alpha-connection of the inverse
     filter equals the (-alpha)-connection of the original once the swapped
     pole/zero ordering is permuted back.
     """
-    m = cfg.nodes
     n = f.dimension
-    step = cfg.deriv_step
-    parts = _gamma_parts(f, m)
+    z = circle_nodes(cfg.nodes)
+    d = _first_derivs(f, z)
+    parts = _gamma_parts(d, _second_derivs(f, z))
     gamma_a = _gamma(*parts, alpha)
     gamma_ma = _gamma(*parts, -alpha)
 
     worst = 0.0
     for i in range(n):
-        xi = f.coordinates[i]
-        gxp = _metric_full(_with_coordinate(f, i, xi + step), m)
-        gxm = _metric_full(_with_coordinate(f, i, xi - step), m)
-        gyp = _metric_full(_with_coordinate(f, i, xi + 1j * step), m)
-        gym = _metric_full(_with_coordinate(f, i, xi - 1j * step), m)
-        dx = (gxp - gxm) / (2.0 * step)
-        dy = (gyp - gym) / (2.0 * step)
-        d_hol = 0.5 * (dx - 1j * dy)
-        d_anti = 0.5 * (dx + 1j * dy)
-        for mu, lhs in ((i, d_hol), (n + i, d_anti)):
+        for mu, lhs in zip((i, n + i), _metric_derivatives(f, i, d, z, cfg.deriv_step)):
             rhs = gamma_a[mu] + gamma_ma[mu].T
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
 
@@ -492,9 +546,9 @@ def duality_check(
     p, q = len(f.poles), len(f.zeros)
     perm = list(range(p, p + q)) + list(range(p))
     perm_full = perm + [n + a for a in perm]
-    gamma_rec = _gamma(*_gamma_parts(rec, m), alpha)
+    gamma_rec = _gamma(*_gamma_parts(_first_derivs(rec, z), _second_derivs(rec, z)), alpha)
     expected = gamma_ma[np.ix_(perm_full, perm_full, perm_full)]
-    rec_residual = float(np.max(np.abs(gamma_rec - expected)))
+    rec_residual = float(np.max(np.abs(gamma_rec - expected), initial=0.0))
     return DualityReport(
         alpha=float(alpha), duality_residual=worst, reciprocal_residual=rec_residual
     )

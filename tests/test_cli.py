@@ -37,6 +37,14 @@ def ar1_path(tmp_path):
 
 
 @pytest.fixture
+def empty_path(tmp_path):
+    # no poles or zeros: a zero-dimensional model
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"gain": GAIN_UNIT}))
+    return str(path)
+
+
+@pytest.fixture
 def arma_path(tmp_path):
     doc = dict(AR1_DOC, zeros=[{"re": 0.3, "im": 0.0}])
     path = tmp_path / "arma.json"
@@ -178,6 +186,12 @@ class TestOracleCompareCommand:
         assert code == 3
         assert report["passed"] is False
 
+    def test_empty_filter_passes_with_zero_residuals(self, capsys, empty_path):
+        code, report = run_json(capsys, ["oracle-compare", empty_path])
+        assert code == 0
+        assert report["passed"] is True
+        assert set(report["residuals"].values()) == {0.0}
+
 
 class TestOtherChecks:
     def test_duality_check(self, capsys, arma_path):
@@ -185,6 +199,12 @@ class TestOtherChecks:
         assert code == 0
         assert report["passed"] is True
         assert report["duality_residual"] < 1e-6
+
+    def test_duality_check_on_empty_filter(self, capsys, empty_path):
+        code, report = run_json(capsys, ["duality-check", empty_path])
+        assert code == 0
+        assert report["passed"] is True
+        assert report["duality_residual"] == report["reciprocal_residual"] == 0.0
 
     def test_invariance_check(self, capsys, arma_path):
         code, report = run_json(capsys, ["invariance-check", arma_path])

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cepgeo import quadrature
 from cepgeo.closed_form import (
     ModelPoint,
     alpha_connection,
@@ -301,3 +305,96 @@ class TestDualityCheck:
         f = arma_from_roots(sample_root_tuples(14, 1, 4, 0.9, 0.05)[0], 2)
         for alpha in (0.5, 1.0):
             assert duality_check(f, alpha, CFG).reciprocal_residual < 1e-6
+
+
+def _mixed_filter(seed, n):
+    # ceil(n/2) poles, the rest zeros
+    return arma_from_roots(sample_root_tuples(seed, 1, n, 0.9, 0.05)[0], (n + 1) // 2)
+
+
+def _second_derivs_direct(f, z):
+    return np.array([-c / (z - root) ** 2 for root, c in zip(f.coordinates, f.signature)])
+
+
+def _full_metric(f, z):
+    # <D_a D_b> over D = [d; conj(d)], all 2n rows rebuilt
+    d = log_derivatives(f, QuadratureConfig(nodes=z.size))
+    full = np.vstack([d, d.conj()])
+    return np.einsum("am,bm->ab", full, full) / z.size
+
+
+def _full_metric_difference(f, i, step, z):
+    """Central Wirtinger differences of the whole 2n x 2n metric in xi_i."""
+    xi = f.coordinates[i]
+
+    def moved(s):
+        coords = list(f.coordinates)
+        coords[i] = xi + s
+        p = len(f.poles)
+        return _full_metric(make_filter(poles=coords[:p], zeros=coords[p:], gain=f.gain), z)
+
+    dx = (moved(step) - moved(-step)) / (2.0 * step)
+    dy = (moved(1j * step) - moved(-1j * step)) / (2.0 * step)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
+class TestDualityParts:
+    """The cheap duality path against the full-index computation it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_gamma_parts_match_full_index_grid_means(self, n):
+        f = _mixed_filter(30 + n, n)
+        z = circle_nodes(CFG.nodes)
+        d = log_derivatives(f, CFG)
+        dd = _second_derivs_direct(f, z)
+        full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
+        triple, second = quadrature._gamma_parts(d, dd)
+        expected_triple = np.einsum("am,bm,cm->abc", full, full, full) / z.size
+        expected_second = np.einsum("am,bm->ab", full2, full) / z.size
+        for actual, expected in ((triple, expected_triple), (second, expected_second)):
+            assert actual.shape == expected.shape
+            assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_triples_are_exactly_symmetric_in_first_two_indices(self):
+        d = log_derivatives(_mixed_filter(41, 8), CFG)
+        for t in quadrature._triples(d):
+            assert np.array_equal(t, t.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_one_row_step_matches_full_metric_difference(self, n):
+        f = _mixed_filter(50 + n, n)
+        z = circle_nodes(CFG.nodes)
+        d = log_derivatives(f, CFG)
+        step = CFG.deriv_step
+        for i in range(n):
+            still = np.ones(2 * n, dtype=bool)
+            still[[i, n + i]] = False
+            one_row = quadrature._metric_derivatives(f, i, d, z, step)
+            for fast, slow in zip(one_row, _full_metric_difference(f, i, step, z)):
+                assert np.max(np.abs(fast - slow)) <= 1e-9
+                # only rows and columns i and n+i of the metric move
+                assert np.max(np.abs(slow[np.ix_(still, still)]), initial=0.0) <= 1e-12
+
+    def test_check_is_not_tautological(self, monkeypatch):
+        f = _mixed_filter(60, 4)
+        assert duality_check(f, 0.5, CFG).duality_residual < 1e-6
+        exact = quadrature._gamma_parts
+        monkeypatch.setattr(
+            quadrature, "_gamma_parts", lambda d, dd: (exact(d, dd)[0], 1.01 * exact(d, dd)[1])
+        )
+        assert duality_check(f, 0.5, CFG).duality_residual > 1e-4
+
+
+def test_oracle_imports_only_closed_form_types():
+    # the oracle must never call the closed forms it checks
+    tree = ast.parse(Path(quadrature.__file__).read_text())
+    allowed = {"ConnectionTensors", "HermitianMetric"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("closed_form" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if "closed_form" in (node.module or ""):
+                assert names <= allowed, names
+            else:
+                assert "closed_form" not in names

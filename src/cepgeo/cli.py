@@ -22,7 +22,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
 import warnings
 
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--trunc", type=int, default=closed_form.POTENTIAL_TRUNCATION_DEFAULT)
 
     p = sub.add_parser("divergence", parents=[common], help="alpha-divergence between two filters")
     p.add_argument("input")
@@ -159,7 +157,7 @@ def _cmd_cepstrum(args) -> dict:
 def _cmd_tensors(args) -> dict:
     f = _load_validated(args, args.input)
     point = ModelPoint.from_filter(f)
-    potential = closed_form.kahler_potential(point, args.trunc)
+    potential = closed_form.kahler_potential(point)
     g = closed_form.metric(point)
     ginv = closed_form.inverse_metric(point)
     det = closed_form.metric_determinant(point)
@@ -170,11 +168,7 @@ def _cmd_tensors(args) -> dict:
         "command": "tensors",
         "alpha": args.alpha,
         "labels": list(labels),
-        "potential": {
-            "value": potential.value,
-            "tail_bound": potential.tail_bound,
-            "truncation": potential.truncation,
-        },
+        "potential": {"value": potential.value},
         "metric": serialization.tensor_to_document(
             labels, None, [(g.mixed, (HOL, BAR)), (g.pure, (HOL, HOL))]
         ),
@@ -337,26 +331,19 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             report = _DISPATCH[args.command](args)
-        except (FilterError, CoincidentRootsError) as exc:
-            report = {
-                "command": args.command,
-                "error": {"code": getattr(exc, "code", "ERROR"), "message": str(exc)},
-            }
+            if caught:
+                report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+            # rendered here, so a value JSON cannot hold (inf, nan) is an input error
+            if args.format == "table":
+                text = serialization.render_table(report)
+            else:
+                text = serialization.dumps_report(report) + "\n"
+        except (OSError, ValueError) as exc:
+            known = isinstance(exc, (FilterError, CoincidentRootsError))
+            error = {"code": exc.code if known else "INVALID_INPUT", "message": str(exc)}
+            report = {"command": args.command, "error": error}
             _emit(args, serialization.dumps_report(report) + "\n")
             return 2
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            report = {
-                "command": args.command,
-                "error": {"code": "INVALID_INPUT", "message": str(exc)},
-            }
-            _emit(args, serialization.dumps_report(report) + "\n")
-            return 2
-    if caught:
-        report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
-    if args.format == "table":
-        text = serialization.render_table(report)
-    else:
-        text = serialization.dumps_report(report) + "\n"
     _emit(args, text)
     if args.strict and (caught or report.get("passed") is False):
         return 3

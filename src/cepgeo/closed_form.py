@@ -5,9 +5,11 @@ signature ``c_i = -1`` for poles and ``+1`` for zeros, on the constant-gain
 submanifold.  The geometry is Kahler: the metric is the mixed Hessian of
 the potential
 
-    K = sum_{r>=1} (1/r^2) |sum_i c_i (xi^i)^r|^2,
+    K = sum_{r>=1} (1/r^2) |sum_i c_i (xi^i)^r|^2
+      = sum_{i,j} c_i c_j Li2(xi^i conj(xi^j)),
 
-and every tensor below has a rational closed form in the coordinates:
+evaluated exactly through the dilogarithm Li2 (no truncated series), and
+every tensor below has a rational closed form in the coordinates:
 
     g_{i jbar}        = c_i c_j / (1 - xi^i conj(xi^j))
     Gamma^0_{ij,kbar} = c_j c_k delta_ij conj(xi^k) / (1 - xi^j conj(xi^k))^2
@@ -34,10 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import ValidatedFilter, _series_tail_bound, coordinate_labels
+from .filters import ValidatedFilter, coordinate_labels
 
 DELTA_COINCIDE = 1e-8
-POTENTIAL_TRUNCATION_DEFAULT = 256
+# B_2k / (2k+1)!, k = 1..14, from the even Bernoulli numbers B_2k
+_LI2_COEFFS = tuple(
+    b / math.factorial(2 * k + 1)
+    for k, b in enumerate(
+        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+         43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6,
+         -23749461029 / 870),
+        start=1,
+    )
+)
 
 
 class CoincidentRootsError(ValueError):
@@ -147,11 +158,9 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class KahlerPotential:
-    """Partial sum of the potential series with a rigorous tail bound."""
+    """The Kahler potential K, the squared norm of the complex cepstrum."""
 
     value: float
-    tail_bound: float
-    truncation: int
 
     def __float__(self) -> float:
         return self.value
@@ -169,20 +178,39 @@ def _hermitize(a: np.ndarray, real_diag: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T + np.diag(real_diag.astype(complex))
 
 
-def kahler_potential(m: ModelPoint, trunc: int = POTENTIAL_TRUNCATION_DEFAULT) -> KahlerPotential:
-    """Potential partial sum sum_{r<=N} |sum_i c_i xi_i^r|^2 / r^2 with tail bound."""
-    if trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {trunc}")
-    if m.n == 0:
-        return KahlerPotential(0.0, 0.0, trunc)
-    r = np.arange(1, trunc + 1, dtype=float)
+def _li2(w: np.ndarray) -> np.ndarray:
+    """Dilogarithm Li2(w) = sum_{r>=1} w^r / r^2, elementwise for |w| < 1.
+
+    Follows 't Hooft & Veltman, Nucl. Phys. B153 (1979): the Bernoulli series
+    Li2 = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u = -log(1 - v), with
+    v = w for Re w <= 1/2 and v = 1 - w, through the reflection
+    Li2(w) = pi^2/6 - log(w) log(1 - w) - Li2(1 - w), otherwise.  Then
+    |u| <= pi/3, well inside the series' radius 2 pi.
+    """
+    reflect = w.real > 0.5
+    v = np.where(reflect, 1.0 - w, w)
+    x, y = v.real, v.imag
+    # log|1 - v| from log1p keeps u accurate relative to v as v -> 0
+    u = -0.5 * np.log1p(x * (x - 2.0) + y * y) + 1j * np.arctan2(y, 1.0 - x)
+    u2 = u * u
+    acc = 0.0
+    for b in reversed(_LI2_COEFFS):
+        acc = acc * u2 + b
+    li2 = u - 0.25 * u2 + u * u2 * acc
+    wr = w[reflect]
+    li2[reflect] = np.pi**2 / 6 - np.log(wr) * np.log(1.0 - wr) - li2[reflect]
+    return li2
+
+
+def kahler_potential(m: ModelPoint) -> KahlerPotential:
+    """Potential K = sum_{i,j} c_i c_j Li2(xi^i conj(xi^j)), exact to rounding.
+
+    Expanding |sum_i c_i (xi^i)^r|^2 = sum_{i,j} c_i c_j (xi^i conj(xi^j))^r
+    turns the series sum_r |.|^2 / r^2 into one dilogarithm per pair.
+    """
     xi = np.asarray(m.params, dtype=complex)
     c = np.asarray(m.signature, dtype=float)
-    powers = xi[:, None] ** r[None, :]
-    s = (c[:, None] * powers).sum(axis=0)
-    value = float(np.sum((s * s.conj()).real / r**2))
-    tail = _series_tail_bound(m.n, max(abs(p) for p in m.params), trunc)
-    return KahlerPotential(value, tail, trunc)
+    return KahlerPotential(float(np.sum(np.outer(c, c) * _li2(np.outer(xi, xi.conj())).real)))
 
 
 def metric(m: ModelPoint) -> HermitianMetric:

@@ -6,9 +6,9 @@ On a Kahler manifold the Laplace-Beltrami operator reduces to
 
 so superharmonicity (Delta psi <= 0) of a candidate prior function is a
 contraction of its mixed Wirtinger Hessian with the inverse metric.  The
-built-in candidates are polynomials in the factors (1 - xi^a conj(xi^b)),
-whose mixed Hessians are available analytically; custom candidates fall
-back to central Wirtinger differences of their evaluator.
+candidates are polynomials in the factors (1 - xi^a conj(xi^b)), whose
+mixed Hessians are available analytically, so every candidate has one exact
+path and no finite differences.
 
 Superharmonicity reports are sampled evidence over the stability region,
 never proofs: the sample count always travels with the verdict.
@@ -26,7 +26,6 @@ from .filters import EPS_STAB_DEFAULT
 from .sampling import sample_root_tuples
 
 REJECT_RADIUS_DEFAULT = 1e-4
-FD_STEP_DEFAULT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,11 @@ class _FactorPolynomial:
 
 @dataclass(frozen=True)
 class PriorFunction:
-    """A candidate prior: real evaluator plus optional analytic mixed Hessian."""
+    """A candidate prior: real evaluator plus its analytic mixed Hessian."""
 
     kind: str
     evaluate: Callable[[ModelPoint], float]
-    mixed_hessian: Callable[[ModelPoint], np.ndarray] | None = None
+    mixed_hessian: Callable[[ModelPoint], np.ndarray]
 
 
 def prior_psi1(n: int = 2) -> PriorFunction:
@@ -99,13 +98,6 @@ def prior_psi3() -> PriorFunction:
     return PriorFunction(kind="psi3", evaluate=poly.value, mixed_hessian=poly.mixed_hessian)
 
 
-def prior_custom(
-    evaluate: Callable[[ModelPoint], float],
-    mixed_hessian: Callable[[ModelPoint], np.ndarray] | None = None,
-) -> PriorFunction:
-    return PriorFunction(kind="custom", evaluate=evaluate, mixed_hessian=mixed_hessian)
-
-
 BUILTINS: dict[str, Callable[..., PriorFunction]] = {
     "psi1": prior_psi1,
     "psi2": prior_psi2,
@@ -113,58 +105,13 @@ BUILTINS: dict[str, Callable[..., PriorFunction]] = {
 }
 
 
-def wirtinger_mixed_hessian(
-    evaluate: Callable[[ModelPoint], float], m: ModelPoint, step: float = FD_STEP_DEFAULT
-) -> np.ndarray:
-    """Central-difference d_i d_jbar of a real evaluator at a model point."""
-    n = m.n
-
-    def at(shifts: dict[int, complex]) -> float:
-        pt = m
-        for idx, dz in shifts.items():
-            pt = pt.replace_param(idx, pt.params[idx] + dz)
-        return evaluate(pt)
-
-    hess = np.empty((n, n), dtype=complex)
-    f0 = at({})
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                dxx = (at({i: step}) - 2 * f0 + at({i: -step})) / step**2
-                dyy = (at({i: 1j * step}) - 2 * f0 + at({i: -1j * step})) / step**2
-                # the i(dxdy - dydx) part vanishes for a single coordinate
-                hess[i, i] = 0.25 * (dxx + dyy)
-            else:
-
-                def cross(d1: complex, d2: complex) -> float:
-                    return (
-                        at({i: d1, j: d2})
-                        - at({i: d1, j: -d2})
-                        - at({i: -d1, j: d2})
-                        + at({i: -d1, j: -d2})
-                    ) / (4.0 * step**2)
-
-                dxx = cross(step, step)
-                dyy = cross(1j * step, 1j * step)
-                dxy = cross(step, 1j * step)
-                dyx = cross(1j * step, step)
-                hess[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-    return hess
-
-
 def laplace_beltrami(psi: PriorFunction, m: ModelPoint) -> float:
     """Delta psi = 2 g^{i jbar} d_i d_jbar psi at a model point.
 
-    Built-ins use their analytic mixed Hessians; custom functions are
-    differenced with step ``FD_STEP_DEFAULT``.  Coincident coordinates
+    Uses the candidate's analytic mixed Hessian.  Coincident coordinates
     propagate the inverse-metric degeneracy handling.
     """
-    if psi.mixed_hessian is not None:
-        hess = psi.mixed_hessian(m)
-    else:
-        hess = wirtinger_mixed_hessian(psi.evaluate, m)
-    ginv = inverse_metric(m)
-    return float(np.sum(ginv * hess).real * 2.0)
+    return float(np.sum(inverse_metric(m) * psi.mixed_hessian(m)).real * 2.0)
 
 
 @dataclass(frozen=True)

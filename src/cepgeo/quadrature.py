@@ -96,18 +96,11 @@ def _log_deriv_row(f: ValidatedFilter, i: int, z: np.ndarray) -> np.ndarray:
     return -f.signature[i] / (z - f.coordinates[i])
 
 
-def _first_derivs(f: ValidatedFilter, z: np.ndarray, include_gain: bool = False) -> np.ndarray:
-    """d_i log h on a grid, one row per coordinate.
-
-    With ``include_gain`` a leading row for the gain coordinate
-    (d_sigma log h = 2/sigma, constant on the grid) is prepended.
-    """
-    extra = 1 if include_gain else 0
-    d = np.empty((extra + f.dimension, z.size), dtype=complex)
-    if include_gain:
-        d[0] = 2.0 / f.gain
+def _first_derivs(f: ValidatedFilter, z: np.ndarray) -> np.ndarray:
+    """d_i log h on a grid, one row per root coordinate."""
+    d = np.empty((f.dimension, z.size), dtype=complex)
     for i in range(f.dimension):
-        d[extra + i] = _log_deriv_row(f, i, z)
+        d[i] = _log_deriv_row(f, i, z)
     return d
 
 
@@ -120,13 +113,6 @@ def _second_derivs(f: ValidatedFilter, z: np.ndarray) -> np.ndarray:
     for i, (root, c) in enumerate(zip(f.coordinates, f.signature)):
         dd[i] = -c / (z - root) ** 2
     return dd
-
-
-def log_derivatives(
-    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
-) -> np.ndarray:
-    """d_i log h evaluated at the circle nodes, one row per coordinate."""
-    return _first_derivs(f, circle_nodes(cfg.nodes))
 
 
 def _mean2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,20 +162,16 @@ def _metric_blocks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def metric_numeric(
     f: ValidatedFilter,
     cfg: QuadratureConfig = QuadratureConfig(),
-    include_gain: bool = False,
     tol: float = 1e-9,
 ) -> HermitianMetric:
     """Metric by quadrature: mixed_{ij} = mean over nodes of d_i log h conj(d_j log h).
 
     The pure block uses the same average without conjugation and vanishes on
-    the constant-gain submanifold; request ``include_gain`` to see the gain
-    row, whose mixed entries against root coordinates vanish while the pure
-    gain-gain entry does not.
+    the constant-gain submanifold.
     """
-    d2 = _first_derivs(f, _doubled_grid(cfg.nodes), include_gain)
+    d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
     (mixed, pure), residual, converged = _half_grid(_metric_blocks, (d2,), tol, "metric")
-    labels = (("gain",) if include_gain else ()) + f.labels
-    return HermitianMetric(mixed, pure, labels, residual, converged)
+    return HermitianMetric(mixed, pure, f.labels, residual, converged)
 
 
 def _triples(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

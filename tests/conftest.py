@@ -21,6 +21,46 @@ def make_filter(poles=(), zeros=(), blaschke=(), z_power=0, gain=GAIN):
     )
 
 
+def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
+    """Central-difference d_i d_jbar of a real evaluator at a ModelPoint.
+
+    A test oracle for analytic mixed Hessians (priors, the potential, log det g).
+    """
+    n = m.n
+
+    def at(shifts):
+        pt = m
+        for idx, dz in shifts.items():
+            pt = pt.replace_param(idx, pt.params[idx] + dz)
+        return evaluate(pt)
+
+    hess = np.empty((n, n), dtype=complex)
+    f0 = at({})
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                dxx = (at({i: step}) - 2 * f0 + at({i: -step})) / step**2
+                dyy = (at({i: 1j * step}) - 2 * f0 + at({i: -1j * step})) / step**2
+                # the i(dxdy - dydx) part vanishes for a single coordinate
+                hess[i, i] = 0.25 * (dxx + dyy)
+            else:
+
+                def cross(d1, d2):
+                    return (
+                        at({i: d1, j: d2})
+                        - at({i: d1, j: -d2})
+                        - at({i: -d1, j: d2})
+                        + at({i: -d1, j: -d2})
+                    ) / (4.0 * step**2)
+
+                dxx = cross(step, step)
+                dyy = cross(1j * step, 1j * step)
+                dxy = cross(step, 1j * step)
+                dyx = cross(1j * step, step)
+                hess[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
+    return hess
+
+
 def arma_from_roots(row, p):
     """Validated filter with the first p roots as poles, the rest as zeros."""
     row = tuple(row)

@@ -105,7 +105,7 @@ def test_criterion_4_potential_is_zero_alpha_divergence():
             p = 1
         roots = sample_disk(rng, p + q, 0.9)
         f = validate(FilterSpec(gain=GAIN, poles=tuple(roots[:p]), zeros=tuple(roots[p:])))
-        k = kahler_potential(ModelPoint.from_filter(f), 256).value
+        k = kahler_potential(ModelPoint.from_filter(f)).value
         d0 = divergence(allpass, f, 0.0, CFG).value
         worst = max(worst, abs(d0 - k))
     ok = worst < 1e-9
@@ -204,7 +204,7 @@ def test_criterion_9_analytic_anchors():
         "connection0": (connection0(m).gamma_mixed[0, 0, 0].real, 8.0 / 9.0),
         "ricci0": (ricci0(m).ricci[0, 0].real, -16.0 / 9.0),
         "scalar": (ricci0(m).scalar, -4.0 / 3.0),
-        "potential": (kahler_potential(m, 200).value, li2_partial),
+        "potential": (kahler_potential(m).value, li2_partial),
     }
     worst = max(abs(got - want) for got, want in values.values())
     ok = worst < 1e-9

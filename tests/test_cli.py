@@ -2,8 +2,11 @@ import cmath
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +126,18 @@ class TestTensorsCommand:
         assert main(["tensors", "--alpha", "0.5", "--out", str(out2), ar1_path]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_potential_is_one_exact_value(self, capsys, arma_path):
+        code, report = run_json(capsys, ["tensors", arma_path])
+        assert code == 0
+        assert list(report["potential"]) == ["value"]
+        # Li2(0.25) - 2 Li2(0.15) + Li2(0.09) for pole 0.5, zero 0.3
+        assert report["potential"]["value"] == pytest.approx(0.0476929238236, rel=1e-11)
+
+    def test_trunc_flag_is_rejected(self, arma_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["tensors", arma_path, "--trunc", "4"])
+        assert exc_info.value.code == 2
+
     def test_report_round_trips_through_schema(self, capsys, arma_path):
         code, report = run_json(capsys, ["tensors", "--alpha", "1", arma_path])
         assert code == 0
@@ -219,6 +234,24 @@ class TestOtherChecks:
         assert coeffs[0] == pytest.approx(0.5)
         assert report["tail_bound"] > 0.0
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # sigma^2 / 2 pi overflows, so phi0 is inf
+            {"gain": 1e200, "poles": [{"re": 0.3, "im": 0.0}]},
+            # beta_r = (1/r) b^-r overflows at a Blaschke point this small
+            {"gain": GAIN_UNIT, "blaschke": [{"re": 1e-200, "im": 0.0}]},
+        ],
+        ids=["huge-gain", "tiny-blaschke-point"],
+    )
+    def test_non_finite_report_value_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["cepstrum", str(path)])
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "JSON" in report["error"]["message"]
+
     def test_table_format(self, capsys, ar1_path):
         code = main(["validate", ar1_path, "--format", "table"])
         out = capsys.readouterr().out
@@ -234,6 +267,30 @@ class TestSerializationHelpers:
         doc = filter_to_document(spec)
         assert json.loads(json.dumps(doc)) == doc
         assert filter_to_document(parse_filter_document(doc)) == doc
+
+
+def _readme_block(heading: str, language: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    # every documented command line must parse and succeed, so the README
+    # cannot drift from the parser; filter*.json are the README's example
+    # ARMA(1,1) document
+    doc = _readme_block("### Filter JSON schema", "json")
+    lines = [line for line in _readme_block("## CLI", "sh").splitlines() if line.strip()]
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "cepgeo"
+        for k, arg in enumerate(argv):
+            if re.fullmatch(r"filter\d*\.json", arg):
+                argv[k] = str(tmp_path / arg)
+                Path(argv[k]).write_text(doc)
+        assert main(argv[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_console_entry_point_runs(tmp_path):

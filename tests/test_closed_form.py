@@ -17,11 +17,11 @@ from cepgeo.closed_form import (
     metric_determinant,
     ricci0,
     t_tensor,
+    _li2,
 )
-from cepgeo.priors import wirtinger_mixed_hessian
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots
+from conftest import GAIN, arma_from_roots, wirtinger_mixed_hessian
 
 AR1 = ModelPoint((0.5,), (-1,))
 ARMA11 = ModelPoint((0.5, 0.3), (-1, 1))
@@ -110,31 +110,88 @@ class TestModelPoint:
         assert ModelPoint((0.5,), (-1,)).min_pairwise_distance == np.inf
 
 
+def li2_test_points(seed=5):
+    """Seeded |w| < 1 covering w -> 0, w -> +-1, the Re w = 1/2 seam and the circle."""
+    rng = np.random.default_rng(seed)
+    near_circle = (1.0 - 10.0 ** rng.uniform(-12, 0, 200)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, 200)
+    )
+    tiny = 10.0 ** rng.uniform(-8, -1, 100) * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))
+    height = rng.uniform(-0.86, 0.86, 50)
+    seam = np.concatenate([0.5 + 1j * height, np.nextafter(0.5, 1.0) + 1j * height])
+    gap = 10.0 ** rng.uniform(-12, 0, 50)
+    real = np.concatenate([1.0 - gap, gap - 1.0]).astype(complex)
+    return np.concatenate([near_circle, tiny, seam, real])
+
+
+def mp_potential(mp, m):
+    """Sum_{i,j} c_i c_j Li2(xi^i conj(xi^j)) at the working precision.
+
+    Li2(conj w) = conj(Li2(w)), so each pair i < j is counted twice.
+    """
+    xi = [mp.mpc(p) for p in m.params]
+    c = m.signature
+    return mp.fsum(
+        (1 if i == j else 2) * c[i] * c[j] * mp.re(mp.polylog(2, xi[i] * mp.conj(xi[j])))
+        for i in range(m.n)
+        for j in range(i, m.n)
+    )
+
+
+# 24 equally spaced roots at radius 0.999998, twelve poles then twelve zeros:
+# the 256-term series gave 240.064 here, against the true 240.158
+CIRCLE24 = ModelPoint(
+    tuple(0.999998 * np.exp(2j * np.pi * np.arange(24) / 24)), (-1,) * 12 + (1,) * 12
+)
+
+
+class TestDilogarithm:
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        w = li2_test_points()
+        assert np.all(np.abs(w) < 1.0)
+        got = _li2(w)
+        with mp.workdps(40):
+            ref = np.array([complex(mp.polylog(2, mp.mpc(z.real, z.imag))) for z in w])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
+
+    def test_origin_and_real_values(self):
+        assert _li2(np.zeros(3, dtype=complex)).tolist() == [0.0, 0.0, 0.0]
+        # Li2(1/2) = pi^2/12 - log(2)^2/2, and Li2(w) -> -pi^2/12 as w -> -1
+        half = np.pi**2 / 12 - np.log(2.0) ** 2 / 2
+        assert _li2(np.array([0.5 + 0j]))[0] == pytest.approx(half, rel=1e-15)
+        near_minus_one = np.array([np.nextafter(-1.0, 0.0) + 0j])
+        assert _li2(near_minus_one)[0] == pytest.approx(-np.pi**2 / 12, rel=1e-15)
+
+
 class TestKahlerPotential:
     def test_origin_vanishes(self):
         assert kahler_potential(ModelPoint((0.0,), (-1,))).value == 0.0
 
     def test_ar1_dilogarithm(self):
-        pot = kahler_potential(AR1, 200)
+        pot = kahler_potential(AR1)
         assert pot.value == pytest.approx(LI2_QUARTER, abs=1e-14)
         assert pot.value == pytest.approx(0.2676526390827326, abs=1e-13)
 
     def test_signature_cancellation(self):
         assert kahler_potential(ModelPoint((0.4, 0.4), (-1, 1))).value == 0.0
 
-    def test_tail_bound_sound(self):
-        m = ModelPoint((0.8, -0.5j), (-1, 1))
-        short = kahler_potential(m, 16)
-        long = kahler_potential(m, 256)
-        assert short.tail_bound >= long.value - short.value >= 0.0
+    @pytest.mark.parametrize(
+        "m",
+        [ModelPoint((0.999,), (-1,)), ModelPoint((1.0 - 1e-6,), (-1,)), CIRCLE24],
+        ids=["ar1-0.999", "ar1-1e-6", "circle24"],
+    )
+    def test_matches_mpmath_near_the_circle(self, m):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp_potential(mp, m))
+        assert kahler_potential(m).value == pytest.approx(ref, rel=1e-14)
 
     def test_mixed_hessian_of_potential_is_metric(self):
         # the defining property g_{i jbar} = d_i d_jbar K, by Wirtinger
-        # central differences of the partial sum
+        # central differences
         for m in random_points(3, 5):
-            hess = wirtinger_mixed_hessian(
-                lambda pt: kahler_potential(pt, 256).value, m, step=1e-4
-            )
+            hess = wirtinger_mixed_hessian(lambda pt: kahler_potential(pt).value, m, step=1e-4)
             assert np.max(np.abs(hess - metric(m).mixed)) < 1e-6
 
 

@@ -3,23 +3,29 @@ import pytest
 
 from cepgeo.closed_form import ModelPoint
 from cepgeo.priors import (
+    PriorFunction,
     check_superharmonic,
     laplace_beltrami,
-    prior_custom,
     prior_psi1,
     prior_psi2,
     prior_psi3,
-    wirtinger_mixed_hessian,
 )
 from cepgeo.sampling import sample_root_tuples
+
+from conftest import wirtinger_mixed_hessian
 
 AR1_HALF = ModelPoint((0.5,), (-1,))
 AR2 = ModelPoint((0.4 + 0.2j, -0.3 + 0.5j), (-1, -1))
 
 
+def differenced_prior(evaluate):
+    """A candidate whose mixed Hessian is the Wirtinger difference oracle."""
+    return PriorFunction("custom", evaluate, lambda m: wirtinger_mixed_hessian(evaluate, m))
+
+
 class TestLaplaceBeltrami:
     def test_constant_function_maps_to_zero(self):
-        psi = prior_custom(lambda m: 3.0)
+        psi = differenced_prior(lambda m: 3.0)
         assert laplace_beltrami(psi, AR2) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_boundary_factor_on_ar1(self):
@@ -37,7 +43,7 @@ class TestLaplaceBeltrami:
     def test_additivity(self):
         psi1 = prior_psi1(2)
         psi2 = prior_psi2(2)
-        combined = prior_custom(lambda m: psi1.evaluate(m) + psi2.evaluate(m))
+        combined = differenced_prior(lambda m: psi1.evaluate(m) + psi2.evaluate(m))
         for row in sample_root_tuples(7, 5, 2, 0.9, 1e-3):
             m = ModelPoint(tuple(row), (-1, -1))
             total = laplace_beltrami(psi1, m) + laplace_beltrami(psi2, m)
@@ -75,7 +81,7 @@ class TestLaplaceBeltrami:
         assert np.max(np.abs(psi.mixed_hessian(m) - fd)) < 1e-6  # not a Hessian bug
 
     def test_custom_subharmonic_counterexample(self):
-        psi = prior_custom(lambda m: abs(m.params[0]) ** 2)
+        psi = differenced_prior(lambda m: abs(m.params[0]) ** 2)
         assert laplace_beltrami(psi, AR1_HALF) > 0.0
 
 
@@ -91,7 +97,7 @@ class TestCheckSuperharmonic:
         assert report.violations == 0
 
     def test_subharmonic_candidate_violates_everywhere(self):
-        psi = prior_custom(lambda m: abs(m.params[0]) ** 2)
+        psi = differenced_prior(lambda m: abs(m.params[0]) ** 2)
         report = check_superharmonic(psi, (2, 0), 100, seed=3)
         assert report.violations == report.samples
 

@@ -23,7 +23,6 @@ from cepgeo.quadrature import (
     divergence,
     duality_check,
     invariance_suite,
-    log_derivatives,
     metric_numeric,
     ricci_numeric,
     scalar_curvature_numeric,
@@ -35,6 +34,11 @@ from conftest import GAIN, arma_from_roots, make_filter
 
 CFG = QuadratureConfig(nodes=2048)
 LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
+
+
+def first_derivs(f):
+    """d_i log h on the CFG grid."""
+    return quadrature._first_derivs(f, circle_nodes(CFG.nodes))
 
 
 class TestQuadratureConfig:
@@ -53,16 +57,16 @@ class TestQuadratureConfig:
 
 class TestLogDerivatives:
     def test_pole_substitution(self, ar1):
-        d = log_derivatives(ar1, CFG)
+        d = first_derivs(ar1)
         assert d[0, 0] == pytest.approx(1.0 / (1.0 - 0.5))  # node 0 is z = 1
 
     def test_zero_substitution(self):
         f = make_filter(zeros=(0.3,))
-        d = log_derivatives(f, CFG)
+        d = first_derivs(f)
         assert d[0, 0] == pytest.approx(-1.0 / 0.7)
 
     def test_no_constant_fourier_mode(self, arma11):
-        d = log_derivatives(arma11, CFG)
+        d = first_derivs(arma11)
         assert np.max(np.abs(d.mean(axis=1))) < 1e-12
 
 
@@ -90,7 +94,7 @@ class TestMetricNumeric:
     def test_entries_match_independent_recomputation(self, arma11):
         g = metric_numeric(arma11, CFG).mixed
         z = circle_nodes(CFG.nodes)
-        d = log_derivatives(arma11, CFG)
+        d = first_derivs(arma11)
         for i in range(2):
             for j in range(2):
                 direct = np.mean(d[i] * d[j].conj())
@@ -100,11 +104,15 @@ class TestMetricNumeric:
         assert np.max(np.abs(metric_numeric(arma11, CFG).pure)) < 1e-12
 
     def test_gain_coordinate_orthogonal_to_roots(self, arma11):
-        g = metric_numeric(arma11, CFG, include_gain=True)
-        assert g.labels[0] == "gain"
-        assert np.max(np.abs(g.mixed[0, 1:])) < 1e-10
-        assert g.mixed[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
-        assert g.pure[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
+        # with the gain as a coordinate, d_sigma log h = 2/sigma is a constant
+        # row; it is orthogonal to the roots in the mixed block, but the pure
+        # block is nonzero once the gain varies
+        d = first_derivs(arma11)
+        with_gain = np.vstack([np.full(d.shape[1], 2.0 / arma11.gain, dtype=complex), d])
+        mixed, pure = quadrature._metric_blocks(with_gain)
+        assert np.max(np.abs(mixed[0, 1:])) < 1e-10
+        assert mixed[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
+        assert pure[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
 
     def test_convergence_at_doubled_grid(self):
         rows = sample_root_tuples(4, 3, 4, 0.9, 0.0)
@@ -205,7 +213,7 @@ class TestConnectionFamiliesAtNonzeroAlpha:
     def test_triple_families_match_direct_grid_means(self):
         # the matrix-product kernels against plain grid means on the same nodes
         f = arma_from_roots(sample_root_tuples(22, 1, 4, 0.9, 0.05)[0], 2)
-        d = log_derivatives(f, CFG)
+        d = first_derivs(f)
         dc = d.conj()
         conn = connection_numeric(f, 0.5, CFG)
         t = t_tensor_numeric(f, CFG)
@@ -318,7 +326,7 @@ def _second_derivs_direct(f, z):
 
 def _full_metric(f, z):
     # <D_a D_b> over D = [d; conj(d)], all 2n rows rebuilt
-    d = log_derivatives(f, QuadratureConfig(nodes=z.size))
+    d = quadrature._first_derivs(f, z)
     full = np.vstack([d, d.conj()])
     return np.einsum("am,bm->ab", full, full) / z.size
 
@@ -345,7 +353,7 @@ class TestDualityParts:
     def test_gamma_parts_match_full_index_grid_means(self, n):
         f = _mixed_filter(30 + n, n)
         z = circle_nodes(CFG.nodes)
-        d = log_derivatives(f, CFG)
+        d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
         triple, second = quadrature._gamma_parts(d, dd)
@@ -356,7 +364,7 @@ class TestDualityParts:
             assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_triples_are_exactly_symmetric_in_first_two_indices(self):
-        d = log_derivatives(_mixed_filter(41, 8), CFG)
+        d = first_derivs(_mixed_filter(41, 8))
         for t in quadrature._triples(d):
             assert np.array_equal(t, t.transpose(1, 0, 2))
 
@@ -364,7 +372,7 @@ class TestDualityParts:
     def test_one_row_step_matches_full_metric_difference(self, n):
         f = _mixed_filter(50 + n, n)
         z = circle_nodes(CFG.nodes)
-        d = log_derivatives(f, CFG)
+        d = first_derivs(f)
         step = CFG.deriv_step
         for i in range(n):
             still = np.ones(2 * n, dtype=bool)

@@ -3,13 +3,17 @@
 Complex numbers are always {"re": ..., "im": ...} pairs.  Tensor entries
 carry their index tuple with anti-holomorphic (barred) positions encoded as
 strings with a combining macron ("1̄"), holomorphic positions as plain
-integers; indices are 0-based.  Floats are rounded to 12 significant digits
-before emission so that identical inputs produce byte-identical reports.
+integers; indices are 0-based.  ``dumps_report`` writes a report in one
+pass and rounds each float to 12 significant digits once, as it writes it;
+its text is the standard library's ``indent=2`` ASCII JSON of the rounded
+document, and identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 import numpy as np
@@ -97,21 +101,15 @@ def parse_index(token: Any) -> tuple[int, bool]:
 
 
 def tensor_entries(array: np.ndarray, bar_pattern: tuple[bool, ...]) -> list[dict[str, Any]]:
-    """Flatten a tensor into schema entries, C order, one bar flag per axis."""
-    array = np.asarray(array)
+    """Flatten a tensor into unrounded schema entries, C order, one bar flag per axis."""
+    array = np.asarray(array, dtype=complex)
     if array.ndim != len(bar_pattern):
         raise ValueError("bar pattern length must match tensor rank")
-    entries = []
-    for idx in np.ndindex(*array.shape):
-        value = complex(array[idx])
-        entries.append(
-            {
-                "idx": [render_index(i, barred) for i, barred in zip(idx, bar_pattern)],
-                "re": fmt_float(value.real),
-                "im": fmt_float(value.imag),
-            }
-        )
-    return entries
+    axes = [[render_index(i, bar) for i in range(n)] for n, bar in zip(array.shape, bar_pattern)]
+    return [
+        {"idx": list(idx), "re": z.real, "im": z.imag}
+        for idx, z in zip(itertools.product(*axes), array.ravel().tolist())
+    ]
 
 
 def tensor_to_document(
@@ -125,14 +123,8 @@ def tensor_to_document(
     indices; entries from consecutive blocks are concatenated in order, so
     the document layout is deterministic.
     """
-    entries: list[dict[str, Any]] = []
-    for array, pattern in blocks:
-        entries.extend(tensor_entries(array, pattern))
-    return {
-        "labels": list(labels),
-        "alpha": None if alpha is None else fmt_float(alpha),
-        "entries": entries,
-    }
+    entries = [entry for array, pattern in blocks for entry in tensor_entries(array, pattern)]
+    return {"labels": list(labels), "alpha": alpha, "entries": entries}
 
 
 def parse_tensor_document(doc: dict[str, Any]) -> dict[tuple[bool, ...], np.ndarray]:
@@ -148,32 +140,76 @@ def parse_tensor_document(doc: dict[str, Any]) -> dict[tuple[bool, ...], np.ndar
     return grouped
 
 
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return fmt_float(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    raise TypeError(f"unserialisable value of type {type(obj)!r}")
+def _rounded(x: Any) -> float:
+    """``fmt_float``, refusing inf and nan with the standard library's error."""
+    x = fmt_float(x)
+    if x - x != 0.0:  # inf or nan
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return x
+
+
+_ENTRY_KEYS = ["idx", "re", "im"]
+_TOKENS = {int: int.__repr__, str: _quote}
+
+
+def _entry(entry: dict[str, Any], nl: str) -> str | None:
+    """A tensor entry (int or str index tokens, float parts) from one template, else None."""
+    idx, re, im = entry.values()
+    if type(re) is not float or type(im) is not float or type(idx) is not list or not idx:
+        return None
+    try:
+        tokens = f",{nl}    ".join([_TOKENS[type(token)](token) for token in idx])
+    except KeyError:
+        return None
+    inner, re, im = nl + "  ", repr(_rounded(re)), repr(_rounded(im))
+    return f'{{{inner}"idx": [{inner}  {tokens}{inner}],{inner}"re": {re},{inner}"im": {im}{nl}}}'
+
+
+def _write(obj: Any, out: list[str], nl: str) -> None:
+    """Append the JSON text of ``obj``; ``nl`` is a newline and the current indent."""
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        text = _entry(obj, nl) if is_dict and list(obj) == _ENTRY_KEYS else None
+        if text is not None or not obj:
+            out.append(text or ("{}" if is_dict else "[]"))
+            return
+        inner = nl + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in obj.items() if is_dict else obj:
+            if is_dict:
+                key, item = item
+                out.append(sep + _quote(key) + ": ")
+            else:
+                out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + ("}" if is_dict else "]"))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(repr(_rounded(obj)))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    else:
+        raise TypeError(f"unserialisable value of type {type(obj)!r}")
 
 
 def dumps_report(report: dict[str, Any]) -> str:
-    """Deterministic JSON text: fixed key order, 12-significant-digit floats."""
-    return json.dumps(_round_floats(report), indent=2, allow_nan=False, ensure_ascii=True)
+    """Deterministic JSON text: fixed key order, 12-significant-digit floats.
+
+    The first non-finite float raises ValueError; the first value JSON has no
+    type for, or key that is not a string, raises TypeError.
+    """
+    out: list[str] = []
+    _write(report, out, "\n")
+    return "".join(out)
 
 
 def render_table(report: dict[str, Any]) -> str:
-    """Human-readable rendering; JSON remains the machine contract."""
-    report = _round_floats(report)
+    """Human-readable rendering of the JSON report, which stays the machine contract."""
+    report = json.loads(dumps_report(report))
     lines: list[str] = []
 
     def emit(prefix: str, value: Any) -> None:

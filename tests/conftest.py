@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,3 +79,25 @@ def ar1():
 @pytest.fixture
 def arma11():
     return make_filter(poles=(0.5,), zeros=(0.3,))
+
+
+def _readme_block(heading: str, language: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def readme_cli_argvs(tmp_path: Path) -> list[list[str]]:
+    """The README's CLI lines, with each filter*.json written as its example ARMA(1,1) filter."""
+    doc = _readme_block("### Filter JSON schema", "json")
+    argvs = []
+    for line in _readme_block("## CLI", "sh").splitlines():
+        if not line.strip():
+            continue
+        argv = shlex.split(line)
+        for k, arg in enumerate(argv):
+            if re.fullmatch(r"filter\d*\.json", arg):
+                argv[k] = str(tmp_path / arg)
+                Path(argv[k]).write_text(doc)
+        argvs.append(argv)
+    return argvs

@@ -2,11 +2,8 @@ import cmath
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +17,8 @@ from cepgeo.serialization import (
     parse_filter_document,
     parse_tensor_document,
 )
+
+from conftest import readme_cli_argvs
 
 GAIN_UNIT = math.sqrt(2.0 * math.pi)
 
@@ -247,10 +246,12 @@ class TestOtherChecks:
     def test_non_finite_report_value_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
-        code, report = run_json(capsys, ["cepstrum", str(path)])
-        assert code == 2
-        assert report["error"]["code"] == "INVALID_INPUT"
-        assert "JSON" in report["error"]["message"]
+        for fmt in ("json", "table"):
+            # the error itself is always reported as JSON
+            code, report = run_json(capsys, ["cepstrum", str(path), "--format", fmt])
+            assert code == 2, fmt
+            assert report["error"]["code"] == "INVALID_INPUT"
+            assert "JSON" in report["error"]["message"]
 
     def test_table_format(self, capsys, ar1_path):
         code = main(["validate", ar1_path, "--format", "table"])
@@ -269,27 +270,14 @@ class TestSerializationHelpers:
         assert filter_to_document(parse_filter_document(doc)) == doc
 
 
-def _readme_block(heading: str, language: str) -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split(f"\n{heading}\n", 1)[1]
-    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
-
-
 def test_readme_cli_examples_run(capsys, tmp_path):
     # every documented command line must parse and succeed, so the README
-    # cannot drift from the parser; filter*.json are the README's example
-    # ARMA(1,1) document
-    doc = _readme_block("### Filter JSON schema", "json")
-    lines = [line for line in _readme_block("## CLI", "sh").splitlines() if line.strip()]
-    assert len(lines) == 8
-    for line in lines:
-        argv = shlex.split(line)
+    # cannot drift from the parser
+    argvs = readme_cli_argvs(tmp_path)
+    assert len(argvs) == 8
+    for argv in argvs:
         assert argv[0] == "cepgeo"
-        for k, arg in enumerate(argv):
-            if re.fullmatch(r"filter\d*\.json", arg):
-                argv[k] = str(tmp_path / arg)
-                Path(argv[k]).write_text(doc)
-        assert main(argv[1:]) == 0, line
+        assert main(argv[1:]) == 0, argv
         capsys.readouterr()
 
 

@@ -1,0 +1,198 @@
+"""The report writer against the standard library's encoder as an oracle.
+
+``dumps_report`` must give exactly the text of ``json.dumps(indent=2,
+ensure_ascii=True, allow_nan=False)`` applied to the document with every
+float rounded to 12 significant digits.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cepgeo import serialization
+from cepgeo.cli import main
+from cepgeo.serialization import dumps_report, render_table, tensor_to_document
+
+from conftest import GAIN, readme_cli_argvs
+
+
+def _round_floats(obj):
+    """The rounding copy that used to run ahead of ``json.dumps``."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return serialization.fmt_float(obj)
+    if isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return serialization.fmt_float(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"unserialisable value of type {type(obj)!r}")
+
+
+def stdlib_dumps(report):
+    return json.dumps(_round_floats(report), indent=2, ensure_ascii=True, allow_nan=False)
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """Every report ``cli.main`` hands to ``dumps_report``, in order."""
+    seen = []
+    write = serialization.dumps_report
+
+    def spy(report):
+        seen.append(report)
+        return write(report)
+
+    monkeypatch.setattr(serialization, "dumps_report", spy)
+    return seen
+
+
+def _filter_path(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _spread_roots(n, seed, radius=0.9, separation=0.05):
+    """n points uniform in the disk of ``radius``, pairwise at least ``separation`` apart."""
+    rng = np.random.default_rng(seed)
+    while True:
+        roots = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        dist = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)  # 1 on the diagonal
+        if dist.min() >= separation:
+            return roots
+
+
+@pytest.fixture
+def n16_path(tmp_path):
+    roots = _spread_roots(16, seed=3)
+    pair = lambda z: {"re": float(z.real), "im": float(z.imag)}  # noqa: E731
+    doc = {"gain": GAIN, "poles": list(map(pair, roots[:8])), "zeros": list(map(pair, roots[8:]))}
+    return _filter_path(tmp_path, "n16.json", doc)
+
+
+def test_cli_reports_match_the_stdlib_encoder(capsys, tmp_path, reports, n16_path):
+    argvs = [argv[1:] for argv in readme_cli_argvs(tmp_path)]
+    pole = lambda r: {"gain": GAIN, "poles": [{"re": r, "im": 0.0}]}  # noqa: E731
+    outside = _filter_path(tmp_path, "outside.json", pole(1.5))
+    slow = _filter_path(tmp_path, "slow.json", pole(0.9))
+    argvs += [
+        ["oracle-compare", slow, "--nodes", "64"],  # an unconverged grid warns
+        ["validate", outside],
+        ["tensors", n16_path, "--alpha", "0"],
+        ["tensors", n16_path, "--alpha", "0.5"],
+    ]
+    for argv in argvs:
+        main(argv)
+        capsys.readouterr()
+    assert len(reports) == len(argvs)
+    assert "warnings" in reports[-4]
+    assert "error" in reports[-3]
+    assert len(reports[-1]["connection"]["entries"]) == 4 * 16**3
+    for report in reports:
+        assert dumps_report(report) == stdlib_dumps(report), report["command"]
+
+
+def test_reports_round_trip_through_their_text(capsys, tmp_path, n16_path):
+    # the text is a fixed point: parse it and write it again
+    for argv in [argv[1:] for argv in readme_cli_argvs(tmp_path)] + [["tensors", n16_path]]:
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert dumps_report(json.loads(text)) + "\n" == text, argv[0]
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, 1e-5, 123456789012.5, 1e300, 5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["0̄", "idx", "re", "im", "é"]))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _FLOATS,
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _TEXT,
+)
+_TOKENS = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda i: f"{i}̄"), _SCALARS)
+
+
+def _near_entries(entry):
+    """An entry and the dicts that almost look like one."""
+    keys = list(entry)
+    return st.sampled_from(
+        [
+            entry,
+            {k: entry[k] for k in reversed(keys)},
+            {k: entry[k] for k in keys[1:]},
+            {**entry, "extra": 0},
+            {**entry, "idx": []},
+            {**entry, "idx": tuple(entry["idx"])},
+        ]
+    )
+
+
+def _entries(tokens, values):
+    idx = st.lists(tokens, min_size=1, max_size=3)
+    return st.builds(lambda i, re, im: {"idx": i, "re": re, "im": im}, idx, values, values).flatmap(
+        _near_entries
+    )
+
+
+_DOCUMENTS = st.recursive(
+    _SCALARS | _entries(_TOKENS, _FLOATS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        _entries(_TOKENS | children, children),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_writer_matches_the_stdlib_encoder(doc):
+    assert dumps_report(doc) == stdlib_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, np.float32("inf")], ids=["inf", "-inf", "nan", "f32-inf"]
+)
+def test_non_finite_floats_raise_value_error(value):
+    report = {"entries": [{"idx": [0, "0̄"], "re": 1.0, "im": value}], "x": [value]}
+    for doc in (report, {"x": [value]}):
+        with pytest.raises(ValueError, match="JSON"):
+            dumps_report(doc)
+        with pytest.raises(ValueError, match="JSON"):
+            render_table(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, 1j, np.bool_(True), np.zeros(2), object()],
+    ids=["set", "complex", "numpy-bool", "ndarray", "object"],
+)
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dumps_report({"x": [1.0, value]})
+
+
+def test_tensor_entries_are_left_for_the_writer_to_round():
+    third = np.array([[1.0 / 3.0]], dtype=complex)
+    doc = tensor_to_document(("pole0",), 1.0 / 3.0, [(third, (False, True))])
+    assert doc["entries"] == [{"idx": [0, "0̄"], "re": 1.0 / 3.0, "im": 0.0}]
+    assert json.loads(dumps_report(doc))["entries"][0]["re"] == 0.333333333333

@@ -107,18 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_model_shape(text: str) -> tuple[int, int]:
-    p = q = 0
+    counts = {}
     for token in text.split(","):
         token = token.strip().lower()
         if ":" not in token:
             raise ValueError(f"malformed model token {token!r}; expected ar:p or ma:q")
         kind, _, count = token.partition(":")
-        if kind == "ar":
-            p = int(count)
-        elif kind == "ma":
-            q = int(count)
-        else:
+        if kind not in ("ar", "ma"):
             raise ValueError(f"unknown model kind {kind!r}")
+        if kind in counts:
+            raise ValueError(f"model kind {kind!r} given more than once in {text!r}")
+        counts[kind] = int(count)
+    p, q = counts.get("ar", 0), counts.get("ma", 0)
     if p < 0 or q < 0 or p + q == 0:
         raise ValueError(f"model shape must have at least one coordinate, got {text!r}")
     return p, q
@@ -235,18 +235,14 @@ def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
 def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[str, float]:
     """Max-norm relative residuals of each closed form against quadrature."""
     point = ModelPoint.from_filter(f)
+    g = quadrature.metric_numeric(f, cfg)
+    conn = quadrature.connection_numeric(f, 0.0, cfg)  # and T, from the same triple
     residuals = {
-        "metric": _relative_residual(
-            closed_form.metric(point).mixed, quadrature.metric_numeric(f, cfg).mixed
-        ),
+        "metric": _relative_residual(closed_form.metric(point).mixed, g.mixed),
         "connection0": _relative_residual(
-            closed_form.connection0(point).gamma_mixed,
-            quadrature.connection_numeric(f, 0.0, cfg).gamma_mixed,
+            closed_form.connection0(point).gamma_mixed, conn.gamma_mixed
         ),
-        "t_tensor": _relative_residual(
-            closed_form.t_tensor(point).t_mixed,
-            quadrature.t_tensor_numeric(f, cfg).t_mixed,
-        ),
+        "t_tensor": _relative_residual(closed_form.t_tensor(point).t_mixed, conn.t_mixed),
         "ricci0": _relative_residual(
             closed_form.ricci0(point).ricci, quadrature.ricci_numeric(f, cfg)
         ),

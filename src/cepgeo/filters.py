@@ -206,6 +206,12 @@ class CepstrumSeries:
     tail_bound: float
 
 
+def check_eps_stab(eps_stab: float) -> None:
+    """Raise ValueError unless the stability margin lies in (0, 1)."""
+    if not (0.0 < eps_stab < 1.0):
+        raise ValueError(f"eps_stab must be in (0, 1), got {eps_stab!r}")
+
+
 def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedFilter:
     """Check stability and minimum phase, returning a ValidatedFilter.
 
@@ -218,8 +224,7 @@ def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedF
     Exactly coinciding pole/zero pairs are legal but degenerate downstream;
     they are flagged on the result, never cancelled silently.
     """
-    if not (0.0 < eps_stab < 1.0):
-        raise ValueError(f"eps_stab must be in (0, 1), got {eps_stab!r}")
+    check_eps_stab(eps_stab)
     if spec.gain <= 0.0:
         raise NonPositiveGain(spec.gain)
 

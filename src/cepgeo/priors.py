@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .closed_form import ModelPoint, inverse_metric
-from .filters import EPS_STAB_DEFAULT
+from .filters import EPS_STAB_DEFAULT, check_eps_stab
 from .sampling import sample_root_tuples
 
 REJECT_RADIUS_DEFAULT = 1e-4
@@ -151,6 +151,7 @@ def check_superharmonic(
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("model shape must have at least one coordinate")
+    check_eps_stab(eps_stab)  # the sampling radius is 1 - eps_stab
     signature = (-1,) * p + (1,) * q
     tuples = sample_root_tuples(seed, samples, n, 1.0 - eps_stab, reject_radius)
     values = np.empty(samples)

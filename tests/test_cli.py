@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import cepgeo
-from cepgeo.cli import main
+from cepgeo import quadrature
+from cepgeo.cli import main, oracle_compare
+from cepgeo.filters import FilterSpec, validate
 from cepgeo.serialization import (
     complex_from_json,
     complex_to_json,
@@ -185,6 +187,27 @@ class TestCheckPriorCommand:
         assert code == 2
         assert report["error"]["code"] == "INVALID_INPUT"
 
+    @pytest.mark.parametrize("model", ["ar:2,ar:1", "ma:1,ar:1,ma:1", "ar:1,AR:1"])
+    def test_repeated_model_kind_exits_2(self, capsys, model):
+        code, report = run_json(
+            capsys, ["check-prior", "--psi", "psi1", "--model", model, "--samples", "10"]
+        )
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "more than once" in report["error"]["message"]
+
+    @pytest.mark.parametrize("eps", ["2", "-1", "0", "1"])
+    def test_eps_stab_outside_unit_interval_exits_2(self, capsys, eps):
+        code, report = run_json(
+            capsys,
+            ["check-prior", "--psi", "psi1", "--model", "ar:2", "--samples", "10", "--eps-stab", eps],
+        )
+        assert code == 2
+        assert report["error"] == {
+            "code": "INVALID_INPUT",
+            "message": f"eps_stab must be in (0, 1), got {float(eps)!r}",
+        }
+
 
 class TestOracleCompareCommand:
     def test_ar1_passes_default_tolerance(self, capsys, arma_path):
@@ -205,6 +228,31 @@ class TestOracleCompareCommand:
         assert code == 0
         assert report["passed"] is True
         assert set(report["residuals"].values()) == {0.0}
+
+    def test_unconverged_legs_warn_in_order(self, capsys, tmp_path):
+        # a pole at 0.995 needs far more than 4096 nodes
+        path = tmp_path / "slow.json"
+        pair = lambda z: {"re": z.real, "im": z.imag}  # noqa: E731
+        doc = {
+            "gain": GAIN_UNIT,
+            "poles": [pair(0.995), pair(-0.3 + 0.4j)],
+            "zeros": [pair(0.5 - 0.2j), pair(-0.6 - 0.1j)],
+        }
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["oracle-compare", str(path)])
+        assert code == 0
+        assert report["passed"] is False
+        legs = [w.split(": ")[1] for w in report["warnings"]]
+        assert legs == ["metric", "connection", "t_tensor"]
+
+    def test_one_triple_per_comparison(self, monkeypatch):
+        f = validate(FilterSpec(gain=1.0, poles=(0.5, -0.2 + 0.3j), zeros=(0.1j,)))
+        cfg = quadrature.QuadratureConfig(nodes=1024)
+        kernel, shapes = quadrature._triples, []
+        monkeypatch.setattr(quadrature, "_triples", lambda d: shapes.append(d.shape) or kernel(d))
+        oracle_compare(f, cfg)
+        # the even and the odd half of the doubled grid
+        assert shapes == [(3, 1024), (3, 1024)]
 
 
 class TestOtherChecks:

@@ -101,6 +101,12 @@ class TestCheckSuperharmonic:
         report = check_superharmonic(psi, (2, 0), 100, seed=3)
         assert report.violations == report.samples
 
+    @pytest.mark.parametrize("eps_stab", [2.0, -1.0, 0.0, 1.0, float("nan")])
+    def test_eps_stab_outside_unit_interval_is_rejected(self, eps_stab):
+        # as filters.validate: a margin of 2 would sample at radius -1
+        with pytest.raises(ValueError, match=r"eps_stab must be in \(0, 1\)"):
+            check_superharmonic(prior_psi1(2), (2, 0), 10, seed=3, eps_stab=eps_stab)
+
     def test_deterministic_for_fixed_seed(self):
         a = check_superharmonic(prior_psi2(2), (1, 1), 100, seed=11)
         b = check_superharmonic(prior_psi2(2), (1, 1), 100, seed=11)

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,12 @@ class TestTTensorNumeric:
         t = t_tensor_numeric(arma11, CFG).t_mixed
         assert np.max(np.abs(t - np.transpose(t, (1, 0, 2)))) < 1e-12
 
+    def test_connection_carries_the_same_t(self):
+        f = _mixed_filter(90, 5)
+        conn, t = connection_numeric(f, 0.0, CFG), t_tensor_numeric(f, CFG)
+        assert np.array_equal(conn.t_mixed, t.t_mixed)
+        assert np.array_equal(conn.t_pure, t.t_pure)
+
 
 class TestOracleAgreement:
     def test_closed_forms_match_quadrature(self):
@@ -197,12 +204,7 @@ class TestConnectionFamiliesAtNonzeroAlpha:
             f = arma_from_roots(row, 2)
             closed = alpha_connection(ModelPoint.from_filter(f), 0.5)
             conn = connection_numeric(f, 0.5, CFG)
-            t = t_tensor_numeric(f, CFG)
-            numeric = dict(
-                {name: getattr(conn, name) for name in self.FAMILIES[:4]},
-                t_mixed=t.t_mixed,
-                t_pure=t.t_pure,
-            )
+            numeric = {name: getattr(conn, name) for name in self.FAMILIES}
             # zero families (gamma_pure, t_pure) are measured against the
             # size of the connection
             scale = max(np.max(np.abs(getattr(closed, name))) for name in self.FAMILIES)
@@ -367,6 +369,32 @@ class TestDualityParts:
         d = first_derivs(_mixed_filter(41, 8))
         for t in quadrature._triples(d):
             assert np.array_equal(t, t.transpose(1, 0, 2))
+
+    # m = 64 is one chunk at n <= 16; m = 16384 is many chunks at every n
+    @pytest.mark.parametrize("m", [64, 16384])
+    @pytest.mark.parametrize("n", [1, 16, 32])
+    def test_triples_match_einsum_grid_means(self, n, m):
+        d = quadrature._first_derivs(_mixed_filter(70 + n, n), circle_nodes(m))
+        mixed, pure = quadrature._triples(d)
+        expected = [
+            np.stack([np.einsum("jm,km->jk", row * d, e, optimize=True) for row in d]) / m
+            for e in (d.conj(), d)
+        ]
+        scale = np.max(np.abs(expected[0]))
+        for actual, want in zip((mixed, pure), expected):
+            assert actual.shape == want.shape == (n, n, n)
+            assert np.max(np.abs(actual - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("m", [4096, 65536])
+    def test_triples_memory_stays_flat_in_the_node_count(self, m):
+        d = quadrature._first_derivs(_mixed_filter(80, 16), circle_nodes(m))
+        tracemalloc.start()
+        try:
+            quadrature._triples(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_one_row_step_matches_full_metric_difference(self, n):

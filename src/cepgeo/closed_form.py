@@ -225,37 +225,53 @@ def metric(m: ModelPoint) -> HermitianMetric:
 
 
 def inverse_metric(m: ModelPoint) -> np.ndarray:
-    """Inverse metric g^{i jbar} by the Cauchy-matrix product formula.
-
-    The formula is built from point differences, so it stays entrywise
-    accurate however close the coordinates come.  Below ``DELTA_COINCIDE``
-    pairwise distance a :class:`CoincidentRootsWarning` signals a nearly
-    singular metric; exactly coincident coordinates, or any result that is
-    not finite, raise :class:`CoincidentRootsError`.
+    """Inverse metric g^{i jbar} at a model point: :func:`cauchy_inverse` of its coordinates.
 
     Satisfies ``sum_j B[i][j] mixed[k][j] = delta_ik``.
     """
-    if m.n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if m.min_pairwise_distance < DELTA_COINCIDE:
+    xi = np.asarray(m.params, dtype=complex)
+    return cauchy_inverse(xi, np.asarray(m.signature, dtype=float))
+
+
+def cauchy_inverse(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Inverse metrics g^{i jbar} of coordinate tuples ``xi`` (..., n), signature ``c`` (n,).
+
+    The Cauchy-matrix product formula
+
+        g^{i jbar} = c_i c_j prod_k (1 - xi^i conj(xi^k)) (1 - xi^k conj(xi^j))
+                     / ((1 - xi^i conj(xi^j)) p_i conj(p_j)),
+        p_i = prod_{k != i} (xi^k - xi^i),
+
+    over any leading axes, each tuple with the bits it has on its own.  Built
+    from point differences, so it stays entrywise accurate however close the
+    coordinates come.  Below ``DELTA_COINCIDE`` pairwise distance a
+    :class:`CoincidentRootsWarning` signals a nearly singular metric; exactly
+    coincident coordinates, or any result that is not finite, raise
+    :class:`CoincidentRootsError`.
+    """
+    # Every product below has named operands: numpy reuses a large unnamed
+    # right operand in place, which swaps the factors of a complex product
+    # and, with fused multiply-adds, its rounding.
+    n = xi.shape[-1]
+    xic = xi.conj()
+    a = 1.0 - xi[..., :, None] * xic[..., None, :]  # a[i][j] = 1 - xi^i conj(xi^j)
+    row = a.prod(axis=-1)  # prod_k (1 - xi^i conj(xi^k))
+    col = a.prod(axis=-2)  # prod_k (1 - xi^k conj(xi^j))
+    diffs = xi[..., None, :] - xi[..., :, None]  # diffs[i][k] = xi^k - xi^i
+    diffs[..., range(n), range(n)] = 1.0
+    if np.abs(diffs).min(initial=np.inf) < DELTA_COINCIDE:
         warnings.warn(
             "coordinates nearly coincide; the metric is nearly singular",
             CoincidentRootsWarning,
             stacklevel=2,
         )
-    xi = np.asarray(m.params, dtype=complex)
-    c = np.asarray(m.signature, dtype=float)
-    a = _one_minus_outer(m)  # a[i][j] = 1 - xi^i conj(xi^j)
-    row = np.prod(a, axis=1)  # prod_k (1 - xi^i conj(xi^k))
-    col = np.prod(a, axis=0)  # prod_k (1 - xi^k conj(xi^j))
-    diffs = xi[None, :] - xi[:, None]  # diffs[i][k] = xi^k - xi^i
-    np.fill_diagonal(diffs, 1.0)
-    p = np.prod(diffs, axis=1)  # prod_{k != i} (xi^k - xi^i)
+    p = diffs.prod(axis=-1)  # prod_{k != i} (xi^k - xi^i)
+    pc = p.conj()
+    num = row[..., :, None] * col[..., None, :]
+    den = p[..., :, None] * pc[..., None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ginv = np.outer(c, c) * (row[:, None] * col[None, :]) / (
-            a * (p[:, None] * p.conj()[None, :])
-        )
-    if not np.all(np.isfinite(ginv)):
+        ginv = c[:, None] * c * num / (a * den)
+    if not np.isfinite(ginv).all():
         raise CoincidentRootsError(
             "metric is singular or overflows at (nearly) coincident coordinates"
         )

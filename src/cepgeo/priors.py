@@ -10,92 +10,119 @@ candidates are polynomials in the factors (1 - xi^a conj(xi^b)), whose
 mixed Hessians are available analytically, so every candidate has one exact
 path and no finite differences.
 
+Everything runs on root tuples with a leading sample axis, shape (S, n):
+the candidate's values and Hessians, the Cauchy inverse metric
+(:func:`cepgeo.closed_form.cauchy_inverse`) and their contraction.  The
+per-point functions are the S = 1 case of the same kernels, and a tuple gets
+the same bits in any batch.
+
 Superharmonicity reports are sampled evidence over the stability region,
 never proofs: the sample count always travels with the verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .closed_form import ModelPoint, inverse_metric
+from .closed_form import ModelPoint, cauchy_inverse
 from .filters import EPS_STAB_DEFAULT, check_eps_stab
 from .sampling import sample_root_tuples
 
 REJECT_RADIUS_DEFAULT = 1e-4
+# Delta psi is evaluated on chunks of sampled tuples whose (S, n, n) complex
+# arrays take about this many bytes, so peak memory grows neither with the
+# sample count nor with n^2 per tuple.
+_CHUNK_BYTES = 1 << 18
+
+
+def _coordinates(m: ModelPoint) -> np.ndarray:
+    """The model point as a one-tuple batch, shape (1, n)."""
+    return np.asarray(m.params, dtype=complex)[None, :]
 
 
 @dataclass(frozen=True)
 class _FactorPolynomial:
-    """Sum of products of factors (1 - xi^a conj(xi^b)), with analytic Hessian."""
+    """Sum of products of factors (1 - xi^a conj(xi^b)), with analytic Hessian.
+
+    Both methods take root tuples ``xi`` of shape (S, n).  Each operand of a
+    complex product is named first: numpy reuses a large unnamed right
+    operand in place, which swaps the factors and, with fused multiply-adds,
+    the rounding, so a tuple would not get the same bits in every batch.
+    """
 
     terms: tuple[tuple[tuple[int, int], ...], ...]
 
-    def value(self, m: ModelPoint) -> float:
-        xi = m.params
-        total = 0.0
+    def value(self, xi: np.ndarray) -> np.ndarray:
+        xic = xi.conj()
+        total = np.zeros(xi.shape[:-1])
         for factors in self.terms:
-            prod = 1.0 + 0.0j
-            for a, b in factors:
-                prod *= 1.0 - xi[a] * xi[b].conjugate()
-            total += prod.real
+            total = total + math.prod(1.0 - xi[..., a] * xic[..., b] for a, b in factors).real
         return total
 
-    def mixed_hessian(self, m: ModelPoint) -> np.ndarray:
-        xi = m.params
-        n = m.n
-        hess = np.zeros((n, n), dtype=complex)
+    def mixed_hessian(self, xi: np.ndarray) -> np.ndarray:
+        xic = xi.conj()
+        hess = np.zeros(xi.shape + xi.shape[-1:], dtype=complex)
         for factors in self.terms:
-            vals = [1.0 - xi[a] * xi[b].conjugate() for a, b in factors]
-            k = len(factors)
+            vals = [1.0 - xi[..., a] * xic[..., b] for a, b in factors]
+
+            def rest(*skip):
+                return math.prod(v for t, v in enumerate(vals) if t not in skip)
+
             for s, (a_s, b_s) in enumerate(factors):
-                rest = 1.0 + 0.0j
-                for t in range(k):
-                    if t != s:
-                        rest *= vals[t]
                 # d_i d_jbar of the factor itself: -delta_{i,a} delta_{j,b}
-                hess[a_s, b_s] -= rest
+                hess[..., a_s, b_s] -= rest(s)
                 # first-derivative pairs across distinct factors
                 for t, (a_t, b_t) in enumerate(factors):
-                    if t == s:
-                        continue
-                    rest2 = 1.0 + 0.0j
-                    for u in range(k):
-                        if u != s and u != t:
-                            rest2 *= vals[u]
-                    # (d_i f_s)(d_jbar f_t) = (-conj(xi^{b_s}))(-xi^{a_t})
-                    hess[a_s, b_t] += xi[b_s].conjugate() * xi[a_t] * rest2
+                    if t != s:
+                        # (d_i f_s)(d_jbar f_t) = (-conj(xi^{b_s}))(-xi^{a_t})
+                        rest2 = rest(s, t)
+                        hess[..., a_s, b_t] += xic[..., b_s] * xi[..., a_t] * rest2
         return hess
 
 
 @dataclass(frozen=True)
 class PriorFunction:
-    """A candidate prior: real evaluator plus its analytic mixed Hessian."""
+    """A candidate prior: real values and analytic mixed Hessians over a sample axis.
+
+    ``values`` maps root tuples of shape (S, n) to psi, shape (S,), and
+    ``hessians`` to d_i d_jbar psi, shape (S, n, n).  A candidate is a
+    function of the coordinates alone; the pole/zero signature enters only
+    through the metric.  The per-point methods are the S = 1 case.
+    """
 
     kind: str
-    evaluate: Callable[[ModelPoint], float]
-    mixed_hessian: Callable[[ModelPoint], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray]
+    hessians: Callable[[np.ndarray], np.ndarray]
+
+    def evaluate(self, m: ModelPoint) -> float:
+        return float(self.values(_coordinates(m))[0])
+
+    def mixed_hessian(self, m: ModelPoint) -> np.ndarray:
+        return self.hessians(_coordinates(m))[0]
+
+
+def _builtin(kind: str, terms) -> PriorFunction:
+    poly = _FactorPolynomial(terms=terms)
+    return PriorFunction(kind=kind, values=poly.value, hessians=poly.mixed_hessian)
 
 
 def prior_psi1(n: int = 2) -> PriorFunction:
     """Additive candidate sum_k (1 - |xi^k|^2), defined for any dimension."""
-    poly = _FactorPolynomial(terms=tuple(((k, k),) for k in range(n)))
-    return PriorFunction(kind="psi1", evaluate=poly.value, mixed_hessian=poly.mixed_hessian)
+    return _builtin("psi1", tuple(((k, k),) for k in range(n)))
 
 
 def prior_psi2(n: int = 2) -> PriorFunction:
     """Product candidate prod_k (1 - |xi^k|^2)."""
-    poly = _FactorPolynomial(terms=(tuple((k, k) for k in range(n)),))
-    return PriorFunction(kind="psi2", evaluate=poly.value, mixed_hessian=poly.mixed_hessian)
+    return _builtin("psi2", (tuple((k, k) for k in range(n)),))
 
 
 def prior_psi3() -> PriorFunction:
     """Two-dimensional candidate (1-xi^1 conj(xi^2))(1-xi^2 conj(xi^1))(1-|xi^1|^2)(1-|xi^2|^2)."""
-    poly = _FactorPolynomial(terms=(((0, 1), (1, 0), (0, 0), (1, 1)),))
-    return PriorFunction(kind="psi3", evaluate=poly.value, mixed_hessian=poly.mixed_hessian)
+    return _builtin("psi3", (((0, 1), (1, 0), (0, 0), (1, 1)),))
 
 
 BUILTINS: dict[str, Callable[..., PriorFunction]] = {
@@ -105,13 +132,43 @@ BUILTINS: dict[str, Callable[..., PriorFunction]] = {
 }
 
 
+def _laplace_beltrami(psi: PriorFunction, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Delta psi = 2 Re sum_ij g^{i jbar} d_i d_jbar psi at each tuple of ``xi`` (S, n)."""
+    ginv = cauchy_inverse(xi, c)
+    hess = psi.hessians(xi)
+    return np.sum(ginv * hess, axis=(-2, -1)).real * 2.0
+
+
 def laplace_beltrami(psi: PriorFunction, m: ModelPoint) -> float:
     """Delta psi = 2 g^{i jbar} d_i d_jbar psi at a model point.
 
-    Uses the candidate's analytic mixed Hessian.  Coincident coordinates
-    propagate the inverse-metric degeneracy handling.
+    The one-tuple case of the batched kernel that :func:`check_superharmonic`
+    runs, so the two agree bitwise.  Uses the candidate's analytic mixed
+    Hessian; coincident coordinates propagate the inverse-metric degeneracy
+    handling.
     """
-    return float(np.sum(inverse_metric(m) * psi.mixed_hessian(m)).real * 2.0)
+    return float(_laplace_beltrami(psi, _coordinates(m), np.asarray(m.signature, dtype=float))[0])
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """min, p25, p50, p75 and max of ``values``, bitwise as ``np.percentile`` gives them.
+
+    numpy's default 'linear' rule on the sorted values: the virtual index
+    q (S - 1), its floor (-1, the last value, at the top), and numpy's
+    interpolation, which steps back from the upper value when the fraction
+    is at least 1/2.  ``np.percentile`` itself partitions through
+    ``np.unique``, whose first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    below = np.floor(virtual)
+    below[virtual >= ordered.size - 1] = -1.0
+    above = np.where(below < 0.0, -1.0, below + 1.0)
+    t = virtual - below
+    a = ordered[below.astype(np.intp)]
+    b = ordered[above.astype(np.intp)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 @dataclass(frozen=True)
@@ -143,7 +200,9 @@ def check_superharmonic(
 
     Near-coincident tuples are rejected at ``reject_radius`` because the
     candidate ratios involve |xi^1 - xi^2|^2 cancellations that amplify
-    rounding.  Deterministic for a fixed seed.
+    rounding.  Delta psi is evaluated a chunk of tuples at a time (about
+    ``_CHUNK_BYTES`` per array); each value equals :func:`laplace_beltrami` at its tuple, bitwise.
+    Deterministic for a fixed seed.
     """
     p, q = model_shape
     n = p + q
@@ -154,12 +213,13 @@ def check_superharmonic(
     check_eps_stab(eps_stab)  # the sampling radius is 1 - eps_stab
     signature = (-1,) * p + (1,) * q
     tuples = sample_root_tuples(seed, samples, n, 1.0 - eps_stab, reject_radius)
+    c = np.asarray(signature, dtype=float)
     values = np.empty(samples)
-    for s in range(samples):
-        point = ModelPoint(tuple(tuples[s]), signature)
-        values[s] = laplace_beltrami(psi, point)
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    for start in range(0, samples, step):
+        values[start : start + step] = _laplace_beltrami(psi, tuples[start : start + step], c)
     violations = int(np.sum(values > 0.0))
-    quartiles = np.percentile(values, [0, 25, 50, 75, 100])
+    quartiles = _quartiles(values)
     histogram = {
         "min": float(quartiles[0]),
         "p25": float(quartiles[1]),

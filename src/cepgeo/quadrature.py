@@ -39,6 +39,7 @@ legitimately converge slowly).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -97,9 +98,16 @@ class DivergenceValue:
     converged: bool = True
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Grids are computed once per node count and shared, so they are read-only.
+@functools.lru_cache(maxsize=16)
 def circle_nodes(m: int) -> np.ndarray:
-    """m-th roots of unity, the quadrature grid."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """m-th roots of unity, the quadrature grid (a shared, read-only array)."""
+    return _read_only(np.exp(2j * np.pi * np.arange(m) / m))
 
 
 def _log_deriv_row(f: ValidatedFilter, i: int, z: np.ndarray) -> np.ndarray:
@@ -131,10 +139,11 @@ def _mean2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.T / a.shape[1]
 
 
+@functools.lru_cache(maxsize=16)
 def _doubled_grid(m: int) -> np.ndarray:
     # the 2m-node grid, even nodes first: [:m] is bitwise the m-node grid
     z = circle_nodes(2 * m)
-    return np.concatenate([z[::2], z[1::2]])
+    return _read_only(np.concatenate([z[::2], z[1::2]]))
 
 
 def _halves(blocks, arrays):

@@ -1,15 +1,32 @@
-"""Deterministic sampling of root tuples inside the stability polydisk."""
+"""Deterministic sampling of root tuples inside the stability polydisk.
+
+Tuples are drawn in rounds over a leading sample axis.  Each tuple takes
+its radius draws, then its angle draws, from the generator, as
+:func:`sample_disk` does, so a seed gives the same tuples in any round size.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+# A round draws the tuples whose (k, n, n) separation arrays take about this
+# many bytes, and never more than the tuples still missing.
+_ROUND_BYTES = 1 << 18
+
+
+def _disk_points(u: np.ndarray, radius: float) -> np.ndarray:
+    """Points uniform in area over the disk, from uniforms.
+
+    ``u[..., 0, :]`` gives the radii and ``u[..., 1, :]`` the angles.
+    """
+    r = radius * np.sqrt(u[..., 0, :])
+    theta = 2.0 * np.pi * u[..., 1, :]
+    return r * np.exp(1j * theta)
+
 
 def sample_disk(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
     """count points uniform in area over the disk of the given radius."""
-    r = radius * np.sqrt(rng.random(count))
-    theta = 2.0 * np.pi * rng.random(count)
-    return r * np.exp(1j * theta)
+    return _disk_points(rng.random((2, count)), radius)
 
 
 def sample_root_tuples(
@@ -24,7 +41,10 @@ def sample_root_tuples(
 
     Tuples whose minimum pairwise distance falls below ``min_separation``
     are rejected and redrawn, so the output is deterministic for a fixed
-    seed but the rejection count is data dependent.
+    seed but the rejection count is data dependent.  More than
+    ``max_rejections`` rejections in total raise ``RuntimeError``.  A round
+    draws at most the tuples still missing, so a generator passed in ends
+    where drawing one tuple at a time would leave it.
     """
     rng = (
         seed_or_rng
@@ -34,18 +54,19 @@ def sample_root_tuples(
     out = np.empty((samples, n), dtype=complex)
     filled = 0
     rejections = 0
+    diag = np.arange(n)
+    per_round = max(1, _ROUND_BYTES // (16 * max(n, 1) ** 2))
     while filled < samples:
-        cand = sample_disk(rng, n, radius)
+        cand = _disk_points(rng.random((min(samples - filled, per_round), 2, n)), radius)
         if n > 1 and min_separation > 0.0:
-            dist = np.abs(cand[:, None] - cand[None, :])
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() < min_separation:
-                rejections += 1
-                if rejections > max_rejections:
-                    raise RuntimeError(
-                        "rejection sampling failed; separation too large for the disk"
-                    )
-                continue
-        out[filled] = cand
-        filled += 1
+            dist = np.abs(cand[:, :, None] - cand[:, None, :])
+            dist[:, diag, diag] = np.inf
+            cand = cand[np.min(dist, axis=(1, 2)) >= min_separation]
+            rejections += dist.shape[0] - cand.shape[0]
+            if rejections > max_rejections:
+                raise RuntimeError(
+                    "rejection sampling failed; separation too large for the disk"
+                )
+        out[filled : filled + cand.shape[0]] = cand
+        filled += cand.shape[0]
     return out

@@ -65,6 +65,50 @@ def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
     return hess
 
 
+def mp_inverse_metric(mp, m):
+    """High-precision B = g^{i jbar}, i.e. the inverse of the transposed metric."""
+    xi = [mp.mpc(p) for p in m.params]
+    c = m.signature
+    g = mp.matrix(m.n, m.n)
+    for i in range(m.n):
+        for j in range(m.n):
+            g[i, j] = c[i] * c[j] / (1 - xi[i] * mp.conj(xi[j]))
+    return g.T**-1
+
+
+def serial_root_tuples(
+    seed_or_rng, samples, n, radius, min_separation=0.0, max_rejections=100_000
+):
+    """Reference sampler: one tuple per draw (n radii, then n angles), rejected one at a time.
+
+    The loop ``sampling.sample_root_tuples`` must reproduce bitwise, with the
+    generator left in the same state and the same rejection budget.
+    """
+    rng = (
+        seed_or_rng
+        if isinstance(seed_or_rng, np.random.Generator)
+        else np.random.default_rng(seed_or_rng)
+    )
+    out = np.empty((samples, n), dtype=complex)
+    filled = 0
+    rejections = 0
+    while filled < samples:
+        r = radius * np.sqrt(rng.random(n))
+        theta = 2.0 * np.pi * rng.random(n)
+        cand = r * np.exp(1j * theta)
+        if n > 1 and min_separation > 0.0:
+            dist = np.abs(cand[:, None] - cand[None, :])
+            np.fill_diagonal(dist, np.inf)
+            if dist.min() < min_separation:
+                rejections += 1
+                if rejections > max_rejections:
+                    raise RuntimeError("rejection sampling failed")
+                continue
+        out[filled] = cand
+        filled += 1
+    return out
+
+
 def arma_from_roots(row, p):
     """Validated filter with the first p roots as poles, the rest as zeros."""
     row = tuple(row)

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -161,6 +162,48 @@ class TestDivergenceCommand:
         assert report["converged"] is True
 
 
+# sha256 of whole reports: a change of kernel must not move one digit.
+# Recorded with numpy 2.4 on x86-64 with AVX2 and FMA.
+CHECK_PRIOR_DIGESTS = {
+    ("psi2", "ar:2", 7): "4c39addb508520fd09576915224e9cc94b41670686647861f41dd3aa3b5877f2",
+    ("psi2", "ar:1,ma:1", 5): "2819d51fa8b93ac2a5aeee883c94e9abec75d893681d8a41f515572529541930",
+    ("psi3", "ar:2,ma:2", 9): "91f4642108bea2147d8ab560386f75d2190d96ae85aecdf2748b566a7eebdce7",
+    ("psi1", "ar:1,ma:1", 3): "38d2cd23bea18d0fcfc7b1443024f1a5466a1fc9129ded5c65ad12c1171cc526",
+}
+TENSORS_DIGESTS = {
+    4: "fef569dd4b3dbdb4c350b7c40c403c794652f69923cd8793c984f5156e7c7fcf",
+    8: "02db81e734842c4af21363b886fdff1636f8454e20f3695dfc2c559b27a47b69",
+    16: "04322d52cbcdbb7975290e36808cc4bfead40a3aae055af8d96533f94c200c9e",
+    32: "091469de74c9495546577f2dd9f2b35e93250a366c16c492d47ce5947a8bdf99",
+}
+
+
+def _child_env():
+    # the child process imports the same cepgeo as this one, installed or not
+    src = os.path.dirname(os.path.dirname(cepgeo.__file__))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, CEPGEO_THREADS="1", PYTHONPATH=path_var)
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("psi, model, seed", sorted(CHECK_PRIOR_DIGESTS))
+    def test_check_prior_bytes(self, tmp_path, psi, model, seed):
+        out = tmp_path / "r.json"
+        argv = ["check-prior", "--psi", psi, "--model", model, "--samples", "1000"]
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == CHECK_PRIOR_DIGESTS[psi, model, seed]
+
+    @pytest.mark.parametrize("n", sorted(TENSORS_DIGESTS))
+    def test_tensors_bytes(self, tmp_path, n):
+        roots = [complex_to_json((0.3 + 0.6 * k / n) * cmath.exp(2.4j * k)) for k in range(n)]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": roots[: n // 2], "zeros": roots[n // 2 :]}))
+        out = tmp_path / "t.json"
+        assert main(["tensors", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TENSORS_DIGESTS[n]
+
+
 class TestCheckPriorCommand:
     def test_psi1_ar2(self, capsys):
         code, report = run_json(
@@ -179,6 +222,20 @@ class TestCheckPriorCommand:
         )
         assert code == 0
         assert report["signature"] == [-1, 1]
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.percentile would import numpy.ma through np.unique
+        code = (
+            "import sys; from cepgeo.cli import main; "
+            "argv = ['check-prior', '--psi', 'psi2', '--model', 'ar:1,ma:1', '--samples', '200', "
+            "'--seed', '1', '--out', __import__('os').devnull]; "
+            "assert main(argv) == 0; print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_bad_model_shape(self, capsys):
         code, report = run_json(
@@ -332,15 +389,11 @@ def test_readme_cli_examples_run(capsys, tmp_path):
 def test_console_entry_point_runs(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(AR1_DOC))
-    # the child process imports the same cepgeo as this one, installed or not
-    src = os.path.dirname(os.path.dirname(cepgeo.__file__))
-    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, CEPGEO_THREADS="1", PYTHONPATH=path_var)
     result = subprocess.run(
         [sys.executable, "-m", "cepgeo", "validate", str(path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=120,
     )
     assert result.returncode == 0

@@ -10,6 +10,7 @@ from cepgeo.closed_form import (
     ModelPoint,
     alpha_connection,
     alpha_ricci,
+    cauchy_inverse,
     connection0,
     inverse_metric,
     kahler_potential,
@@ -21,7 +22,7 @@ from cepgeo.closed_form import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, wirtinger_mixed_hessian
+from conftest import GAIN, arma_from_roots, mp_inverse_metric, wirtinger_mixed_hessian
 
 AR1 = ModelPoint((0.5,), (-1,))
 ARMA11 = ModelPoint((0.5, 0.3), (-1, 1))
@@ -47,17 +48,6 @@ def max_relative(got, ref):
 def alpha_ricci_correction(m):
     # d_jbar T^k_{ik} (Hermitian part) as alpha_ricci applies it
     return alpha_ricci(m, 2.0).ricci - ricci0(m).ricci
-
-
-def mp_inverse_metric(mp, m):
-    """High-precision B = g^{i jbar}, i.e. the inverse of the transposed metric."""
-    xi = [mp.mpc(p) for p in m.params]
-    c = m.signature
-    g = mp.matrix(m.n, m.n)
-    for i in range(m.n):
-        for j in range(m.n):
-            g[i, j] = c[i] * c[j] / (1 - xi[i] * mp.conj(xi[j]))
-    return g.T**-1
 
 
 def mp_alpha_ricci_correction(mp, m):
@@ -279,6 +269,22 @@ class TestInverseMetric:
         with pytest.warns(CoincidentRootsWarning):
             with pytest.raises(CoincidentRootsError):
                 inverse_metric(m)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 8])
+    def test_batched_rows_match_per_point_bitwise(self, n):
+        # 20000 tuples, past the size where numpy reuses temporaries in place
+        signature = mixed_signature(n)
+        rows = sample_root_tuples(6, 20000, n, 1.0 - 1e-6, 1e-4)
+        batched = cauchy_inverse(rows, np.asarray(signature, dtype=float))
+        assert batched.shape == (20000, n, n)
+        for s in range(0, 20000, 499):
+            assert np.array_equal(batched[s], inverse_metric(ModelPoint(tuple(rows[s]), signature)))
+
+    def test_batched_coincidence_warns_and_raises(self):
+        rows = np.array([[0.1, 0.5], [0.5, 0.5]], dtype=complex)
+        with pytest.warns(CoincidentRootsWarning):
+            with pytest.raises(CoincidentRootsError):
+                cauchy_inverse(rows, np.array([-1.0, -1.0]))
 
     @pytest.mark.parametrize("sep", [1e-6, 1e-9, 1e-12])
     def test_entrywise_accurate_near_coincidence(self, sep):

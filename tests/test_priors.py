@@ -1,8 +1,14 @@
+import cmath
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from cepgeo.closed_form import ModelPoint
+from cepgeo import priors
+from cepgeo.closed_form import CoincidentRootsWarning, ModelPoint
 from cepgeo.priors import (
+    BUILTINS,
     PriorFunction,
     check_superharmonic,
     laplace_beltrami,
@@ -12,15 +18,24 @@ from cepgeo.priors import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import wirtinger_mixed_hessian
+from conftest import mp_inverse_metric, wirtinger_mixed_hessian
 
 AR1_HALF = ModelPoint((0.5,), (-1,))
 AR2 = ModelPoint((0.4 + 0.2j, -0.3 + 0.5j), (-1, -1))
 
 
 def differenced_prior(evaluate):
-    """A candidate whose mixed Hessian is the Wirtinger difference oracle."""
-    return PriorFunction("custom", evaluate, lambda m: wirtinger_mixed_hessian(evaluate, m))
+    """A candidate whose mixed Hessian is the Wirtinger difference oracle, tuple by tuple."""
+
+    def points(xi):
+        # a candidate reads the coordinates alone; the signature only completes a ModelPoint
+        return [ModelPoint(tuple(row), (-1,) * len(row)) for row in xi]
+
+    return PriorFunction(
+        "custom",
+        lambda xi: np.array([evaluate(m) for m in points(xi)]),
+        lambda xi: np.array([wirtinger_mixed_hessian(evaluate, m) for m in points(xi)]),
+    )
 
 
 class TestLaplaceBeltrami:
@@ -123,3 +138,142 @@ class TestCheckSuperharmonic:
             for row in sample_root_tuples(13, 50, 2, 1.0 - 1e-6, 1e-4):
                 assert psi.evaluate(ModelPoint(tuple(row), (-1, -1))) > 0.0
 
+
+SHAPES = [(2, 0), (1, 1), (2, 2)]
+
+
+def signature_of(shape):
+    return (-1,) * shape[0] + (1,) * shape[1]
+
+
+class TestBatchedAgainstPerPoint:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("psi_name", ["psi1", "psi2", "psi3"])
+    def test_check_repeats_per_point_values_bitwise(self, monkeypatch, psi_name, shape):
+        # chunks of 97 tuples: the report must not depend on where they split
+        n = sum(shape)
+        monkeypatch.setattr(priors, "_CHUNK_BYTES", 97 * 16 * n * n)
+        psi = BUILTINS[psi_name](n=n)
+        report = check_superharmonic(psi, shape, 400, seed=9)
+        rows = sample_root_tuples(9, 400, n, 1.0 - 1e-6, priors.REJECT_RADIUS_DEFAULT)
+        values = np.array(
+            [laplace_beltrami(psi, ModelPoint(tuple(row), signature_of(shape))) for row in rows]
+        )
+        assert report.worst_value == values.max()
+        assert report.violations == int(np.sum(values > 0.0))
+
+    @pytest.mark.parametrize(
+        "psi_name, shape", [("psi1", (2, 2)), ("psi2", (2, 2)), ("psi2", (4, 4)), ("psi3", (2, 2))]
+    )
+    def test_large_batches_keep_each_tuples_bits(self, psi_name, shape):
+        # 20000 tuples: numpy reuses large temporaries in place, and a
+        # complex product must still see its factors in the per-point order
+        n = sum(shape)
+        psi = BUILTINS[psi_name](n=n)
+        rows = sample_root_tuples(4, 20000, n, 1.0 - 1e-6, 1e-4)
+        batched = priors._laplace_beltrami(psi, rows, np.asarray(signature_of(shape), dtype=float))
+        for s in range(0, 20000, 499):
+            m = ModelPoint(tuple(rows[s]), signature_of(shape))
+            assert batched[s] == laplace_beltrami(psi, m)
+            assert psi.values(rows)[s] == psi.evaluate(m)
+
+    def test_per_point_methods_are_the_one_tuple_case(self):
+        psi = prior_psi3()
+        xi = np.array([AR2.params])
+        assert np.array_equal(psi.mixed_hessian(AR2), psi.hessians(xi)[0])
+        assert psi.evaluate(AR2) == psi.values(xi)[0]
+
+
+def test_check_memory_does_not_grow_with_samples_or_dimension():
+    # at n = 32 one tuple's (n, n) complex array is 16 KiB; 2000 of them at once would be 31 MiB
+    tracemalloc.start()
+    try:
+        report = check_superharmonic(prior_psi1(32), (16, 16), 2000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 2000
+    assert peak < 4 * 2**20
+
+
+class TestQuartiles:
+    @pytest.mark.parametrize("size", [1, 2, 5, 1000, 100_000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bitwise_as_percentile(self, size, ties):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        if ties:
+            values = np.round(values, 1)
+        # equal doubles are equal bits, except that -0.0 == 0.0: among tied
+        # zeros of both signs, a sort and np.percentile's partition may pick
+        # different ones
+        assert np.array_equal(priors._quartiles(values), np.percentile(values, [0, 25, 50, 75, 100]))
+
+
+# the candidates as defined, for the high-precision reference
+MP_CANDIDATES = {
+    "psi1": lambda mp, z: sum(1 - abs(x) ** 2 for x in z),
+    "psi2": lambda mp, z: mp.fprod(1 - abs(x) ** 2 for x in z),
+    "psi3": lambda mp, z: (
+        abs(1 - z[0] * mp.conj(z[1])) ** 2 * (1 - abs(z[0]) ** 2) * (1 - abs(z[1]) ** 2)
+    ),
+}
+
+
+def mp_laplace_beltrami(mp, psi_name, m):
+    """2 Re sum_ij g^{i jbar} d_i d_jbar psi from mpmath partial derivatives of psi itself."""
+    n = m.n
+    point = [q for x in m.params for q in (mp.mpf(x.real), mp.mpf(x.imag))]
+
+    def psi(*v):
+        return MP_CANDIDATES[psi_name](mp, [mp.mpc(v[2 * k], v[2 * k + 1]) for k in range(n)])
+
+    def d2(p, q):
+        order = [0] * (2 * n)
+        order[p] += 1
+        order[q] += 1
+        return mp.diff(psi, point, tuple(order))
+
+    b = mp_inverse_metric(mp, m)
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            # d_i d_jbar = (d_xi d_xj + d_yi d_yj + i (d_xi d_yj - d_yi d_xj)) / 4
+            hess = (
+                d2(2 * i, 2 * j)
+                + d2(2 * i + 1, 2 * j + 1)
+                + 1j * (d2(2 * i, 2 * j + 1) - d2(2 * i + 1, 2 * j))
+            ) / 4
+            total += b[i, j] * hess
+    return 2 * mp.re(total)
+
+
+# worst relative error of Delta psi at radius 1 - 1e-6, over the three
+# candidates on AR(2) and ARMA(1,1); psi3 on AR(2) sets every bound (it
+# measured 5.7e-9, 4.4e-5 and 0.78 over a 9-point sweep), psi1 and psi2
+# stay within about 1e-10 at every separation
+SEPARATION_BOUNDS = {1e-4: 1e-8, 1e-6: 1e-4, 1e-8: 1.0}
+
+
+@pytest.mark.parametrize("sep", sorted(SEPARATION_BOUNDS, reverse=True))
+def test_reject_radius_against_mpmath(sep):
+    mp = pytest.importorskip("mpmath")
+    worst = {}
+    for theta in (0.7, -1.3):
+        for turn in (2.0, 3.1):
+            x1 = (1.0 - 1e-6) * cmath.exp(1j * theta)
+            x2 = x1 + sep * cmath.exp(1j * (theta + turn))  # turned inwards
+            for shape in [(2, 0), (1, 1)]:
+                m = ModelPoint((x1, x2), signature_of(shape))
+                for psi_name in ("psi1", "psi2", "psi3"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", CoincidentRootsWarning)
+                        got = priors._laplace_beltrami(
+                            BUILTINS[psi_name](n=2), np.array([m.params]), np.array(m.signature, float)
+                        )[0]
+                    with mp.workdps(50):
+                        ref = float(mp_laplace_beltrami(mp, psi_name, m))
+                    err = abs(got - ref) / abs(ref)
+                    worst[psi_name] = max(worst.get(psi_name, 0.0), err)
+    assert max(worst.values()) < SEPARATION_BOUNDS[sep], worst
+    assert max(worst["psi1"], worst["psi2"]) < 1e-9, worst

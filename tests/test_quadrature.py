@@ -1,4 +1,5 @@
 import ast
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -434,3 +435,40 @@ def test_oracle_imports_only_closed_form_types():
                 assert names <= allowed, names
             else:
                 assert "closed_form" not in names
+
+
+class TestGridCache:
+    def test_grids_are_shared_and_read_only(self):
+        for make in (circle_nodes, quadrature._doubled_grid):
+            grid = make(256)
+            assert make(256) is grid
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0] = 0.0
+
+    def test_cached_grids_are_the_formula(self):
+        m = 512
+        assert np.array_equal(circle_nodes(m), np.exp(2j * np.pi * np.arange(m) / m))
+        fine = np.exp(2j * np.pi * np.arange(2 * m) / (2 * m))
+        assert np.array_equal(quadrature._doubled_grid(m), np.concatenate([fine[::2], fine[1::2]]))
+
+    def test_results_do_not_depend_on_a_warm_cache(self):
+        f = arma_from_roots((0.6 + 0.2j, -0.4 + 0.3j, 0.5j), 2)
+        cfg = QuadratureConfig(nodes=256)
+
+        def run():
+            return (
+                metric_numeric(f, cfg),
+                connection_numeric(f, 0.5, cfg),
+                ricci_numeric(f, cfg),
+                duality_check(f, 0.5, cfg),
+                invariance_suite(f, cfg),
+                divergence(make_filter(poles=(0.3,)), f, -1.0, cfg),
+            )
+
+        circle_nodes.cache_clear()
+        quadrature._doubled_grid.cache_clear()
+        cold = run()
+        warm = run()
+        # pickles hold every float and array bit for bit
+        assert pickle.dumps(cold) == pickle.dumps(warm)

@@ -23,6 +23,10 @@ The sign of T here is the one fixed by its defining circle integral
 (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z; the quadrature module
 computes that integral independently and the two must agree.
 
+Every entry is computed with one fixed operand order, so a point gets the
+same bits from every call, and no function holds an n^3 temporary beyond
+the arrays it returns.
+
 Index conventions: ``mixed`` arrays put the barred index last; the inverse
 metric ``B[i][j] = g^{i jbar}`` satisfies ``sum_j B[i][j] g[k][j] = delta_ik``
 and contractions are ``sum_{ij} B[i][j] X[i][j]``.
@@ -30,6 +34,7 @@ and contractions are ``sum_{ij} B[i][j] X[i][j]``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,16 +92,6 @@ class ModelPoint:
     @property
     def n(self) -> int:
         return len(self.params)
-
-    @property
-    def min_pairwise_distance(self) -> float:
-        if self.n < 2:
-            return math.inf
-        return min(
-            abs(self.params[i] - self.params[j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -166,9 +161,10 @@ class KahlerPotential:
         return self.value
 
 
-def _one_minus_outer(m: ModelPoint) -> np.ndarray:
+def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates xi, signature c, and a[i][j] = 1 - xi^i conj(xi^j)."""
     xi = np.asarray(m.params, dtype=complex)
-    return 1.0 - np.outer(xi, xi.conj())
+    return xi, np.asarray(m.signature, dtype=float), 1.0 - np.outer(xi, xi.conj())
 
 
 def _hermitize(a: np.ndarray, real_diag: np.ndarray) -> np.ndarray:
@@ -215,11 +211,8 @@ def kahler_potential(m: ModelPoint) -> KahlerPotential:
 
 def metric(m: ModelPoint) -> HermitianMetric:
     """Closed-form metric: mixed block c_i c_j / (1 - xi^i conj(xi^j)), pure block 0."""
-    xi = np.asarray(m.params, dtype=complex)
-    c = np.asarray(m.signature, dtype=float)
-    mixed = _hermitize(
-        np.outer(c, c) / _one_minus_outer(m), 1.0 / (1.0 - np.abs(xi) ** 2)
-    )
+    xi, c, a = _arrays(m)
+    mixed = _hermitize(np.outer(c, c) / a, 1.0 / (1.0 - np.abs(xi) ** 2))
     pure = np.zeros((m.n, m.n), dtype=complex)
     return HermitianMetric(mixed=mixed, pure=pure, labels=m.labels)
 
@@ -229,8 +222,7 @@ def inverse_metric(m: ModelPoint) -> np.ndarray:
 
     Satisfies ``sum_j B[i][j] mixed[k][j] = delta_ik``.
     """
-    xi = np.asarray(m.params, dtype=complex)
-    return cauchy_inverse(xi, np.asarray(m.signature, dtype=float))
+    return cauchy_inverse(np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float))
 
 
 def cauchy_inverse(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -284,53 +276,47 @@ def metric_determinant(m: ModelPoint) -> float:
     Real and positive for pairwise-distinct coordinates, exactly zero at
     coincidences; independent of the pole/zero signature.
     """
-    if m.n == 0:
-        return 1.0
-    xi = np.asarray(m.params, dtype=complex)
-    num = 1.0
-    for j in range(m.n):
-        for k in range(j + 1, m.n):
-            num *= abs(xi[k] - xi[j]) ** 2
-    den = complex(np.prod(_one_minus_outer(m)))
-    return float(num / den.real)
+    return _determinant(m, _arrays(m)[2])
+
+
+def _determinant(m: ModelPoint, a: np.ndarray) -> float:
+    # Python complex abs and a sequential product over the pair differences:
+    # numpy's vectorised abs rounds some last bits differently
+    num = math.prod([abs(q - p) ** 2 for p, q in itertools.combinations(m.params, 2)])
+    return float(num / complex(np.prod(a)).real)
+
+
+def _levi_civita_diag(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Gamma^0_{jj,kbar}, the only block of Gamma^0 that is not zero
+    return np.outer(c, c) * xi.conj() / a**2
+
+
+def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Complex products need not commute bitwise: each pair i <= j is
+    # multiplied once and mirrored, so T is exactly symmetric in i, j.
+    n = len(xi)
+    u = c[:, None] / a  # u[i][k] = c_i / (1 - xi^i conj(xi^k))
+    t = np.empty((n, n, n), dtype=complex)
+    for i in range(n):
+        np.multiply(u[i], u[i:], out=t[i, i:])
+        t[i + 1 :, i] = t[i, i + 1 :]
+    np.multiply(-2.0 * c * xi.conj(), t, out=t)
+    t += 0.0  # no negative zeros, so reports print 0.0 for a vanishing part
+    return t
 
 
 def connection0(m: ModelPoint) -> ConnectionTensors:
     """Levi-Civita connection: Gamma^0_{ij,kbar} = c_j c_k delta_ij conj(xi^k)/(1-xi^j conj(xi^k))^2."""
-    n = m.n
-    xi = np.asarray(m.params, dtype=complex)
-    c = np.asarray(m.signature, dtype=float)
-    a = _one_minus_outer(m)
-    gamma = np.zeros((n, n, n), dtype=complex)
-    diag = np.arange(n)
-    gamma[diag, diag] = np.outer(c, c) * xi.conj() / a**2
-    return ConnectionTensors(
-        alpha=0.0,
-        gamma_mixed=gamma,
-        gamma_pure=np.zeros((n, n, n), dtype=complex),
-        gamma_cross=np.zeros((n, n, n), dtype=complex),
-        gamma_cross_bar=np.zeros((n, n, n), dtype=complex),
-    )
+    gamma = [np.zeros((m.n,) * 3, dtype=complex) for _ in range(4)]  # mixed, pure, cross, cross_bar
+    diag = np.arange(m.n)
+    gamma[0][diag, diag] = _levi_civita_diag(*_arrays(m))
+    return ConnectionTensors(0.0, *gamma)
 
 
 def t_tensor(m: ModelPoint) -> ConnectionTensors:
     """Symmetric cubic tensor T_{ij,kbar}; the pure part vanishes at constant gain."""
-    n = m.n
-    xi = np.asarray(m.params, dtype=complex)
-    c = np.asarray(m.signature, dtype=float)
-    u = c[:, None] / _one_minus_outer(m)  # u[i][k] = c_i / (1 - xi^i conj(xi^k))
-    t = u[:, None, :] * u[None, :, :]
-    np.multiply(-2.0 * c * xi.conj(), t, out=t)
-    # complex products need not commute bitwise; mirror the upper triangle
-    # so T is exactly symmetric in its first two indices
-    i, j = np.triu_indices(n, 1)
-    t[j, i] = t[i, j]
-    t += 0.0  # no negative zeros, so reports print 0.0 for a vanishing part
-    return ConnectionTensors(
-        alpha=0.0,
-        t_mixed=t,
-        t_pure=np.zeros((n, n, n), dtype=complex),
-    )
+    t = _t(*_arrays(m))
+    return ConnectionTensors(alpha=0.0, t_mixed=t, t_pure=np.zeros(t.shape, dtype=complex))
 
 
 def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
@@ -339,31 +325,49 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     The purely mixed-pair components carry only the alpha term:
     Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar} and
     Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar}).
+    T is built once and each family is written from it into its own
+    C-ordered array, so the call holds no n^3 array beyond the six it returns.
     """
-    base = connection0(m)
-    t = t_tensor(m).t_mixed
-    gamma_mixed = base.gamma_mixed
-    gamma_mixed -= 0.5 * alpha * t
+    xi, c, a = _arrays(m)
+    t = _t(xi, c, a)
+    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
+    gamma_mixed = np.multiply(0.5 * alpha, t)
+    diag = np.arange(m.n)
+    on_diag = _levi_civita_diag(xi, c, a) - gamma_mixed[diag, diag]
+    np.subtract(0.0, gamma_mixed, out=gamma_mixed)
+    gamma_mixed[diag, diag] = on_diag
+    gamma_cross_bar = np.conjugate(t.transpose(2, 0, 1), order="C")
+    np.multiply(-0.5 * alpha, gamma_cross_bar, out=gamma_cross_bar)
     return ConnectionTensors(
         alpha=float(alpha),
         gamma_mixed=gamma_mixed,
-        gamma_pure=base.gamma_pure,
-        gamma_cross=-0.5 * alpha * np.transpose(t, (0, 2, 1)),
-        gamma_cross_bar=-0.5 * alpha * np.conj(np.transpose(t, (2, 0, 1))),
+        gamma_pure=np.zeros(t.shape, dtype=complex),
+        gamma_cross=np.multiply(-0.5 * alpha, t.transpose(0, 2, 1), order="C"),
+        gamma_cross_bar=gamma_cross_bar,
         t_mixed=t,
         t_pure=np.zeros(t.shape, dtype=complex),
     )
 
 
-def _ricci0_and_inverse(m: ModelPoint) -> tuple[CurvatureReport, np.ndarray]:
-    xi = np.asarray(m.params, dtype=complex)
-    ricci = _hermitize(
-        -1.0 / _one_minus_outer(m) ** 2, -1.0 / (1.0 - np.abs(xi) ** 2) ** 2
-    )
-    det_g = metric_determinant(m)
+def _curvature(m: ModelPoint, alpha: float | None) -> CurvatureReport:
+    # R^0 (alpha None) or R^{(alpha)}, its scalar and det g, from one
+    # (1 - xi^i conj(xi^j)) and one square of it
+    xi, c, a = _arrays(m)
+    a2 = a**2
+    edge = (1.0 - np.abs(xi) ** 2) ** 2  # the diagonal of a2, real
+    ricci = _hermitize(-1.0 / a2, -1.0 / edge)
+    det_g = _determinant(m, a)
     ginv = inverse_metric(m)
     scalar = float(np.sum(ginv * ricci).real)
-    return CurvatureReport(alpha=0.0, ricci=ricci, scalar=scalar, det_g=det_g), ginv
+    if alpha is None:
+        return CurvatureReport(alpha=0.0, ricci=ricci, scalar=scalar, det_g=det_g)
+    corr = _hermitize(-(c[:, None] + c[None, :]) / a2, -2.0 * c / edge)
+    return CurvatureReport(
+        alpha=float(alpha),
+        ricci=ricci + 0.5 * alpha * corr,
+        scalar=scalar + 0.5 * alpha * float(np.sum(ginv * corr).real),
+        det_g=det_g,
+    )
 
 
 def ricci0(m: ModelPoint) -> CurvatureReport:
@@ -373,7 +377,7 @@ def ricci0(m: ModelPoint) -> CurvatureReport:
     coincident coordinates raise :class:`CoincidentRootsError` for the
     scalar even though the Ricci block itself is regular.
     """
-    return _ricci0_and_inverse(m)[0]
+    return _curvature(m, None)
 
 
 def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
@@ -387,13 +391,4 @@ def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
     which vanishes on pole-zero pairs.  The correction is independent of
     alpha, so the family is exactly linear in alpha.
     """
-    base, ginv = _ricci0_and_inverse(m)
-    xi = np.asarray(m.params, dtype=complex)
-    c = np.asarray(m.signature, dtype=float)
-    corr = _hermitize(
-        -(c[:, None] + c[None, :]) / _one_minus_outer(m) ** 2,
-        -2.0 * c / (1.0 - np.abs(xi) ** 2) ** 2,
-    )
-    ricci = base.ricci + 0.5 * alpha * corr
-    scalar = base.scalar + 0.5 * alpha * float(np.sum(ginv * corr).real)
-    return CurvatureReport(alpha=float(alpha), ricci=ricci, scalar=scalar, det_g=base.det_g)
+    return _curvature(m, alpha)

@@ -120,15 +120,21 @@ def prior_psi2(n: int = 2) -> PriorFunction:
     return _builtin("psi2", (tuple((k, k) for k in range(n)),))
 
 
-def prior_psi3() -> PriorFunction:
-    """Two-dimensional candidate (1-xi^1 conj(xi^2))(1-xi^2 conj(xi^1))(1-|xi^1|^2)(1-|xi^2|^2)."""
+def prior_psi3(n: int = 2) -> PriorFunction:
+    """Two-dimensional candidate (1-xi^1 conj(xi^2))(1-xi^2 conj(xi^1))(1-|xi^1|^2)(1-|xi^2|^2).
+
+    Any dimension ``n`` other than 2 raises ``ValueError``: the candidate
+    reads exactly two coordinates.
+    """
+    if n != 2:
+        raise ValueError(f"psi3 is defined on two coordinates, not {n}")
     return _builtin("psi3", (((0, 1), (1, 0), (0, 0), (1, 1)),))
 
 
 BUILTINS: dict[str, Callable[..., PriorFunction]] = {
     "psi1": prior_psi1,
     "psi2": prior_psi2,
-    "psi3": lambda n=2: prior_psi3(),
+    "psi3": prior_psi3,
 }
 
 

@@ -167,14 +167,18 @@ class TestDivergenceCommand:
 CHECK_PRIOR_DIGESTS = {
     ("psi2", "ar:2", 7): "4c39addb508520fd09576915224e9cc94b41670686647861f41dd3aa3b5877f2",
     ("psi2", "ar:1,ma:1", 5): "2819d51fa8b93ac2a5aeee883c94e9abec75d893681d8a41f515572529541930",
-    ("psi3", "ar:2,ma:2", 9): "91f4642108bea2147d8ab560386f75d2190d96ae85aecdf2748b566a7eebdce7",
+    ("psi3", "ar:2", 9): "eaf886dce87f8d5fdcddde78602fdbad5e9ffbf905a575e7e823ee9664bcbaa8",
     ("psi1", "ar:1,ma:1", 3): "38d2cd23bea18d0fcfc7b1443024f1a5466a1fc9129ded5c65ad12c1171cc526",
 }
+# keyed by (n, --alpha); alpha 0.5 pins the alpha terms of the connection
+# and Ricci blocks, and their signed zeros
 TENSORS_DIGESTS = {
-    4: "fef569dd4b3dbdb4c350b7c40c403c794652f69923cd8793c984f5156e7c7fcf",
-    8: "02db81e734842c4af21363b886fdff1636f8454e20f3695dfc2c559b27a47b69",
-    16: "04322d52cbcdbb7975290e36808cc4bfead40a3aae055af8d96533f94c200c9e",
-    32: "091469de74c9495546577f2dd9f2b35e93250a366c16c492d47ce5947a8bdf99",
+    (4, None): "fef569dd4b3dbdb4c350b7c40c403c794652f69923cd8793c984f5156e7c7fcf",
+    (8, None): "02db81e734842c4af21363b886fdff1636f8454e20f3695dfc2c559b27a47b69",
+    (16, None): "04322d52cbcdbb7975290e36808cc4bfead40a3aae055af8d96533f94c200c9e",
+    (32, None): "091469de74c9495546577f2dd9f2b35e93250a366c16c492d47ce5947a8bdf99",
+    (8, "0.5"): "5bcc159987bc8d26c6bfc467c40bc1e05d3caf0db3f794255844cf936fdc75fb",
+    (32, "0.5"): "7999cc60bf019737402492c1e0045d6e97e4e2f91fb64377479dbe82d6d6cbe2",
 }
 
 
@@ -194,14 +198,18 @@ class TestPinnedReports:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == CHECK_PRIOR_DIGESTS[psi, model, seed]
 
-    @pytest.mark.parametrize("n", sorted(TENSORS_DIGESTS))
-    def test_tensors_bytes(self, tmp_path, n):
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [pytest.param(n, a, id=f"{n}-alpha{a}" if a else str(n)) for n, a in TENSORS_DIGESTS],
+    )
+    def test_tensors_bytes(self, tmp_path, n, alpha):
         roots = [complex_to_json((0.3 + 0.6 * k / n) * cmath.exp(2.4j * k)) for k in range(n)]
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": roots[: n // 2], "zeros": roots[n // 2 :]}))
         out = tmp_path / "t.json"
-        assert main(["tensors", str(path), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == TENSORS_DIGESTS[n]
+        flags = ["--alpha", alpha] if alpha else []
+        assert main(["tensors", str(path), *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TENSORS_DIGESTS[n, alpha]
 
 
 class TestCheckPriorCommand:
@@ -243,6 +251,15 @@ class TestCheckPriorCommand:
         )
         assert code == 2
         assert report["error"]["code"] == "INVALID_INPUT"
+
+    @pytest.mark.parametrize("model", ["ar:1", "ar:2,ma:2", "ar:3"])
+    def test_psi3_off_two_coordinates_exits_2(self, capsys, model):
+        code, report = run_json(
+            capsys, ["check-prior", "--psi", "psi3", "--model", model, "--samples", "10", "--seed", "1"]
+        )
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "two coordinates" in report["error"]["message"]
 
     @pytest.mark.parametrize("model", ["ar:2,ar:1", "ma:1,ar:1,ma:1", "ar:1,AR:1"])
     def test_repeated_model_kind_exits_2(self, capsys, model):

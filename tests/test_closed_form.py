@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,10 +95,6 @@ class TestModelPoint:
     def test_rejects_unit_modulus(self):
         with pytest.raises(ValueError):
             ModelPoint((1.0,), (-1,))
-
-    def test_min_pairwise_distance(self):
-        assert ModelPoint((0.5, 0.3), (-1, -1)).min_pairwise_distance == pytest.approx(0.2)
-        assert ModelPoint((0.5,), (-1,)).min_pairwise_distance == np.inf
 
 
 def li2_test_points(seed=5):
@@ -319,6 +316,39 @@ class TestDeterminant:
         swapped = ModelPoint(ARMA11.params, (1, -1))
         assert metric_determinant(swapped) == pytest.approx(metric_determinant(ARMA11))
 
+    @staticmethod
+    def mp_det(mp, m):
+        # the determinant of the metric matrix itself, not the product formula
+        xi = [mp.mpc(p) for p in m.params]
+        c = m.signature
+        g = mp.matrix([[c[i] * c[j] / (1 - xi[i] * mp.conj(xi[j])) for j in range(m.n)] for i in range(m.n)])
+        return mp.det(g)
+
+    @pytest.mark.parametrize("radius", [0.9, 0.99, 0.999])
+    def test_matches_mpmath_n32_near_the_circle(self, radius):
+        mp = pytest.importorskip("mpmath")
+        sig = mixed_signature(32)
+        sampled = random_points(29, 1, n=32, signature=sig, radius=radius, sep=1e-3)[0]
+        angles = [2.0 * np.pi * k / 32 + 0.05 * np.sin(3.0 * k) for k in range(32)]
+        ring = ModelPoint(tuple(radius * cmath.exp(1j * a) for a in angles), sig)
+        # With every root on |xi| = r, each diagonal factor 1 - xi conj(xi)
+        # comes from a product rounded near 1 and keeps only (1 - r^2) of its
+        # relative accuracy (1.4e-13 at r = 0.999), so the ring is held to
+        # that loss and the sampled roots to 1e-13.
+        for m, tol in ((sampled, 1e-13), (ring, 32 * np.finfo(float).eps / (1.0 - radius**2))):
+            with mp.workdps(80):
+                ref = self.mp_det(mp, m)
+                assert abs(metric_determinant(m) - ref.real) / ref.real <= tol
+
+    @pytest.mark.parametrize("sep", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_matches_mpmath_at_a_near_coincident_pair(self, sep):
+        mp = pytest.importorskip("mpmath")
+        base = random_points(19, 1)[0].params
+        m = ModelPoint((base[0], base[0] + sep * cmath.exp(0.7j)) + base[2:], (-1, -1, 1, 1))
+        with mp.workdps(80):
+            ref = self.mp_det(mp, m)
+            assert abs(metric_determinant(m) - ref.real) / ref.real <= 1e-13
+
 
 class TestConnection:
     def test_ar1_value(self):
@@ -396,6 +426,19 @@ class TestAlphaConnection:
             a = alpha_connection(swapped, alpha).gamma_mixed
             b = alpha_connection(ARMA11, -alpha).gamma_mixed
             assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_holds_no_n3_temporary(self):
+        # the six returned (32, 32, 32) complex arrays hold 3 MiB; T is
+        # written in place and the (n, n) work arrays stay well under 1/4 MiB
+        m = random_points(23, 1, n=32, signature=mixed_signature(32), radius=0.95, sep=1e-3)[0]
+        tracemalloc.start()
+        try:
+            conn = alpha_connection(m, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conn.gamma_mixed.nbytes == 2**19
+        assert peak <= 3.25 * 2**20
 
     def test_cross_families_scale_with_alpha(self):
         m = ARMA11

@@ -64,6 +64,14 @@ class TestLaplaceBeltrami:
             total = laplace_beltrami(psi1, m) + laplace_beltrami(psi2, m)
             assert laplace_beltrami(combined, m) == pytest.approx(total, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_psi3_rejects_other_dimensions(self, n):
+        # psi3 reads xi^1 and xi^2: n = 1 has no xi^2, and n = 4 would ignore two coordinates
+        with pytest.raises(ValueError, match="two coordinates"):
+            prior_psi3(n)
+        with pytest.raises(ValueError, match="two coordinates"):
+            BUILTINS["psi3"](n=n)
+
     def test_builtin_hessians_match_wirtinger_differences(self):
         for maker in (lambda: prior_psi1(2), lambda: prior_psi2(2), prior_psi3):
             psi = maker()
@@ -147,8 +155,15 @@ def signature_of(shape):
 
 
 class TestBatchedAgainstPerPoint:
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("psi_name", ["psi1", "psi2", "psi3"])
+    @pytest.mark.parametrize(
+        "psi_name, shape",
+        [
+            pytest.param(psi, shape, id=f"{psi}-shape{k}")
+            for psi in ("psi1", "psi2", "psi3")
+            for k, shape in enumerate(SHAPES)
+            if psi != "psi3" or sum(shape) == 2  # psi3 reads exactly two coordinates
+        ],
+    )
     def test_check_repeats_per_point_values_bitwise(self, monkeypatch, psi_name, shape):
         # chunks of 97 tuples: the report must not depend on where they split
         n = sum(shape)
@@ -163,7 +178,7 @@ class TestBatchedAgainstPerPoint:
         assert report.violations == int(np.sum(values > 0.0))
 
     @pytest.mark.parametrize(
-        "psi_name, shape", [("psi1", (2, 2)), ("psi2", (2, 2)), ("psi2", (4, 4)), ("psi3", (2, 2))]
+        "psi_name, shape", [("psi1", (2, 2)), ("psi2", (2, 2)), ("psi2", (4, 4)), ("psi3", (1, 1))]
     )
     def test_large_batches_keep_each_tuples_bits(self, psi_name, shape):
         # 20000 tuples: numpy reuses large temporaries in place, and a

@@ -7,6 +7,7 @@ before the numeric stack loads:
 - ``closed_form``: potential, metric, connections, curvature in closed form
 - ``quadrature``: the independent contour-integration oracle
 - ``priors``: Laplace-Beltrami checks for prior candidates
+- ``sampling``: seeded root tuples inside the stability polydisk
 - ``serialization``: JSON interchange formats
 - ``cli``: command-line entry point
 """

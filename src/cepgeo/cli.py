@@ -3,7 +3,8 @@
 One binary, subcommand style; reports go to stdout as deterministic JSON
 (or ``--format table`` for human reading, ``--out`` for a file).  Exit
 codes: 0 success, 2 validation or input error, 3 when ``--strict`` turns
-warnings or failed tolerance checks into an error.
+warnings or failed tolerance checks into an error.  An ``--out`` that cannot
+be written exits 2 too, with the JSON error report on stdout.
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ def _cmd_tensors(args) -> dict:
     point = ModelPoint.from_filter(f)
     potential = closed_form.kahler_potential(point)
     g = closed_form.metric(point)
-    ginv = closed_form.inverse_metric(point)
-    det = closed_form.metric_determinant(point)
     conn = closed_form.alpha_connection(point, args.alpha)
-    curv = closed_form.alpha_ricci(point, args.alpha)
+    curv = closed_form.alpha_ricci(point, args.alpha)  # with det g and g^{i jbar}
     labels = point.labels
     return {
         "command": "tensors",
@@ -172,8 +171,10 @@ def _cmd_tensors(args) -> dict:
         "metric": serialization.tensor_to_document(
             labels, None, [(g.mixed, (HOL, BAR)), (g.pure, (HOL, HOL))]
         ),
-        "inverse_metric": serialization.tensor_to_document(labels, None, [(ginv, (HOL, BAR))]),
-        "metric_determinant": det,
+        "inverse_metric": serialization.tensor_to_document(
+            labels, None, [(curv.inverse, (HOL, BAR))]
+        ),
+        "metric_determinant": curv.det_g,
         "connection": serialization.tensor_to_document(
             labels,
             args.alpha,
@@ -334,13 +335,16 @@ def main(argv: list[str] | None = None) -> int:
                 text = serialization.render_table(report)
             else:
                 text = serialization.dumps_report(report) + "\n"
+            _emit(args, text)
         except (OSError, ValueError) as exc:
             known = isinstance(exc, (FilterError, CoincidentRootsError))
             error = {"code": exc.code if known else "INVALID_INPUT", "message": str(exc)}
-            report = {"command": args.command, "error": error}
-            _emit(args, serialization.dumps_report(report) + "\n")
+            text = serialization.dumps_report({"command": args.command, "error": error}) + "\n"
+            try:
+                _emit(args, text)
+            except OSError:  # an --out that cannot be written
+                sys.stdout.write(text)
             return 2
-    _emit(args, text)
     if args.strict and (caught or report.get("passed") is False):
         return 3
     return 0

@@ -97,11 +97,6 @@ class ModelPoint:
     def labels(self) -> tuple[str, ...]:
         return coordinate_labels(self.signature)
 
-    def replace_param(self, index: int, value: complex) -> "ModelPoint":
-        params = list(self.params)
-        params[index] = value
-        return ModelPoint(tuple(params), self.signature)
-
 
 @dataclass(frozen=True)
 class HermitianMetric:
@@ -143,12 +138,13 @@ class ConnectionTensors:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Ricci block R_{i jbar}, scalar curvature, and metric determinant."""
+    """Ricci block R_{i jbar}, scalar curvature, det g and the inverse metric g^{i jbar}."""
 
     alpha: float
     ricci: np.ndarray
     scalar: float
     det_g: float
+    inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,6 @@ class KahlerPotential:
     """The Kahler potential K, the squared norm of the complex cepstrum."""
 
     value: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,8 +343,8 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
 
 
 def _curvature(m: ModelPoint, alpha: float | None) -> CurvatureReport:
-    # R^0 (alpha None) or R^{(alpha)}, its scalar and det g, from one
-    # (1 - xi^i conj(xi^j)) and one square of it
+    # R^0 (alpha None) or R^{(alpha)}, its scalar, det g and g^{i jbar},
+    # from one (1 - xi^i conj(xi^j)) and one square of it
     xi, c, a = _arrays(m)
     a2 = a**2
     edge = (1.0 - np.abs(xi) ** 2) ** 2  # the diagonal of a2, real
@@ -360,13 +353,14 @@ def _curvature(m: ModelPoint, alpha: float | None) -> CurvatureReport:
     ginv = inverse_metric(m)
     scalar = float(np.sum(ginv * ricci).real)
     if alpha is None:
-        return CurvatureReport(alpha=0.0, ricci=ricci, scalar=scalar, det_g=det_g)
+        return CurvatureReport(0.0, ricci, scalar, det_g, ginv)
     corr = _hermitize(-(c[:, None] + c[None, :]) / a2, -2.0 * c / edge)
     return CurvatureReport(
         alpha=float(alpha),
         ricci=ricci + 0.5 * alpha * corr,
         scalar=scalar + 0.5 * alpha * float(np.sum(ginv * corr).real),
         det_g=det_g,
+        inverse=ginv,
     )
 
 

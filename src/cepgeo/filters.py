@@ -206,6 +206,14 @@ class CepstrumSeries:
     tail_bound: float
 
 
+def _check_zero_band(zeros: tuple[complex, ...], eps_stab: float) -> None:
+    """Raise :class:`ZeroOnCircle` for zeros in ``(1 - eps_stab, 1/(1 - eps_stab))``."""
+    limit = 1.0 - eps_stab
+    on_circle = [(j, abs(zt)) for j, zt in enumerate(zeros) if limit < abs(zt) < 1.0 / limit]
+    if on_circle:
+        raise ZeroOnCircle(on_circle)
+
+
 def check_eps_stab(eps_stab: float) -> None:
     """Raise ValueError unless the stability margin lies in (0, 1)."""
     if not (0.0 < eps_stab < 1.0):
@@ -237,11 +245,7 @@ def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedF
     if bad_blaschke:
         raise BlaschkePointOutsideDisk(bad_blaschke)
 
-    on_circle = [
-        (j, abs(zt)) for j, zt in enumerate(spec.zeros) if limit < abs(zt) < 1.0 / limit
-    ]
-    if on_circle:
-        raise ZeroOnCircle(on_circle)
+    _check_zero_band(spec.zeros, eps_stab)
     outside = [(j, abs(zt)) for j, zt in enumerate(spec.zeros) if abs(zt) > limit]
     if outside:
         raise ZeroOutsideDisk(outside)
@@ -283,20 +287,6 @@ def transfer_values(f: ValidatedFilter | FilterSpec, z: np.ndarray) -> np.ndarra
             # |zs|/zs as a phase: exact modulus even for subnormal zs
             h = h * cmath.exp(-1j * cmath.phase(zs)) * (zs - z) / den
     return h
-
-
-def eval_transfer(f: ValidatedFilter, z: complex) -> complex:
-    """Evaluate h(z) at a single point off the poles."""
-    return complex(transfer_values(f, np.asarray(z, dtype=complex)))
-
-
-def spectral_density(f: ValidatedFilter, w) -> float | np.ndarray:
-    """Spectral density S(w) = |h(e^{iw})|^2 at real frequency w (scalar or array)."""
-    w_arr = np.asarray(w, dtype=float)
-    s = np.abs(transfer_values(f, np.exp(1j * w_arr))) ** 2
-    if np.isscalar(w) or w_arr.ndim == 0:
-        return float(s)
-    return s
 
 
 def _series_tail_bound(n_roots: int, rho: float, trunc: int) -> float:
@@ -346,11 +336,6 @@ def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSer
     )
 
 
-def factor_z_power(spec: FilterSpec) -> tuple[int, FilterSpec]:
-    """Split off the z^R factor, returning (R, spec with z_power = 0)."""
-    return spec.z_power, replace(spec, z_power=0)
-
-
 def outer_factor(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedFilter:
     """Reflect zeros outside the disk to their minimum-phase positions.
 
@@ -360,13 +345,7 @@ def outer_factor(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> Valida
     band around the circle raise :class:`ZeroOnCircle`.  Minimum-phase input
     is returned unchanged (the map is idempotent).
     """
-    limit = 1.0 - eps_stab
-    on_circle = [
-        (j, abs(zt)) for j, zt in enumerate(spec.zeros) if limit < abs(zt) < 1.0 / limit
-    ]
-    if on_circle:
-        raise ZeroOnCircle(on_circle)
-
+    _check_zero_band(spec.zeros, eps_stab)
     new_zeros = []
     gain_term_factor = 1.0
     for zt in spec.zeros:

@@ -91,7 +91,7 @@ class PriorFunction:
     ``values`` maps root tuples of shape (S, n) to psi, shape (S,), and
     ``hessians`` to d_i d_jbar psi, shape (S, n, n).  A candidate is a
     function of the coordinates alone; the pole/zero signature enters only
-    through the metric.  The per-point methods are the S = 1 case.
+    through the metric.  The per-point ``evaluate`` is the S = 1 case.
     """
 
     kind: str
@@ -100,9 +100,6 @@ class PriorFunction:
 
     def evaluate(self, m: ModelPoint) -> float:
         return float(self.values(_coordinates(m))[0])
-
-    def mixed_hessian(self, m: ModelPoint) -> np.ndarray:
-        return self.hessians(_coordinates(m))[0]
 
 
 def _builtin(kind: str, terms) -> PriorFunction:
@@ -200,11 +197,10 @@ def check_superharmonic(
     samples: int,
     seed: int,
     eps_stab: float = EPS_STAB_DEFAULT,
-    reject_radius: float = REJECT_RADIUS_DEFAULT,
 ) -> SuperharmonicReport:
     """Evaluate Delta psi at seeded random points of an AR(p)/MA(q) polydisk.
 
-    Near-coincident tuples are rejected at ``reject_radius`` because the
+    Near-coincident tuples are rejected at ``REJECT_RADIUS_DEFAULT`` because the
     candidate ratios involve |xi^1 - xi^2|^2 cancellations that amplify
     rounding.  Delta psi is evaluated a chunk of tuples at a time (about
     ``_CHUNK_BYTES`` per array); each value equals :func:`laplace_beltrami` at its tuple, bitwise.
@@ -218,7 +214,7 @@ def check_superharmonic(
         raise ValueError("model shape must have at least one coordinate")
     check_eps_stab(eps_stab)  # the sampling radius is 1 - eps_stab
     signature = (-1,) * p + (1,) * q
-    tuples = sample_root_tuples(seed, samples, n, 1.0 - eps_stab, reject_radius)
+    tuples = sample_root_tuples(seed, samples, n, 1.0 - eps_stab, REJECT_RADIUS_DEFAULT)
     c = np.asarray(signature, dtype=float)
     values = np.empty(samples)
     step = max(1, _CHUNK_BYTES // (16 * n * n))

@@ -32,9 +32,9 @@ Integrands are sampled once on 2m nodes.  The even half is bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-half and
 odd-half rules (Trefethen & Weideman, SIAM Review 56(3), 2014), so each
 m-node result is checked against that mean at no extra cost.  Disagreement
-beyond ``tol`` attaches a :class:`QuadratureUnconvergedWarning` to the run
-and marks the result, but does not abort (roots near the circle
-legitimately converge slowly).
+beyond 1e-9 (``divergence`` takes its own ``tol``) attaches a
+:class:`QuadratureUnconvergedWarning` to the run and marks the result, but
+does not abort (roots near the circle legitimately converge slowly).
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ from .filters import (
 
 NODES_DEFAULT = 4096
 DERIV_STEP_DEFAULT = 1e-5
+# largest change under grid doubling that the tensor routines accept
+_TOL = 1e-9
+# the unimodular factors that invariance_suite appends
+_Z_POWER_SHIFT = 5
+_BLASCHKE_POINT = 0.4 + 0j
 
 # Bytes of d_i d_j products that _triples holds per chunk of nodes.  On a
 # 2-core Xeon, 512 KiB was as fast as 1 MiB at n = 8..16 and up to 15%
@@ -186,9 +191,7 @@ def _metric_blocks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def metric_numeric(
-    f: ValidatedFilter,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    tol: float = 1e-9,
+    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> HermitianMetric:
     """Metric by quadrature: mixed_{ij} = mean over nodes of d_i log h conj(d_j log h).
 
@@ -196,7 +199,7 @@ def metric_numeric(
     the constant-gain submanifold.
     """
     d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
-    (mixed, pure), residual, converged = _checked(*_halves(_metric_blocks, (d2,)), tol, "metric")
+    (mixed, pure), residual, converged = _checked(*_halves(_metric_blocks, (d2,)), _TOL, "metric")
     return HermitianMetric(mixed, pure, f.labels, residual, converged)
 
 
@@ -254,10 +257,7 @@ def _connection_blocks(d, dd, alpha):
 
 
 def connection_numeric(
-    f: ValidatedFilter,
-    alpha: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    tol: float = 1e-9,
+    f: ValidatedFilter, alpha: float, cfg: QuadratureConfig = QuadratureConfig()
 ) -> ConnectionTensors:
     """All four alpha-connection index families by quadrature, and T.
 
@@ -273,8 +273,8 @@ def connection_numeric(
         lambda d, dd: _connection_blocks(d, dd, alpha),
         (_first_derivs(f, z), _second_derivs(f, z)),
     )
-    fams, residual, converged = _checked(even[:4], odd[:4], tol, "connection")
-    t, t_residual, t_converged = _checked(even[4:], odd[4:], tol, "t_tensor")
+    fams, residual, converged = _checked(even[:4], odd[:4], _TOL, "connection")
+    t, t_residual, t_converged = _checked(even[4:], odd[4:], _TOL, "t_tensor")
     return ConnectionTensors(
         float(alpha),
         *fams,
@@ -285,29 +285,17 @@ def connection_numeric(
 
 
 def t_tensor_numeric(
-    f: ValidatedFilter,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    tol: float = 1e-9,
+    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> ConnectionTensors:
     """Symmetric tensor by quadrature, with the factor-2 normalisation
 
     T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z.
     """
     d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
-    (tm, tp), residual, converged = _checked(*_halves(_t_blocks, (d2,)), tol, "t_tensor")
+    (tm, tp), residual, converged = _checked(*_halves(_t_blocks, (d2,)), _TOL, "t_tensor")
     return ConnectionTensors(
         alpha=0.0, t_mixed=tm, t_pure=tp, residual=residual, converged=converged
     )
-
-
-def _ricci_and_inverse(f: ValidatedFilter, cfg: QuadratureConfig):
-    z = circle_nodes(cfg.nodes)
-    d, dd = _first_derivs(f, z), _second_derivs(f, z)
-    w = _mean2(dd, dd.conj())
-    dc = d.conj()
-    ginv = np.linalg.inv(_mean2(d, dc))
-    v = _mean2(dd, dc)
-    return ginv.T * (v @ ginv @ v.conj().T - w), ginv
 
 
 def ricci_numeric(
@@ -324,15 +312,13 @@ def ricci_numeric(
     with v_i[n] = <dd_i, d_n>, u_j[m] = <d_m, dd_j>, w_{ij} = <dd_i, dd_j>
     (brackets are grid averages against conjugated second factors).
     """
-    return _ricci_and_inverse(f, cfg)[0]
-
-
-def scalar_curvature_numeric(
-    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
-) -> float:
-    """Scalar curvature from the numeric metric and numeric Ricci block."""
-    ricci, ginv = _ricci_and_inverse(f, cfg)
-    return float(np.trace(ginv @ ricci).real)
+    z = circle_nodes(cfg.nodes)
+    d, dd = _first_derivs(f, z), _second_derivs(f, z)
+    w = _mean2(dd, dd.conj())
+    dc = d.conj()
+    ginv = np.linalg.inv(_mean2(d, dc))
+    v = _mean2(dd, dc)
+    return ginv.T * (v @ ginv @ v.conj().T - w)
 
 
 def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
@@ -369,7 +355,7 @@ def divergence(
     )
 
 
-def cepstrum_fft(f: ValidatedFilter, trunc: int, nodes: int = NODES_DEFAULT) -> np.ndarray:
+def cepstrum_fft(f: ValidatedFilter, trunc: int) -> np.ndarray:
     """Cepstrum coefficients phi_0..phi_N from an FFT of sampled log h.
 
     Samples log h as a sum of per-factor principal logarithms (each factor
@@ -380,10 +366,10 @@ def cepstrum_fft(f: ValidatedFilter, trunc: int, nodes: int = NODES_DEFAULT) -> 
     """
     if f.z_power or f.blaschke_points:
         raise ValueError("FFT cepstrum requires z_power == 0 and no Blaschke points")
-    if trunc >= nodes // 2:
+    if trunc >= NODES_DEFAULT // 2:
         raise ValueError("truncation must be below half the node count")
-    z = circle_nodes(nodes)
-    logh = np.full(nodes, math.log(f.gain_term), dtype=complex)
+    z = circle_nodes(NODES_DEFAULT)
+    logh = np.full(NODES_DEFAULT, math.log(f.gain_term), dtype=complex)
     for zt in f.zeros:
         logh += np.log(1.0 - zt / z)
     for p in f.poles:
@@ -416,22 +402,19 @@ class InvarianceReport:
         return max(leg.metric_residual for leg in legs)
 
 
-def _sdf_residual(f1, f2, grid: int = 1024) -> float:
-    z = circle_nodes(grid)
+def _sdf_residual(f1, f2) -> float:
+    z = circle_nodes(1024)
     s1 = _spectral_grid(f1, z)
     s2 = _spectral_grid(f2, z)
     return float(np.max(np.abs(s1 - s2) / s1))
 
 
 def invariance_suite(
-    f: ValidatedFilter,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    z_power_shift: int = 5,
-    blaschke_point: complex = 0.4,
+    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> InvarianceReport:
     """Residuals of the metric and spectral density under unimodular factors.
 
-    Checks (i) multiplying by z^R, (ii) appending a Blaschke point, and
+    Checks (i) multiplying by z^5, (ii) appending a Blaschke point at 0.4, and
     (iii) reflecting a zero outside the disk with gain compensation and
     recovering it through :func:`cepgeo.filters.outer_factor`.  For (i) and
     (ii) the spectral density changes only at rounding level while the
@@ -440,11 +423,9 @@ def invariance_suite(
     filter has no nonzero zero to reflect.
     """
     spec = f.to_spec()
-    f_z = validate(replace(spec, z_power=spec.z_power + z_power_shift), f.eps_stab)
-    f_b = validate(
-        replace(spec, blaschke_points=spec.blaschke_points + (complex(blaschke_point),)),
-        f.eps_stab,
-    )
+    f_z = validate(replace(spec, z_power=spec.z_power + _Z_POWER_SHIFT), f.eps_stab)
+    blaschke = spec.blaschke_points + (_BLASCHKE_POINT,)
+    f_b = validate(replace(spec, blaschke_points=blaschke), f.eps_stab)
     g = metric_numeric(f, cfg).mixed
 
     def metric_residual(other: ValidatedFilter) -> float:

@@ -1,8 +1,8 @@
 """Deterministic sampling of root tuples inside the stability polydisk.
 
 Tuples are drawn in rounds over a leading sample axis.  Each tuple takes
-its radius draws, then its angle draws, from the generator, as
-:func:`sample_disk` does, so a seed gives the same tuples in any round size.
+its n radius draws, then its n angle draws, from the generator, so a seed
+gives the same tuples in any round size.
 """
 
 from __future__ import annotations
@@ -12,21 +12,6 @@ import numpy as np
 # A round draws the tuples whose (k, n, n) separation arrays take about this
 # many bytes, and never more than the tuples still missing.
 _ROUND_BYTES = 1 << 18
-
-
-def _disk_points(u: np.ndarray, radius: float) -> np.ndarray:
-    """Points uniform in area over the disk, from uniforms.
-
-    ``u[..., 0, :]`` gives the radii and ``u[..., 1, :]`` the angles.
-    """
-    r = radius * np.sqrt(u[..., 0, :])
-    theta = 2.0 * np.pi * u[..., 1, :]
-    return r * np.exp(1j * theta)
-
-
-def sample_disk(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
-    """count points uniform in area over the disk of the given radius."""
-    return _disk_points(rng.random((2, count)), radius)
 
 
 def sample_root_tuples(
@@ -57,7 +42,9 @@ def sample_root_tuples(
     diag = np.arange(n)
     per_round = max(1, _ROUND_BYTES // (16 * max(n, 1) ** 2))
     while filled < samples:
-        cand = _disk_points(rng.random((min(samples - filled, per_round), 2, n)), radius)
+        u = rng.random((min(samples - filled, per_round), 2, n))
+        # uniform in area over the disk: n radii, then n angles, per tuple
+        cand = radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
         if n > 1 and min_separation > 0.0:
             dist = np.abs(cand[:, :, None] - cand[:, None, :])
             dist[:, diag, diag] = np.inf

@@ -72,17 +72,6 @@ def parse_filter_document(doc: Any) -> FilterSpec:
     )
 
 
-def filter_to_document(spec) -> dict[str, Any]:
-    """Emit a FilterSpec or ValidatedFilter in the shared filter schema."""
-    return {
-        "gain": fmt_float(spec.gain),
-        "poles": [complex_to_json(p) for p in spec.poles],
-        "zeros": [complex_to_json(z) for z in spec.zeros],
-        "blaschke": [complex_to_json(b) for b in spec.blaschke_points],
-        "z_power": int(spec.z_power),
-    }
-
-
 def load_filter(path: str) -> FilterSpec:
     with open(path, encoding="utf-8") as fh:
         return parse_filter_document(json.load(fh))
@@ -90,14 +79,6 @@ def load_filter(path: str) -> FilterSpec:
 
 def render_index(position: int, barred: bool) -> int | str:
     return f"{position}{BAR}" if barred else position
-
-
-def parse_index(token: Any) -> tuple[int, bool]:
-    if isinstance(token, int):
-        return token, False
-    if isinstance(token, str) and token.endswith(BAR):
-        return int(token[: -len(BAR)]), True
-    raise ValueError(f"malformed tensor index {token!r}")
 
 
 def tensor_entries(array: np.ndarray, bar_pattern: tuple[bool, ...]) -> list[dict[str, Any]]:
@@ -125,19 +106,6 @@ def tensor_to_document(
     """
     entries = [entry for array, pattern in blocks for entry in tensor_entries(array, pattern)]
     return {"labels": list(labels), "alpha": alpha, "entries": entries}
-
-
-def parse_tensor_document(doc: dict[str, Any]) -> dict[tuple[bool, ...], np.ndarray]:
-    """Rebuild dense arrays from a tensor document, keyed by bar pattern."""
-    n = len(doc["labels"])
-    grouped: dict[tuple[bool, ...], np.ndarray] = {}
-    for entry in doc["entries"]:
-        positions, bars = zip(*(parse_index(tok) for tok in entry["idx"]))
-        pattern = tuple(bars)
-        if pattern not in grouped:
-            grouped[pattern] = np.zeros((n,) * len(pattern), dtype=complex)
-        grouped[pattern][positions] = complex(entry["re"], entry["im"])
-    return grouped
 
 
 def _rounded(x: Any) -> float:

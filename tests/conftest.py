@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cepgeo import filters
+from cepgeo.closed_form import ModelPoint
 from cepgeo.filters import FilterSpec, validate
+from cepgeo.serialization import BAR
 
 # sigma for which the transfer-function prefactor sigma^2/(2 pi) is exactly 1,
 # i.e. the zeroth cepstrum coefficient vanishes
@@ -25,6 +27,13 @@ def make_filter(poles=(), zeros=(), blaschke=(), z_power=0, gain=GAIN):
     )
 
 
+def replace_param(m, index, value):
+    """The model point with coordinate ``index`` moved to ``value``."""
+    params = list(m.params)
+    params[index] = value
+    return ModelPoint(tuple(params), m.signature)
+
+
 def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
     """Central-difference d_i d_jbar of a real evaluator at a ModelPoint.
 
@@ -35,7 +44,7 @@ def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
     def at(shifts):
         pt = m
         for idx, dz in shifts.items():
-            pt = pt.replace_param(idx, pt.params[idx] + dz)
+            pt = replace_param(pt, idx, pt.params[idx] + dz)
         return evaluate(pt)
 
     hess = np.empty((n, n), dtype=complex)
@@ -63,6 +72,28 @@ def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
                 dyx = cross(1j * step, step)
                 hess[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
     return hess
+
+
+def parse_index(token):
+    """(position, barred) of a tensor-document index token."""
+    if isinstance(token, int):
+        return token, False
+    if isinstance(token, str) and token.endswith(BAR):
+        return int(token[: -len(BAR)]), True
+    raise ValueError(f"malformed tensor index {token!r}")
+
+
+def parse_tensor_document(doc):
+    """Dense arrays rebuilt from a tensor document, keyed by bar pattern."""
+    n = len(doc["labels"])
+    grouped = {}
+    for entry in doc["entries"]:
+        positions, bars = zip(*(parse_index(tok) for tok in entry["idx"]))
+        pattern = tuple(bars)
+        if pattern not in grouped:
+            grouped[pattern] = np.zeros((n,) * len(pattern), dtype=complex)
+        grouped[pattern][positions] = complex(entry["re"], entry["im"])
+    return grouped
 
 
 def mp_inverse_metric(mp, m):

@@ -25,7 +25,7 @@ from cepgeo.quadrature import (
     duality_check,
     invariance_suite,
 )
-from cepgeo.sampling import sample_disk, sample_root_tuples
+from cepgeo.sampling import sample_root_tuples
 
 from conftest import GAIN, arma_from_roots, make_filter
 
@@ -103,7 +103,7 @@ def test_criterion_4_potential_is_zero_alpha_divergence():
         q = int(rng.integers(0, 3))
         if p + q == 0:
             p = 1
-        roots = sample_disk(rng, p + q, 0.9)
+        roots = sample_root_tuples(rng, 1, p + q, 0.9)[0]
         f = validate(FilterSpec(gain=GAIN, poles=tuple(roots[:p]), zeros=tuple(roots[p:])))
         k = kahler_potential(ModelPoint.from_filter(f)).value
         d0 = divergence(allpass, f, 0.0, CFG).value

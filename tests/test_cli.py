@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 
 import cepgeo
-from cepgeo import quadrature
-from cepgeo.cli import main, oracle_compare
+from cepgeo import closed_form, quadrature
+from cepgeo.cli import BAR, HOL, main, oracle_compare
 from cepgeo.filters import FilterSpec, validate
 from cepgeo.serialization import (
     complex_from_json,
     complex_to_json,
-    filter_to_document,
-    parse_filter_document,
-    parse_tensor_document,
+    dumps_report,
+    tensor_to_document,
 )
 
-from conftest import readme_cli_argvs
+from conftest import parse_tensor_document, readme_cli_argvs
 
 GAIN_UNIT = math.sqrt(2.0 * math.pi)
 
@@ -83,6 +82,20 @@ class TestValidateCommand:
         assert code == 2
         assert report["error"]["code"] == "INVALID_INPUT"
 
+    @pytest.mark.parametrize("out", ["absent/r.json", "."], ids=["missing-dir", "a-directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, ar1_path, out):
+        code, report = run_json(capsys, ["validate", ar1_path, "--out", str(tmp_path / out)])
+        assert code == 2
+        assert report["command"] == "validate"
+        assert report["error"]["code"] == "INVALID_INPUT"
+
+    def test_error_report_with_unwritable_out_goes_to_stdout(self, capsys, tmp_path):
+        argv = ["validate", str(tmp_path / "absent.json"), "--out", str(tmp_path / "absent/r.json")]
+        code, report = run_json(capsys, argv)
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "absent.json" in report["error"]["message"]
+
     def test_unknown_document_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps(dict(AR1_DOC, extra=1)))
@@ -139,6 +152,28 @@ class TestTensorsCommand:
         with pytest.raises(SystemExit) as exc_info:
             main(["tensors", arma_path, "--trunc", "4"])
         assert exc_info.value.code == 2
+
+    def test_near_coincident_roots_warn_once(self, capsys, tmp_path):
+        # det g and g^{i jbar} come from the one curvature call, so the
+        # nearly singular metric is reported once
+        poles = (0.5, 0.5 + 1e-12)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": list(map(complex_to_json, poles))}))
+        code, report = run_json(capsys, ["tensors", str(path)])
+        assert code == 0
+        assert [w.split(":")[0] for w in report["warnings"]] == ["CoincidentRootsWarning"]
+        point = closed_form.ModelPoint(poles, (-1, -1))
+        with pytest.warns(closed_form.CoincidentRootsWarning):
+            ginv = closed_form.inverse_metric(point)
+        with pytest.warns(closed_form.CoincidentRootsWarning):
+            curv = closed_form.alpha_ricci(point, 0.0)
+        assert np.array_equal(curv.inverse, ginv)
+        assert curv.det_g == closed_form.metric_determinant(point)
+        direct = {
+            "inverse_metric": tensor_to_document(point.labels, None, [(ginv, (HOL, BAR))]),
+            "metric_determinant": closed_form.metric_determinant(point),
+        }
+        assert json.loads(dumps_report(direct)) == {k: report[k] for k in direct}
 
     def test_report_round_trips_through_schema(self, capsys, arma_path):
         code, report = run_json(capsys, ["tensors", "--alpha", "1", arma_path])
@@ -380,16 +415,6 @@ class TestOtherChecks:
         out = capsys.readouterr().out
         assert code == 0
         assert "valid = True" in out
-
-
-class TestSerializationHelpers:
-    def test_filter_document_round_trip(self):
-        # emission rounds to 12 significant digits, after which
-        # parse -> emit is a fixed point
-        spec = parse_filter_document(AR1_DOC)
-        doc = filter_to_document(spec)
-        assert json.loads(json.dumps(doc)) == doc
-        assert filter_to_document(parse_filter_document(doc)) == doc
 
 
 def test_readme_cli_examples_run(capsys, tmp_path):

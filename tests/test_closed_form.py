@@ -23,7 +23,13 @@ from cepgeo.closed_form import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, mp_inverse_metric, wirtinger_mixed_hessian
+from conftest import (
+    GAIN,
+    arma_from_roots,
+    mp_inverse_metric,
+    replace_param,
+    wirtinger_mixed_hessian,
+)
 
 AR1 = ModelPoint((0.5,), (-1,))
 ARMA11 = ModelPoint((0.5, 0.3), (-1, 1))
@@ -211,12 +217,12 @@ class TestMetric:
             def d_hol(k, pt):
                 xi = pt.params[k]
                 gx = (
-                    metric(pt.replace_param(k, xi + step)).mixed
-                    - metric(pt.replace_param(k, xi - step)).mixed
+                    metric(replace_param(pt, k, xi + step)).mixed
+                    - metric(replace_param(pt, k, xi - step)).mixed
                 ) / (2 * step)
                 gy = (
-                    metric(pt.replace_param(k, xi + 1j * step)).mixed
-                    - metric(pt.replace_param(k, xi - 1j * step)).mixed
+                    metric(replace_param(pt, k, xi + 1j * step)).mixed
+                    - metric(replace_param(pt, k, xi - 1j * step)).mixed
                 ) / (2 * step)
                 return 0.5 * (gx - 1j * gy)
 
@@ -373,12 +379,12 @@ class TestConnection:
         m = ModelPoint((0.5,), (-1,))
         xi = m.params[0]
         gx = (
-            metric(m.replace_param(0, xi + step)).mixed[0, 0]
-            - metric(m.replace_param(0, xi - step)).mixed[0, 0]
+            metric(replace_param(m, 0, xi + step)).mixed[0, 0]
+            - metric(replace_param(m, 0, xi - step)).mixed[0, 0]
         ) / (2 * step)
         gy = (
-            metric(m.replace_param(0, xi + 1j * step)).mixed[0, 0]
-            - metric(m.replace_param(0, xi - 1j * step)).mixed[0, 0]
+            metric(replace_param(m, 0, xi + 1j * step)).mixed[0, 0]
+            - metric(replace_param(m, 0, xi - 1j * step)).mixed[0, 0]
         ) / (2 * step)
         third = 0.5 * (gx - 1j * gy)
         assert connection0(m).gamma_mixed[0, 0, 0] == pytest.approx(third, abs=1e-8)
@@ -547,11 +553,11 @@ class TestAlphaRicci:
         raw = np.empty((n, n), dtype=complex)
         for j in range(n):
             xi_j = m.params[j]
-            dx = t_contracted(m.replace_param(j, xi_j + step)) - t_contracted(
-                m.replace_param(j, xi_j - step)
+            dx = t_contracted(replace_param(m, j, xi_j + step)) - t_contracted(
+                replace_param(m, j, xi_j - step)
             )
-            dy = t_contracted(m.replace_param(j, xi_j + 1j * step)) - t_contracted(
-                m.replace_param(j, xi_j - 1j * step)
+            dy = t_contracted(replace_param(m, j, xi_j + 1j * step)) - t_contracted(
+                replace_param(m, j, xi_j - 1j * step)
             )
             raw[:, j] = 0.5 * (dx + 1j * dy) / (2.0 * step)  # d/d conj(xi^j)
         oracle = 0.5 * (raw + raw.conj().T)

@@ -13,11 +13,8 @@ from cepgeo.filters import (
     ZeroOnCircle,
     ZeroOutsideDisk,
     cepstrum,
-    eval_transfer,
-    factor_z_power,
     outer_factor,
     reciprocal,
-    spectral_density,
     transfer_values,
     validate,
 )
@@ -25,6 +22,11 @@ from cepgeo.filters import (
 from conftest import GAIN, make_filter
 
 GRID = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
+
+
+def sdf(f):
+    """Spectral density |h(e^{iw})|^2 on GRID."""
+    return np.abs(transfer_values(f, np.exp(1j * GRID))) ** 2
 
 
 class TestValidate:
@@ -73,34 +75,34 @@ class TestValidate:
 
 class TestEvalTransfer:
     def test_ar1_direct_substitution(self, ar1):
-        assert eval_transfer(ar1, 1.0) == pytest.approx(2.0)
-        assert eval_transfer(ar1, -1.0) == pytest.approx(1.0 / 1.5)
+        h = transfer_values(ar1, np.array([1.0, -1.0]))
+        assert h == pytest.approx([2.0, 1.0 / 1.5])
 
     def test_blaschke_at_origin_is_z(self):
         f = make_filter(blaschke=(0.0,))
-        for z in (1.0, 1j, np.exp(0.7j)):
-            assert eval_transfer(f, z) == pytest.approx(z)
+        z = np.array([1.0, 1j, np.exp(0.7j)])
+        assert transfer_values(f, z) == pytest.approx(z)
 
     def test_gain_term_prefactor(self):
         f = make_filter(gain=2.0)
-        assert eval_transfer(f, 1.0) == pytest.approx(4.0 / (2.0 * math.pi))
+        assert transfer_values(f, 1.0) == pytest.approx(4.0 / (2.0 * math.pi))
 
 
 class TestSpectralDensity:
     def test_allpass_cancelling_pair_is_constant(self):
         f = make_filter(poles=(0.5,), zeros=(0.5,))
-        s = spectral_density(f, GRID)
+        s = sdf(f)
         assert np.allclose(s, 1.0, atol=1e-12)
 
     def test_ar1_at_zero_frequency(self, ar1):
-        assert spectral_density(ar1, 0.0) == pytest.approx(4.0)
+        assert abs(transfer_values(ar1, 1.0)) ** 2 == pytest.approx(4.0)
 
     def test_blaschke_point_leaves_sdf_unchanged(self, ar1):
         f2 = make_filter(poles=(0.5,), blaschke=(0.3,))
-        assert np.allclose(spectral_density(ar1, GRID), spectral_density(f2, GRID), rtol=1e-12)
+        assert np.allclose(sdf(ar1), sdf(f2), rtol=1e-12)
 
     def test_nonnegative(self, arma11):
-        assert np.all(spectral_density(arma11, GRID) >= 0.0)
+        assert np.all(sdf(arma11) >= 0.0)
 
 
 class TestCepstrum:
@@ -162,29 +164,14 @@ class TestCepstrum:
         assert power == pytest.approx(power_conj, rel=1e-14)
 
 
-class TestFactorZPower:
-    def test_bookkeeping(self):
-        spec = FilterSpec(gain=1.0, poles=(0.2,), z_power=3)
-        r, reduced = factor_z_power(spec)
-        assert r == 3
-        assert reduced.z_power == 0
-        assert reduced.poles == spec.poles
-
-    def test_identity_case(self):
-        spec = FilterSpec(gain=1.0, poles=(0.2,))
-        r, reduced = factor_z_power(spec)
-        assert r == 0
-        assert reduced == spec
-
-
 class TestOuterFactor:
     def test_reflects_zero_and_compensates_gain(self):
         spec = FilterSpec(gain=1.0, zeros=(2.0,))
         f = outer_factor(spec)
         assert f.zeros == (0.5,)
         assert f.gain_term == pytest.approx(2.0 * spec.gain_term)
-        s_before = np.abs(transfer_values(spec, np.exp(1j * GRID))) ** 2
-        s_after = spectral_density(f, GRID)
+        s_before = sdf(spec)
+        s_after = sdf(f)
         assert np.max(np.abs(s_before - s_after) / s_before) < 1e-10
 
     def test_negative_zero_example(self):
@@ -238,8 +225,8 @@ def test_outer_factor_idempotent_and_sdf_preserving(poles, zeros_in, zeros_out):
     twice = outer_factor(once.to_spec())
     assert once.zeros == twice.zeros
     assert once.gain == twice.gain
-    s_before = np.abs(transfer_values(spec, np.exp(1j * GRID))) ** 2
-    s_after = spectral_density(once, GRID)
+    s_before = sdf(spec)
+    s_after = sdf(once)
     assert np.max(np.abs(s_before - s_after) / s_before) < 1e-10
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cepgeo import sampling
-from cepgeo.sampling import sample_disk, sample_root_tuples
+from cepgeo.sampling import sample_root_tuples
 
 from conftest import serial_root_tuples
 
@@ -58,10 +58,3 @@ def test_rejection_budget_raises_in_the_serial_cases(monkeypatch, round_bytes):
         assert _raises(sample_root_tuples, max_rejections=budget) == expected, budget
     assert _raises(sample_root_tuples, max_rejections=362)
     assert not _raises(sample_root_tuples, max_rejections=363)
-
-
-def test_sample_disk_draws_radii_then_angles():
-    rng = np.random.default_rng(2)
-    u = np.random.default_rng(2).random(10)
-    expected = 0.5 * np.sqrt(u[:5]) * np.exp(1j * (2.0 * np.pi * u[5:]))
-    assert np.array_equal(sample_disk(rng, 5, 0.5), expected)

@@ -2,9 +2,10 @@
 
 One binary, subcommand style; reports go to stdout as deterministic JSON
 (or ``--format table`` for human reading, ``--out`` for a file).  Exit
-codes: 0 success, 2 validation or input error, 3 when ``--strict`` turns
-warnings or failed tolerance checks into an error.  An ``--out`` that cannot
-be written exits 2 too, with the JSON error report on stdout.
+codes: 0 success, 2 validation or input error (a size too large to
+allocate included), 3 when ``--strict`` turns warnings or failed tolerance
+checks into an error.  An ``--out`` that cannot be written exits 2 too,
+with the JSON error report on stdout.
 """
 
 from __future__ import annotations
@@ -234,19 +235,14 @@ def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[str, float]:
-    """Max-norm relative residuals of each closed form against quadrature."""
+    """Max-norm relative residuals of each closed form against one quadrature sample."""
     point = ModelPoint.from_filter(f)
-    g = quadrature.metric_numeric(f, cfg)
-    conn = quadrature.connection_numeric(f, 0.0, cfg)  # and T, from the same triple
+    g, gamma, t, ricci = quadrature.oracle_tensors(f, cfg)
     residuals = {
-        "metric": _relative_residual(closed_form.metric(point).mixed, g.mixed),
-        "connection0": _relative_residual(
-            closed_form.connection0(point).gamma_mixed, conn.gamma_mixed
-        ),
-        "t_tensor": _relative_residual(closed_form.t_tensor(point).t_mixed, conn.t_mixed),
-        "ricci0": _relative_residual(
-            closed_form.ricci0(point).ricci, quadrature.ricci_numeric(f, cfg)
-        ),
+        "metric": _relative_residual(closed_form.metric(point).mixed, g),
+        "connection0": _relative_residual(closed_form.connection0(point).gamma_mixed, gamma),
+        "t_tensor": _relative_residual(closed_form.t_tensor(point).t_mixed, t),
+        "ricci0": _relative_residual(closed_form.ricci0(point).ricci, ricci),
     }
     residuals["max"] = max(residuals.values())
     return residuals
@@ -336,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 text = serialization.dumps_report(report) + "\n"
             _emit(args, text)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:  # a size too large to allocate
             known = isinstance(exc, (FilterError, CoincidentRootsError))
             error = {"code": exc.code if known else "INVALID_INPUT", "message": str(exc)}
             text = serialization.dumps_report({"command": args.command, "error": error}) + "\n"

@@ -15,12 +15,12 @@ Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
 <d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  Both
 are symmetric in i and j, so one kernel forms only the n(n+1)/2 products
-d_i d_j with j >= i and mirrors the rest.  It walks the grid in chunks of
-nodes, one matrix product per chunk summed in a fixed order, so its memory
-does not grow with the node count.  :func:`connection_numeric` returns T
-from the same third moment it builds the connection from, so a comparison
-of both samples it once.  Second derivatives are sampled only where a
-tensor reads them (connections, Ricci, duality).
+d_i d_j with j >= i, against the third factors a caller passes, and
+mirrors the rest.  It walks the grid in chunks of nodes, one matrix
+product per chunk summed in a fixed order, so its memory does not grow
+with the node count.  The Ricci block is a projection of d^2 log h onto
+span{d log h}, read off a QR factor.  :func:`oracle_tensors` samples both
+derivatives once and reads the metric, Gamma^(0), T and Ricci from them.
 
 The duality check costs little more than one connection: its full-index
 (holomorphic and anti-holomorphic) Gamma is assembled from the two n-index
@@ -69,6 +69,9 @@ _BLASCHKE_POINT = 0.4 + 0j
 # faster than 256 KiB; _triples then peaks at 0.6 MiB at n = 16 whatever
 # the node count.
 _TRIPLE_BLOCK_BYTES = 1 << 19
+# Bytes of each QR in _ricci, so LAPACK stays on one thread: at n = 10 one QR
+# over 4096 nodes, or blocks of 160 KiB, gave other bits on 2 OpenBLAS threads.
+_QR_BLOCK_BYTES = 1 << 17
 
 
 class QuadratureUnconvergedWarning(UserWarning):
@@ -115,28 +118,19 @@ def circle_nodes(m: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * np.arange(m) / m))
 
 
-def _log_deriv_row(f: ValidatedFilter, i: int, z: np.ndarray) -> np.ndarray:
-    # d_i log h = -c_i/(z - xi_i): +1/(z - p) for a pole p, -1/(z - q) for a zero q
-    return -f.signature[i] / (z - f.coordinates[i])
+def _log_derivs(roots, signs, z: np.ndarray, order: int = 1) -> list[np.ndarray]:
+    """d_i^k log h = -c_i/(z - xi_i)^k on a grid for k = 1..order (1 or 2), one row per root.
 
-
-def _first_derivs(f: ValidatedFilter, z: np.ndarray) -> np.ndarray:
-    """d_i log h on a grid, one row per root coordinate."""
-    d = np.empty((f.dimension, z.size), dtype=complex)
-    for i in range(f.dimension):
-        d[i] = _log_deriv_row(f, i, z)
-    return d
-
-
-def _second_derivs(f: ValidatedFilter, z: np.ndarray) -> np.ndarray:
-    """d_i^2 log h = -c_i/(z - xi_i)^2 on a grid, one row per root coordinate.
-
-    Cross second derivatives vanish because log h separates per root.
+    c_i is -1 for a pole, +1 for a zero; log h separates per root, so cross terms vanish.
     """
-    dd = np.empty((f.dimension, z.size), dtype=complex)
-    for i, (root, c) in enumerate(zip(f.coordinates, f.signature)):
-        dd[i] = -c / (z - root) ** 2
-    return dd
+    c = -np.asarray(signs, dtype=float)[:, None]
+    w = z - np.asarray(roots, dtype=complex)[:, None]
+    # the last result is written into w: a fresh n x nodes array costs page faults
+    if order == 1:
+        return [np.divide(c, w, out=w)]
+    d = c / w
+    # dividing by (z - xi)^2, not multiplying d by 1/(z - xi), keeps the duality-check bits
+    return [d, np.divide(c, np.square(w, out=w), out=w)]
 
 
 def _mean2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,12 +176,11 @@ def _checked(even, odd, tol: float, what: str):
     return even, residual, converged
 
 
-def _metric_blocks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # averaging with the (conjugate) transpose makes the mixed block exactly
-    # Hermitian and the pure block exactly symmetric, whatever the BLAS order
-    mixed = _mean2(d, d.conj())
-    pure = _mean2(d, d)
-    return (mixed + mixed.conj().T) / 2, (pure + pure.T) / 2
+def _hermitian_mean(d: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    # the grid mean of d_i conj(d_j), averaged with its conjugate transpose so
+    # that it is exactly Hermitian whatever the BLAS order
+    mixed = _mean2(d, dc)
+    return (mixed + mixed.conj().T) / 2
 
 
 def metric_numeric(
@@ -198,17 +191,22 @@ def metric_numeric(
     The pure block uses the same average without conjugation and vanishes on
     the constant-gain submanifold.
     """
-    d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
-    (mixed, pure), residual, converged = _checked(*_halves(_metric_blocks, (d2,)), _TOL, "metric")
+
+    def blocks(d):
+        pure = _mean2(d, d)  # made exactly symmetric as the mixed block is made Hermitian
+        return _hermitian_mean(d, d.conj()), (pure + pure.T) / 2
+
+    (d2,) = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes))
+    (mixed, pure), residual, converged = _checked(*_halves(blocks, (d2,)), _TOL, "metric")
     return HermitianMetric(mixed, pure, f.labels, residual, converged)
 
 
-def _triples(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two third moments <d_i d_j conj(d_k)> and <d_i d_j d_k>.
+def _triples(d: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
+    """The third moments <d_i d_j e_k>, one for each factor e (n rows on d's nodes).
 
-    Both are symmetric in i and j.  Each chunk of nodes is one matrix
-    product of the n(n+1)/2 products d_i d_j with j >= i against
-    [conj(d).T | d.T]; the chunks are summed in node order and the sum is
+    Each is symmetric in i and j.  Each chunk of nodes is one matrix
+    product of the n(n+1)/2 products d_i d_j with j >= i against the
+    stacked factors; the chunks are summed in node order and the sum is
     mirrored into i > j, so the result is exactly symmetric.  The chunk is
     the largest power of two whose product block fits
     ``_TRIPLE_BLOCK_BYTES``, so memory stays flat in the node count.
@@ -217,17 +215,17 @@ def _triples(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n)
     fit = min(m, _TRIPLE_BLOCK_BYTES // (d.itemsize * max(rows.size, 1)))
     chunk = 1 << (max(fit, 1).bit_length() - 1)
-    acc = np.zeros((rows.size, 2 * n), dtype=complex)
+    acc = np.zeros((rows.size, n * len(factors)), dtype=complex)
     for start in range(0, m, chunk):
-        block = d[:, start : start + chunk]
-        prod = block[rows]
-        prod *= block[cols]
-        acc += prod @ np.concatenate((block.conj(), block)).T
-    out = np.empty((n, n, 2 * n), dtype=complex)
+        span = slice(start, start + chunk)
+        prod = d[rows, span]
+        prod *= d[cols, span]
+        acc += prod @ np.concatenate([e[:, span] for e in factors]).T
+    out = np.empty((n, n, acc.shape[1]), dtype=complex)
     out[rows, cols] = acc
     out[cols, rows] = acc
     out /= m
-    return out[..., :n], out[..., n:]
+    return np.split(out, len(factors), axis=2)
 
 
 def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
@@ -238,50 +236,30 @@ def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
     return gamma
 
 
-def _t_blocks(d):
-    # t_mixed, t_pure: T is twice the triple
-    return tuple(2.0 * t for t in _triples(d))
-
-
-def _connection_blocks(d, dd, alpha):
-    # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar, then t_mixed, t_pure
-    triple, triple_pure = _triples(d)
-    return (
-        _gamma(triple, _mean2(dd, d.conj()), alpha),
-        _gamma(triple_pure, _mean2(dd, d), alpha),
-        -alpha * triple.transpose(0, 2, 1),
-        -alpha * np.conj(triple.transpose(2, 0, 1)),
-        2.0 * triple,
-        2.0 * triple_pure,
-    )
-
-
 def connection_numeric(
     f: ValidatedFilter, alpha: float, cfg: QuadratureConfig = QuadratureConfig()
 ) -> ConnectionTensors:
-    """All four alpha-connection index families by quadrature, and T.
+    """All four alpha-connection index families by quadrature (T is :func:`t_tensor_numeric`).
 
     The second-derivative term contributes only when the first two indices
     are an unbarred pair (or, by conjugation, a barred pair); purely mixed
-    pairs carry only the -alpha triple product.  T comes from the same
-    triple, as in :func:`t_tensor_numeric`.  The families and T are checked
-    under grid doubling apart, each warning under its own name; ``residual``
-    and ``converged`` cover all six blocks.
+    pairs carry only the -alpha triple product.
     """
-    z = _doubled_grid(cfg.nodes)
-    even, odd = _halves(
-        lambda d, dd: _connection_blocks(d, dd, alpha),
-        (_first_derivs(f, z), _second_derivs(f, z)),
-    )
-    fams, residual, converged = _checked(even[:4], odd[:4], _TOL, "connection")
-    t, t_residual, t_converged = _checked(even[4:], odd[4:], _TOL, "t_tensor")
-    return ConnectionTensors(
-        float(alpha),
-        *fams,
-        *t,
-        residual=max(residual, t_residual),
-        converged=converged and t_converged,
-    )
+
+    def blocks(d, dd):
+        # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar
+        dc = d.conj()
+        triple, triple_pure = _triples(d, dc, d)
+        return (
+            _gamma(triple, _mean2(dd, dc), alpha),
+            _gamma(triple_pure, _mean2(dd, d), alpha),
+            -alpha * triple.transpose(0, 2, 1),
+            -alpha * np.conj(triple.transpose(2, 0, 1)),
+        )
+
+    sample = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes), 2)
+    fams, residual, converged = _checked(*_halves(blocks, sample), _TOL, "connection")
+    return ConnectionTensors(float(alpha), *fams, residual=residual, converged=converged)
 
 
 def t_tensor_numeric(
@@ -291,34 +269,63 @@ def t_tensor_numeric(
 
     T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z.
     """
-    d2 = _first_derivs(f, _doubled_grid(cfg.nodes))
-    (tm, tp), residual, converged = _checked(*_halves(_t_blocks, (d2,)), _TOL, "t_tensor")
+    (d2,) = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes))
+    halves = _halves(lambda d: [2.0 * t for t in _triples(d, d.conj(), d)], (d2,))
+    (tm, tp), residual, converged = _checked(*halves, _TOL, "t_tensor")
     return ConnectionTensors(
         alpha=0.0, t_mixed=tm, t_pure=tp, residual=residual, converged=converged
     )
 
 
-def ricci_numeric(
-    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
-) -> np.ndarray:
+def _ricci(d: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """R_{i jbar} = (R11^-1 R11^-H) o -(R22^H R22)^T from the QR of [d | dd].
+
+    R11^H R11 is g^T and R22^H R22 is <(I-P) dd_j, (I-P) dd_i>, P the grid
+    projection onto span{d_l}; the 1/sqrt(m) weight cancels.  Each block of
+    nodes is factored alone, then stacked on the R so far (a tall-skinny QR
+    with a quarter of the error of stacking raw blocks at n = 16), so each
+    LAPACK call takes at most ``_QR_BLOCK_BYTES`` while n <= 32.
+    """
+    n, m = d.shape
+    step = max(_QR_BLOCK_BYTES // (d.itemsize * max(2 * n, 1)), 2 * n)
+    r = np.empty((0, 2 * n), dtype=complex)
+    for start in range(0, m, step):
+        span = slice(start, start + step)
+        block = np.linalg.qr(np.hstack([d[:, span].T, dd[:, span].T]), mode="r")
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    inv11, r22 = np.linalg.inv(r[:n, :n]), r[n:, n:]
+    return (inv11 @ inv11.conj().T) * -(r22.conj().T @ r22).T
+
+
+def ricci_numeric(f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
     """Ricci block R_{i jbar} = -d_i d_jbar log det g, from quadrature alone.
 
-    Uses the exact identity d log det g = tr(g^-1 dg): every parameter
-    derivative of the metric is itself a circle integral with an analytic
-    integrand, so no finite differencing enters,
-
-        R_{i jbar} = ginv[j,i] (v_i . ginv . u_j  -  w_{ij})
-
-    with v_i[n] = <dd_i, d_n>, u_j[m] = <d_m, dd_j>, w_{ij} = <dd_i, dd_j>
-    (brackets are grid averages against conjugated second factors).
+    With d log det g = tr(g^-1 dg) it is a projection of d^2 log h onto span{d log h} on
+    the m-node grid, read off one QR factor: g is not inverted, nothing is differenced.
     """
-    z = circle_nodes(cfg.nodes)
-    d, dd = _first_derivs(f, z), _second_derivs(f, z)
-    w = _mean2(dd, dd.conj())
-    dc = d.conj()
-    ginv = np.linalg.inv(_mean2(d, dc))
-    v = _mean2(dd, dc)
-    return ginv.T * (v @ ginv @ v.conj().T - w)
+    return _ricci(*_log_derivs(f.coordinates, f.signature, circle_nodes(cfg.nodes), 2))
+
+
+def oracle_tensors(
+    f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g_{i jbar}, Gamma^(0)_{ij,kbar}, T_{ij,kbar} and R_{i jbar} from one sample.
+
+    Only the mixed blocks of :func:`metric_numeric`, :func:`connection_numeric`
+    and :func:`t_tensor_numeric`, checked and named as there; Ricci as
+    :func:`ricci_numeric`, on the even half of the sample.
+    """
+    m = cfg.nodes
+    d, dd = _log_derivs(f.coordinates, f.signature, _doubled_grid(m), 2)
+
+    def blocks(d, dd):
+        dc = d.conj()
+        (triple,) = _triples(d, dc)
+        return _hermitian_mean(d, dc), _gamma(triple, _mean2(dd, dc), 0.0), 2.0 * triple
+
+    halves = zip(*_halves(blocks, (d, dd)), ("metric", "connection", "t_tensor"))
+    legs = [_checked([e], [o], _TOL, what)[0][0] for e, o, what in halves]
+    return (*legs, _ricci(d[:, :m], dd[:, :m]))
 
 
 def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
@@ -467,13 +474,14 @@ def _gamma_parts(d: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     transpose or conjugate of one of the two n-index triples, and each block
     of <dd_a D_b> is one of <dd_i d_k>, <dd_i conj(d_k)> or a conjugate.
     """
-    mixed, pure = _triples(d)
+    dc = d.conj()
+    mixed, pure = _triples(d, dc, d)
     jk = mixed.transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
     ij = mixed.transpose(2, 0, 1)  # <conj(d_i) d_j d_k>
     triple = np.block(
         [[[pure, mixed], [jk, ij.conj()]], [[ij, jk.conj()], [mixed.conj(), pure.conj()]]]
     )
-    s_pure, s_mixed = _mean2(dd, d), _mean2(dd, d.conj())
+    s_pure, s_mixed = _mean2(dd, d), _mean2(dd, dc)
     second = np.block([[s_pure, s_mixed], [s_mixed.conj(), s_pure.conj()]])
     return triple, second
 
@@ -491,12 +499,8 @@ def _metric_derivatives(
     """
     n = f.dimension
     xi = f.coordinates[i]
-    rows = np.array(
-        [
-            _log_deriv_row(_with_coordinate(f, i, xi + s), i, z)
-            for s in (step, -step, 1j * step, -1j * step)
-        ]
-    )
+    moved = [_with_coordinate(f, i, xi + s) for s in (step, -step, 1j * step, -1j * step)]
+    (rows,) = _log_derivs([g.coordinates[i] for g in moved], [f.signature[i]] * 4, z)
     # metric row i: <r D_b> against the unmoved rows, with <r conj(d_b)> =
     # conj(<conj(r) d_b>), then against r itself at b = i and b = n+i
     u = np.hstack([_mean2(rows, d), _mean2(rows.conj(), d).conj()])
@@ -541,8 +545,8 @@ def duality_check(
     """
     n = f.dimension
     z = circle_nodes(cfg.nodes)
-    d = _first_derivs(f, z)
-    parts = _gamma_parts(d, _second_derivs(f, z))
+    d, dd = _log_derivs(f.coordinates, f.signature, z, 2)
+    parts = _gamma_parts(d, dd)
     gamma_a = _gamma(*parts, alpha)
     gamma_ma = _gamma(*parts, -alpha)
 
@@ -556,7 +560,7 @@ def duality_check(
     p, q = len(f.poles), len(f.zeros)
     perm = list(range(p, p + q)) + list(range(p))
     perm_full = perm + [n + a for a in perm]
-    gamma_rec = _gamma(*_gamma_parts(_first_derivs(rec, z), _second_derivs(rec, z)), alpha)
+    gamma_rec = _gamma(*_gamma_parts(*_log_derivs(rec.coordinates, rec.signature, z, 2)), alpha)
     expected = gamma_ma[np.ix_(perm_full, perm_full, perm_full)]
     rec_residual = float(np.max(np.abs(gamma_rec - expected), initial=0.0))
     return DualityReport(

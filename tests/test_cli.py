@@ -13,6 +13,7 @@ import cepgeo
 from cepgeo import closed_form, quadrature
 from cepgeo.cli import BAR, HOL, main, oracle_compare
 from cepgeo.filters import FilterSpec, validate
+from cepgeo.sampling import sample_root_tuples
 from cepgeo.serialization import (
     complex_from_json,
     complex_to_json,
@@ -52,6 +53,19 @@ def empty_path(tmp_path):
 def arma_path(tmp_path):
     doc = dict(AR1_DOC, zeros=[{"re": 0.3, "im": 0.0}])
     path = tmp_path / "arma.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _roots_document(tmp_path, roots):
+    """A filter file whose first half of ``roots`` are poles, the rest zeros."""
+    p = len(roots) // 2
+    doc = {
+        "gain": GAIN_UNIT,
+        "poles": [complex_to_json(z) for z in roots[:p]],
+        "zeros": [complex_to_json(z) for z in roots[p:]],
+    }
+    path = tmp_path / f"roots{len(roots)}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -354,14 +368,42 @@ class TestOracleCompareCommand:
         legs = [w.split(": ")[1] for w in report["warnings"]]
         assert legs == ["metric", "connection", "t_tensor"]
 
-    def test_one_triple_per_comparison(self, monkeypatch):
+    def test_one_sample_and_one_triple_per_half(self, monkeypatch):
         f = validate(FilterSpec(gain=1.0, poles=(0.5, -0.2 + 0.3j), zeros=(0.1j,)))
         cfg = quadrature.QuadratureConfig(nodes=1024)
-        kernel, shapes = quadrature._triples, []
-        monkeypatch.setattr(quadrature, "_triples", lambda d: shapes.append(d.shape) or kernel(d))
+        sample, triples, samples, moments = quadrature._log_derivs, quadrature._triples, [], []
+
+        def logged_sample(roots, signs, z, order=1):
+            samples.append((z.size, order))
+            return sample(roots, signs, z, order)
+
+        def logged_triples(d, *factors):
+            moments.append((d.shape, len(factors)))
+            return triples(d, *factors)
+
+        monkeypatch.setattr(quadrature, "_log_derivs", logged_sample)
+        monkeypatch.setattr(quadrature, "_triples", logged_triples)
         oracle_compare(f, cfg)
-        # the even and the odd half of the doubled grid
-        assert shapes == [(3, 1024), (3, 1024)]
+        # d and dd once on the doubled grid; then the mixed third moment
+        # alone, on the even and on the odd half
+        assert samples == [(2048, 2)]
+        assert moments == [((3, 1024), 1), ((3, 1024), 1)]
+
+    def test_n16_filter_passes(self, capsys, tmp_path):
+        # the Gram-inverse Ricci oracle missed this filter by 1.2e-4
+        path = _roots_document(tmp_path, sample_root_tuples(16, 1, 16, 0.9, 0.05)[0])
+        code, report = run_json(capsys, ["oracle-compare", path])
+        assert code == 0
+        assert report["passed"] is True
+        assert report["residuals"]["ricci0"] < 1e-8
+
+    @pytest.mark.parametrize("row", [1, 7])
+    def test_n32_is_accurate_or_fails(self, capsys, tmp_path, row):
+        # row 1 is within the tolerance, row 7 misses it by far
+        path = _roots_document(tmp_path, sample_root_tuples(16, 8, 32, 0.9, 0.05)[row])
+        code, report = run_json(capsys, ["oracle-compare", path])
+        assert code == 0
+        assert report["residuals"]["ricci0"] <= 1e-8 or report["passed"] is False
 
 
 class TestOtherChecks:
@@ -410,6 +452,23 @@ class TestOtherChecks:
             assert report["error"]["code"] == "INVALID_INPUT"
             assert "JSON" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cepstrum", "{f}", "--trunc", str(10**15)],
+            ["check-prior", "--psi", "psi1", "--model", "ar:1", "--samples", str(10**15)],
+            ["oracle-compare", "{f}", "--nodes", str(2**50)],
+        ],
+        ids=["trunc", "samples", "nodes"],
+    )
+    def test_size_too_large_to_allocate_exits_2(self, capsys, ar1_path, argv):
+        # each array would take more than the 2^47 bytes a process can
+        # address, so numpy's allocation fails before anything is allocated
+        code, report = run_json(capsys, [a.format(f=ar1_path) for a in argv])
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "allocate" in report["error"]["message"]
+
     def test_table_format(self, capsys, ar1_path):
         code = main(["validate", ar1_path, "--format", "table"])
         out = capsys.readouterr().out
@@ -443,8 +502,8 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
-    # BLAS splits products this large (n = 10) across threads; the reports
-    # must not move
+    # BLAS splits products this large (n = 10) across threads, and LAPACK
+    # a QR over many rows (the n = 32 Ricci leg); the reports must not move
     doc = {
         "gain": GAIN_UNIT,
         "poles": [complex_to_json(0.8 * cmath.exp(0.6j * k)) for k in range(5)],
@@ -456,6 +515,7 @@ def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
     allpass.write_text(json.dumps({"gain": GAIN_UNIT}))
     commands = [
         ["oracle-compare", str(path)],
+        ["oracle-compare", _roots_document(tmp_path, sample_root_tuples(16, 8, 32, 0.9, 0.05)[1])],
         ["duality-check", str(path)],
         ["invariance-check", str(path)],
         ["divergence", str(allpass), str(path), "--alpha", "-1"],
@@ -478,6 +538,6 @@ def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
                 timeout=120,
             )
             assert result.returncode == 0, result.stderr
-            reports.setdefault(argv[0], []).append(result.stdout)
+            reports.setdefault(" ".join(argv), []).append(result.stdout)
     for command, (one, two) in reports.items():
         assert one == two, command

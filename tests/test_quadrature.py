@@ -37,9 +37,9 @@ CFG = QuadratureConfig(nodes=2048)
 LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 
 
-def first_derivs(f):
-    """d_i log h on the CFG grid."""
-    return quadrature._first_derivs(f, circle_nodes(CFG.nodes))
+def first_derivs(f, m=CFG.nodes):
+    """d_i log h on the m-node grid."""
+    return quadrature._log_derivs(f.coordinates, f.signature, circle_nodes(m))[0]
 
 
 class TestQuadratureConfig:
@@ -110,7 +110,8 @@ class TestMetricNumeric:
         # block is nonzero once the gain varies
         d = first_derivs(arma11)
         with_gain = np.vstack([np.full(d.shape[1], 2.0 / arma11.gain, dtype=complex), d])
-        mixed, pure = quadrature._metric_blocks(with_gain)
+        mixed = quadrature._hermitian_mean(with_gain, with_gain.conj())
+        pure = quadrature._mean2(with_gain, with_gain)
         assert np.max(np.abs(mixed[0, 1:])) < 1e-10
         assert mixed[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
         assert pure[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
@@ -161,12 +162,6 @@ class TestTTensorNumeric:
         t = t_tensor_numeric(arma11, CFG).t_mixed
         assert np.max(np.abs(t - np.transpose(t, (1, 0, 2)))) < 1e-12
 
-    def test_connection_carries_the_same_t(self):
-        f = _mixed_filter(90, 5)
-        conn, t = connection_numeric(f, 0.0, CFG), t_tensor_numeric(f, CFG)
-        assert np.array_equal(conn.t_mixed, t.t_mixed)
-        assert np.array_equal(conn.t_pure, t.t_pure)
-
 
 class TestOracleAgreement:
     def test_closed_forms_match_quadrature(self):
@@ -196,6 +191,40 @@ class TestOracleAgreement:
             assert ricci0(m).scalar == pytest.approx(scalar, abs=1e-8)
 
 
+class TestRicciNumeric:
+    def test_n16_matches_closed_form(self):
+        # the Gram-inverse oracle was off by up to 5.9e9 (relative) on these
+        cfg = QuadratureConfig(nodes=4096)
+        for row in sample_root_tuples(16, 8, 16, 0.9, 0.05):
+            f = arma_from_roots(row, 8)
+            ricci, ref = ricci_numeric(f, cfg), ricci0(ModelPoint.from_filter(f)).ricci
+            assert np.max(np.abs(ricci - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [4096, 65536])
+    def test_memory_stays_flat_in_the_node_count(self, m):
+        # the QR takes [d | dd] a block of nodes at a time, never as one copy
+        f = _mixed_filter(81, 16)
+        d, dd = quadrature._log_derivs(f.coordinates, f.signature, circle_nodes(m), 2)
+        tracemalloc.start()
+        try:
+            quadrature._ricci(d, dd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_one_sample_gives_the_legs_of_the_separate_routines(self):
+        f = _mixed_filter(91, 6)
+        g, gamma, t, ricci = quadrature.oracle_tensors(f, CFG)
+        # the even half of the doubled grid is bitwise the m-node grid
+        assert np.array_equal(ricci, ricci_numeric(f, CFG))
+        assert np.array_equal(g, metric_numeric(f, CFG).mixed)
+        t_mixed = t_tensor_numeric(f, CFG).t_mixed
+        scale = np.max(np.abs(t_mixed))
+        assert np.max(np.abs(gamma - connection_numeric(f, 0.0, CFG).gamma_mixed)) <= 1e-14 * scale
+        assert np.max(np.abs(t - t_mixed)) <= 1e-14 * scale
+
+
 class TestConnectionFamiliesAtNonzeroAlpha:
     FAMILIES = ("gamma_mixed", "gamma_pure", "gamma_cross", "gamma_cross_bar", "t_mixed", "t_pure")
 
@@ -204,8 +233,10 @@ class TestConnectionFamiliesAtNonzeroAlpha:
         for row in rows:
             f = arma_from_roots(row, 2)
             closed = alpha_connection(ModelPoint.from_filter(f), 0.5)
-            conn = connection_numeric(f, 0.5, CFG)
-            numeric = {name: getattr(conn, name) for name in self.FAMILIES}
+            # the families from connection_numeric, T from t_tensor_numeric
+            conn, t = connection_numeric(f, 0.5, CFG), t_tensor_numeric(f, CFG)
+            numeric = {name: getattr(conn, name) for name in self.FAMILIES[:4]}
+            numeric.update(t_mixed=t.t_mixed, t_pure=t.t_pure)
             # zero families (gamma_pure, t_pure) are measured against the
             # size of the connection
             scale = max(np.max(np.abs(getattr(closed, name))) for name in self.FAMILIES)
@@ -329,7 +360,7 @@ def _second_derivs_direct(f, z):
 
 def _full_metric(f, z):
     # <D_a D_b> over D = [d; conj(d)], all 2n rows rebuilt
-    d = quadrature._first_derivs(f, z)
+    d = first_derivs(f, z.size)
     full = np.vstack([d, d.conj()])
     return np.einsum("am,bm->ab", full, full) / z.size
 
@@ -368,15 +399,15 @@ class TestDualityParts:
 
     def test_triples_are_exactly_symmetric_in_first_two_indices(self):
         d = first_derivs(_mixed_filter(41, 8))
-        for t in quadrature._triples(d):
+        for t in quadrature._triples(d, d.conj(), d):
             assert np.array_equal(t, t.transpose(1, 0, 2))
 
     # m = 64 is one chunk at n <= 16; m = 16384 is many chunks at every n
     @pytest.mark.parametrize("m", [64, 16384])
     @pytest.mark.parametrize("n", [1, 16, 32])
     def test_triples_match_einsum_grid_means(self, n, m):
-        d = quadrature._first_derivs(_mixed_filter(70 + n, n), circle_nodes(m))
-        mixed, pure = quadrature._triples(d)
+        d = first_derivs(_mixed_filter(70 + n, n), m)
+        mixed, pure = quadrature._triples(d, d.conj(), d)
         expected = [
             np.stack([np.einsum("jm,km->jk", row * d, e, optimize=True) for row in d]) / m
             for e in (d.conj(), d)
@@ -388,10 +419,11 @@ class TestDualityParts:
 
     @pytest.mark.parametrize("m", [4096, 65536])
     def test_triples_memory_stays_flat_in_the_node_count(self, m):
-        d = quadrature._first_derivs(_mixed_filter(80, 16), circle_nodes(m))
+        d = first_derivs(_mixed_filter(80, 16), m)
+        dc = d.conj()
         tracemalloc.start()
         try:
-            quadrature._triples(d)
+            quadrature._triples(d, dc, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,6 +24,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -323,6 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            if not 0.0 < getattr(args, "tol", 1.0) < math.inf:  # checked before any work
+                raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
+            if not math.isfinite(getattr(args, "alpha", 0.0)):
+                raise ValueError(f"--alpha must be finite, got {args.alpha!r}")
             report = _DISPATCH[args.command](args)
             if caught:
                 report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]

@@ -4,15 +4,19 @@ Complex numbers are always {"re": ..., "im": ...} pairs.  Tensor entries
 carry their index tuple with anti-holomorphic (barred) positions encoded as
 strings with a combining macron ("1̄"), holomorphic positions as plain
 integers; indices are 0-based.  ``dumps_report`` writes a report in one
-pass and rounds each float to 12 significant digits once, as it writes it;
-its text is the standard library's ``indent=2`` ASCII JSON of the rounded
-document, and identical inputs produce byte-identical reports.
+pass, rounding each float to 12 significant digits as it writes it; its
+text is the standard library's ``indent=2`` ASCII JSON of the rounded
+document, and identical inputs produce byte-identical reports.  A
+``TensorDocument`` keeps its blocks as arrays until then: every entry is
+one template filled with index text from its block's shape and bar
+pattern, and each distinct float bit pattern is rounded and written once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -77,35 +81,28 @@ def load_filter(path: str) -> FilterSpec:
         return parse_filter_document(json.load(fh))
 
 
-def render_index(position: int, barred: bool) -> int | str:
-    return f"{position}{BAR}" if barred else position
+@dataclass(frozen=True)
+class TensorDocument:
+    """Labels, alpha, and (complex array, bar pattern) blocks, kept for ``dumps_report`` to write."""
 
-
-def tensor_entries(array: np.ndarray, bar_pattern: tuple[bool, ...]) -> list[dict[str, Any]]:
-    """Flatten a tensor into unrounded schema entries, C order, one bar flag per axis."""
-    array = np.asarray(array, dtype=complex)
-    if array.ndim != len(bar_pattern):
-        raise ValueError("bar pattern length must match tensor rank")
-    axes = [[render_index(i, bar) for i in range(n)] for n, bar in zip(array.shape, bar_pattern)]
-    return [
-        {"idx": list(idx), "re": z.real, "im": z.imag}
-        for idx, z in zip(itertools.product(*axes), array.ravel().tolist())
-    ]
+    labels: list[str]
+    alpha: float | None
+    blocks: list[tuple[np.ndarray, tuple[bool, ...]]]
 
 
 def tensor_to_document(
-    labels: tuple[str, ...],
-    alpha: float | None,
-    blocks: list[tuple[np.ndarray, tuple[bool, ...]]],
-) -> dict[str, Any]:
+    labels: tuple[str, ...], alpha: float | None, blocks: list[tuple[np.ndarray, tuple[bool, ...]]]
+) -> TensorDocument:
     """Shared tensor schema: labels, alpha, and a flat entry list.
 
     ``blocks`` pairs each component array with the bar pattern of its
-    indices; entries from consecutive blocks are concatenated in order, so
-    the document layout is deterministic.
+    indices, one flag per axis; the entries of each block follow in C order
+    and blocks follow one another, so the document layout is deterministic.
     """
-    entries = [entry for array, pattern in blocks for entry in tensor_entries(array, pattern)]
-    return {"labels": list(labels), "alpha": alpha, "entries": entries}
+    blocks = [(np.ascontiguousarray(array, dtype=complex), tuple(bars)) for array, bars in blocks]
+    if any(array.ndim != len(bars) or not bars for array, bars in blocks):
+        raise ValueError("bar pattern length must match tensor rank, which must be at least 1")
+    return TensorDocument(list(labels), alpha, blocks)
 
 
 def _rounded(x: Any) -> float:
@@ -116,30 +113,48 @@ def _rounded(x: Any) -> float:
     return x
 
 
-_ENTRY_KEYS = ["idx", "re", "im"]
-_TOKENS = {int: int.__repr__, str: _quote}
-
-
-def _entry(entry: dict[str, Any], nl: str) -> str | None:
-    """A tensor entry (int or str index tokens, float parts) from one template, else None."""
-    idx, re, im = entry.values()
-    if type(re) is not float or type(im) is not float or type(idx) is not list or not idx:
-        return None
-    try:
-        tokens = f",{nl}    ".join([_TOKENS[type(token)](token) for token in idx])
-    except KeyError:
-        return None
-    inner, re, im = nl + "  ", repr(_rounded(re)), repr(_rounded(im))
-    return f'{{{inner}"idx": [{inner}  {tokens}{inner}],{inner}"re": {re},{inner}"im": {im}{nl}}}'
+def _write_entries(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], out: list[str], nl: str) -> None:
+    """A tensor document's entry list, one template per entry, each distinct float formatted once."""
+    values = np.concatenate([np.empty(0), *(a.ravel().view(np.float64) for a, _ in blocks)])
+    if not values.size:
+        out.append("[]")
+        return
+    _rounded(values[np.isfinite(values).argmin()])  # raises on the first inf or nan, if any
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)  # -0.0 apart from 0.0
+    texts = np.array([repr(fmt_float(x)) for x in bits.view(np.float64).tolist()], dtype=object)
+    item, field = nl + "  ", nl + "    "
+    heads: list[str] = []  # from the separator to '"re": ', one per entry
+    for array, pattern in blocks:
+        axes = [
+            [_quote(f"{i}{BAR}") if bar else str(i) for i in range(n)]
+            for n, bar in zip(array.shape, pattern)
+        ]
+        axes[-1] = [f'{token}{field}],{field}"re": ' for token in axes[-1]]
+        idx = [f',{item}{{{field}"idx": [{field}  {token}' for token in axes[0]]
+        for tokens in axes[1:]:
+            idx = [f"{head},{field}  {token}" for head in idx for token in tokens]
+        heads += idx
+    heads[0] = "[" + heads[0][1:]
+    re = (texts + f',{field}"im": ')[inverse[0::2]].tolist()
+    im = (texts + f"{item}}}")[inverse[1::2]].tolist()
+    out.extend(itertools.chain.from_iterable(zip(heads, re, im)))
+    out.append(nl + "]")
 
 
 def _write(obj: Any, out: list[str], nl: str) -> None:
     """Append the JSON text of ``obj``; ``nl`` is a newline and the current indent."""
-    if isinstance(obj, (dict, list, tuple)):
+    if isinstance(obj, TensorDocument):
+        inner = nl + "  "
+        for sep, key, value in (("{", "labels", obj.labels), (",", "alpha", obj.alpha)):
+            out.append(f'{sep}{inner}"{key}": ')
+            _write(value, out, inner)
+        out.append(f',{inner}"entries": ')
+        _write_entries(obj.blocks, out, inner)
+        out.append(nl + "}")
+    elif isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
-        text = _entry(obj, nl) if is_dict and list(obj) == _ENTRY_KEYS else None
-        if text is not None or not obj:
-            out.append(text or ("{}" if is_dict else "[]"))
+        if not obj:
+            out.append("{}" if is_dict else "[]")
             return
         inner = nl + "  "
         sep = ("{" if is_dict else "[") + inner

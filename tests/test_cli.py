@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cepgeo
-from cepgeo import closed_form, quadrature
+from cepgeo import cli, closed_form, quadrature
 from cepgeo.cli import BAR, HOL, main, oracle_compare
 from cepgeo.filters import FilterSpec, validate
 from cepgeo.sampling import sample_root_tuples
@@ -468,6 +468,37 @@ class TestOtherChecks:
         assert code == 2
         assert report["error"]["code"] == "INVALID_INPUT"
         assert "allocate" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "{f}", "{f}", "--tol", "-1"],
+            ["divergence", "{f}", "{f}", "--tol", "nan"],
+            ["oracle-compare", "{f}", "--tol", "0"],
+            ["duality-check", "{f}", "--tol", "inf"],
+            ["invariance-check", "{f}", "--tol=-inf"],
+            ["tensors", "{f}", "--alpha", "nan"],
+            ["divergence", "{f}", "{f}", "--alpha", "inf"],
+            ["duality-check", "{f}", "--alpha=-inf"],
+        ],
+        ids=[
+            "divergence-tol-negative",
+            "divergence-tol-nan",
+            "oracle-compare-tol-zero",
+            "duality-check-tol-inf",
+            "invariance-check-tol-minus-inf",
+            "tensors-alpha-nan",
+            "divergence-alpha-inf",
+            "duality-check-alpha-minus-inf",
+        ],
+    )
+    def test_bad_tol_or_alpha_exits_2_before_any_work(self, capsys, monkeypatch, ar1_path, argv):
+        monkeypatch.setitem(cli._DISPATCH, argv[0], lambda args: pytest.fail("the command ran"))
+        code, report = run_json(capsys, [a.format(f=ar1_path) for a in argv])
+        assert code == 2
+        assert report["error"]["code"] == "INVALID_INPUT"
+        option = next(a for a in argv if a.startswith("--")).split("=")[0]
+        assert report["error"]["message"].startswith(option + " must be finite")
 
     def test_table_format(self, capsys, ar1_path):
         code = main(["validate", ar1_path, "--format", "table"])

@@ -5,8 +5,10 @@ ensure_ascii=True, allow_nan=False)`` applied to the document with every
 float rounded to 12 significant digits.
 """
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +17,25 @@ from hypothesis import strategies as st
 
 from cepgeo import serialization
 from cepgeo.cli import main
-from cepgeo.serialization import dumps_report, render_table, tensor_to_document
+from cepgeo.serialization import BAR, TensorDocument, dumps_report, render_table, tensor_to_document
 
 from conftest import GAIN, readme_cli_argvs
 
 
+def _reference_entries(array, bar_pattern):
+    """A tensor block as unrounded schema entries, C order, one bar flag per axis."""
+    axes = [[f"{i}{BAR}" if bar else i for i in range(n)] for n, bar in zip(array.shape, bar_pattern)]
+    return [
+        {"idx": list(idx), "re": z.real, "im": z.imag}
+        for idx, z in zip(itertools.product(*axes), array.ravel().tolist())
+    ]
+
+
 def _round_floats(obj):
     """The rounding copy that used to run ahead of ``json.dumps``."""
+    if isinstance(obj, TensorDocument):
+        entries = [e for array, bars in obj.blocks for e in _reference_entries(array, bars)]
+        obj = {"labels": obj.labels, "alpha": obj.alpha, "entries": entries}
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
@@ -69,19 +83,25 @@ def _spread_roots(n, seed, radius=0.9, separation=0.05):
     while True:
         roots = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         dist = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)  # 1 on the diagonal
-        if dist.min() >= separation:
+        if dist.min(initial=np.inf) >= separation:
             return roots
+
+
+def _roots_path(tmp_path, n, seed):
+    """A filter file with n spread roots, the first half (rounded up) poles, the rest zeros."""
+    roots = _spread_roots(n, seed)
+    pair = lambda z: {"re": float(z.real), "im": float(z.imag)}  # noqa: E731
+    p = (n + 1) // 2
+    doc = {"gain": GAIN, "poles": list(map(pair, roots[:p])), "zeros": list(map(pair, roots[p:]))}
+    return _filter_path(tmp_path, f"n{n}-seed{seed}.json", doc)
 
 
 @pytest.fixture
 def n16_path(tmp_path):
-    roots = _spread_roots(16, seed=3)
-    pair = lambda z: {"re": float(z.real), "im": float(z.imag)}  # noqa: E731
-    doc = {"gain": GAIN, "poles": list(map(pair, roots[:8])), "zeros": list(map(pair, roots[8:]))}
-    return _filter_path(tmp_path, "n16.json", doc)
+    return _roots_path(tmp_path, 16, seed=3)
 
 
-def test_cli_reports_match_the_stdlib_encoder(capsys, tmp_path, reports, n16_path):
+def test_cli_reports_match_the_stdlib_encoder(capsys, tmp_path, reports):
     argvs = [argv[1:] for argv in readme_cli_argvs(tmp_path)]
     pole = lambda r: {"gain": GAIN, "poles": [{"re": r, "im": 0.0}]}  # noqa: E731
     outside = _filter_path(tmp_path, "outside.json", pole(1.5))
@@ -89,18 +109,29 @@ def test_cli_reports_match_the_stdlib_encoder(capsys, tmp_path, reports, n16_pat
     argvs += [
         ["oracle-compare", slow, "--nodes", "64"],  # an unconverged grid warns
         ["validate", outside],
-        ["tensors", n16_path, "--alpha", "0"],
-        ["tensors", n16_path, "--alpha", "0.5"],
     ]
     for argv in argvs:
         main(argv)
         capsys.readouterr()
     assert len(reports) == len(argvs)
-    assert "warnings" in reports[-4]
-    assert "error" in reports[-3]
-    assert len(reports[-1]["connection"]["entries"]) == 4 * 16**3
+    assert "warnings" in reports[-2]
+    assert "error" in reports[-1]
     for report in reports:
         assert dumps_report(report) == stdlib_dumps(report), report["command"]
+
+    # tensors reports, from the empty model up, in both formats; the table
+    # is rendered from the stdlib text of the same report
+    for n in (0, 1, 2, 3, 5, 16):
+        path = _roots_path(tmp_path, n, seed=n)
+        for alpha in ("0", "0.5", "-1"):
+            texts = {}
+            for fmt in ("json", "table"):
+                assert main(["tensors", path, f"--alpha={alpha}", "--format", fmt]) == 0
+                texts[fmt] = capsys.readouterr().out
+            expected = stdlib_dumps(reports[-1])
+            assert len(json.loads(expected)["connection"]["entries"]) == 4 * n**3
+            assert texts["json"] == expected + "\n", (n, alpha)
+            assert texts["table"] == render_table(json.loads(expected)), (n, alpha)
 
 
 def test_reports_round_trip_through_their_text(capsys, tmp_path, n16_path):
@@ -151,8 +182,25 @@ def _entries(tokens, values):
     )
 
 
+@st.composite
+def _tensor_documents(draw):
+    """Small blocks of any shape and bar pattern, whose floats often repeat or are signed zeros."""
+    parts = st.sampled_from([0.0, -0.0, 1.0 / 3.0, -2.5, 5e-324]) | st.floats(
+        allow_nan=False, allow_infinity=False
+    )
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        size = 2 * math.prod(shape)
+        floats = draw(st.lists(parts, min_size=size, max_size=size))
+        bars = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+        blocks.append((np.array(floats, dtype=float).view(complex).reshape(shape), tuple(bars)))
+    labels = draw(st.lists(_TEXT, max_size=3))
+    return tensor_to_document(labels, draw(st.none() | _FLOATS), blocks)
+
+
 _DOCUMENTS = st.recursive(
-    _SCALARS | _entries(_TOKENS, _FLOATS),
+    _SCALARS | _entries(_TOKENS, _FLOATS) | _tensor_documents(),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -174,7 +222,10 @@ def test_writer_matches_the_stdlib_encoder(doc):
 )
 def test_non_finite_floats_raise_value_error(value):
     report = {"entries": [{"idx": [0, "0̄"], "re": 1.0, "im": value}], "x": [value]}
-    for doc in (report, {"x": [value]}):
+    block = np.ones((2, 2), dtype=complex)
+    block.imag[1, 0] = value
+    tensors = {"ricci": tensor_to_document(("pole0", "zero0"), 0.5, [(block, (False, True))])}
+    for doc in (report, {"x": [value]}, tensors):
         with pytest.raises(ValueError, match="JSON"):
             dumps_report(doc)
         with pytest.raises(ValueError, match="JSON"):
@@ -194,5 +245,19 @@ def test_unsupported_values_raise_type_error(value):
 def test_tensor_entries_are_left_for_the_writer_to_round():
     third = np.array([[1.0 / 3.0]], dtype=complex)
     doc = tensor_to_document(("pole0",), 1.0 / 3.0, [(third, (False, True))])
-    assert doc["entries"] == [{"idx": [0, "0̄"], "re": 1.0 / 3.0, "im": 0.0}]
-    assert json.loads(dumps_report(doc))["entries"][0]["re"] == 0.333333333333
+    assert doc.blocks[0][0][0, 0] == 1.0 / 3.0
+    entries = json.loads(dumps_report(doc))["entries"]
+    assert entries == [{"idx": [0, "0̄"], "re": 0.333333333333, "im": 0.0}]
+
+
+def test_tensors_report_memory_peak(tmp_path, n16_path):
+    # the text is 3.2 MiB: room for it, one copy and the arrays, not for a dict per entry
+    out = str(tmp_path / "t.json")
+    assert main(["tensors", n16_path, "--out", out]) == 0  # imports and caches warm
+    tracemalloc.start()
+    try:
+        assert main(["tensors", n16_path, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20

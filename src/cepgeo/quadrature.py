@@ -16,21 +16,21 @@ second moment, the connections and T are the two third moments
 <d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  Both
 are symmetric in i and j, so one kernel forms only the n(n+1)/2 products
 d_i d_j with j >= i, against the third factors a caller passes, and
-mirrors the rest.  It walks the grid in chunks of nodes, one matrix
-product per chunk summed in a fixed order, so its memory does not grow
-with the node count.  The Ricci block is a projection of d^2 log h onto
-span{d log h}, read off a QR factor.  :func:`oracle_tensors` samples both
-derivatives once and reads the metric, Gamma^(0), T and Ricci from them.
+mirrors the rest.  The Ricci block is a projection of d^2 log h onto
+span{d log h}, read off a QR factor.  :func:`oracle_tensors` reads the
+metric, Gamma^(0), T and Ricci from one sample.
 
-The duality check costs little more than one connection: its full-index
-(holomorphic and anti-holomorphic) Gamma is assembled from the two n-index
-triples, and because log h separates per root, each Wirtinger step of its
-left side re-samples one row of d log h and rebuilds only the two metric
-rows that row changes.
+No routine holds a whole sampled grid: one sampler writes d log h, its
+conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
+into one reused buffer, and every reduction (moments, triple products, the
+tall-skinny QR) accumulates block by block, so memory stays flat in the node
+count.  The duality check builds its full-index Gamma from the two n-index
+triples and samples its 4n Wirtinger-stepped rows (log h separates per root,
+so a step moves one row) in the same pass.
 
-Integrands are sampled once on 2m nodes.  The even half is bitwise the
-m-node grid, and the 2m-node trapezoid rule is the mean of the even-half and
-odd-half rules (Trefethen & Weideman, SIAM Review 56(3), 2014), so each
+Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
+m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
+odd-node rules (Trefethen & Weideman, SIAM Review 56(3), 2014), so each
 m-node result is checked against that mean at no extra cost.  Disagreement
 beyond 1e-9 (``divergence`` takes its own ``tol``) attaches a
 :class:`QuadratureUnconvergedWarning` to the run and marks the result, but
@@ -64,12 +64,15 @@ _TOL = 1e-9
 _Z_POWER_SHIFT = 5
 _BLASCHKE_POINT = 0.4 + 0j
 
-# Bytes of d_i d_j products that _triples holds per chunk of nodes.  On a
+# Bytes of each sample block, all rows: up to n = 10 a 4096-node grid half is
+# one block of conj(d), d and dd, which makes the BLAS calls of a whole-half
+# sample.
+_BLOCK_BYTES = 1 << 21
+# Bytes of d_i d_j products that _Triples holds per chunk of nodes.  On a
 # 2-core Xeon, 512 KiB was as fast as 1 MiB at n = 8..16 and up to 15%
-# faster than 256 KiB; _triples then peaks at 0.6 MiB at n = 16 whatever
-# the node count.
+# faster than 256 KiB.
 _TRIPLE_BLOCK_BYTES = 1 << 19
-# Bytes of each QR in _ricci, so LAPACK stays on one thread: at n = 10 one QR
+# Bytes of each QR of the Ricci leg, so LAPACK stays on one thread: at n = 10 one QR
 # over 4096 nodes, or blocks of 160 KiB, gave other bits on 2 OpenBLAS threads.
 _QR_BLOCK_BYTES = 1 << 17
 
@@ -106,54 +109,53 @@ class DivergenceValue:
     converged: bool = True
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # Grids are computed once per node count and shared, so they are read-only.
 @functools.lru_cache(maxsize=16)
 def circle_nodes(m: int) -> np.ndarray:
     """m-th roots of unity, the quadrature grid (a shared, read-only array)."""
-    return _read_only(np.exp(2j * np.pi * np.arange(m) / m))
+    grid = np.exp(2j * np.pi * np.arange(m) / m)
+    grid.flags.writeable = False
+    return grid
 
 
-def _log_derivs(roots, signs, z: np.ndarray, order: int = 1) -> list[np.ndarray]:
-    """d_i^k log h = -c_i/(z - xi_i)^k on a grid for k = 1..order (1 or 2), one row per root.
+def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
+    """Node blocks of d_i log h = -c_i/(z - xi_i), one generator per grid, in node order.
 
-    c_i is -1 for a pole, +1 for a zero; log h separates per root, so cross terms vanish.
+    c_i is -1 for a pole, +1 for a zero.  A block holds conj(d_i) of the
+    first ``conj`` roots, d_i of all, then d_i^2 log h = -c_i/(z - xi_i)^2 of
+    the first ``second``, in one buffer that every block reuses: reduce a
+    block before taking the next.  A block is the largest power of two of
+    nodes, at most a grid, whose rows fit ``_BLOCK_BYTES``.
     """
     c = -np.asarray(signs, dtype=float)[:, None]
-    w = z - np.asarray(roots, dtype=complex)[:, None]
-    # the last result is written into w: a fresh n x nodes array costs page faults
-    if order == 1:
-        return [np.divide(c, w, out=w)]
-    d = c / w
-    # dividing by (z - xi)^2, not multiplying d by 1/(z - xi), keeps the duality-check bits
-    return [d, np.divide(c, np.square(w, out=w), out=w)]
+    xi = np.asarray(roots, dtype=complex)[:, None]
+    n, rows = len(c), conj + len(c) + second
+    fit = 1 << (max(_BLOCK_BYTES // (16 * rows or 1), 1).bit_length() - 1)
+    buf = np.empty((rows, min(fit, max(map(len, grids)))), dtype=complex)
+
+    def blocks(z):
+        for start in range(0, z.size, buf.shape[1]):
+            nodes = z[start : start + buf.shape[1]]
+            out = buf[:, : nodes.size]
+            w, dd = out[conj : conj + n], out[conj + n :]
+            np.subtract(nodes, xi, out=w)
+            if second:
+                np.divide(c[:second], np.square(w[:second], out=dd), out=dd)
+            np.conjugate(np.divide(c, w, out=w)[:conj], out=out[:conj])
+            yield out
+
+    return [blocks(z) for z in grids]
 
 
-def _mean2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Grid mean of a_i b_j."""
-    return a @ b.T / a.shape[1]
+def _halves(f: ValidatedFilter, m: int, second: int = 0) -> list:
+    """[conj(d); d; dd] blocks of the even and of the odd nodes of the 2m-node grid.
 
-
-@functools.lru_cache(maxsize=16)
-def _doubled_grid(m: int) -> np.ndarray:
-    # the 2m-node grid, even nodes first: [:m] is bitwise the m-node grid
-    z = circle_nodes(2 * m)
-    return _read_only(np.concatenate([z[::2], z[1::2]]))
-
-
-def _halves(blocks, arrays):
-    """``blocks`` on the even and on the odd half of ``_doubled_grid``.
-
-    ``arrays`` are sampled on ``_doubled_grid``; the even half is the m-node
-    grid, and the 2m-node trapezoid rule is the mean of the two halves'
-    rules, so checking against it costs 2m nodes of work.
+    The even nodes are bitwise the m-node grid, and the 2m-node trapezoid
+    rule is the mean of the two halves' rules, so checking against it costs
+    2m nodes of work.
     """
-    m = arrays[0].shape[-1] // 2
-    return blocks(*(a[..., :m] for a in arrays)), blocks(*(a[..., m:] for a in arrays))
+    z = circle_nodes(2 * m)
+    return _sample(f.coordinates, f.signature, (z[::2], z[1::2]), f.dimension, second)
 
 
 def _checked(even, odd, tol: float, what: str):
@@ -176,11 +178,48 @@ def _checked(even, odd, tol: float, what: str):
     return even, residual, converged
 
 
-def _hermitian_mean(d: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    # the grid mean of d_i conj(d_j), averaged with its conjugate transpose so
-    # that it is exactly Hermitian whatever the BLAS order
-    mixed = _mean2(d, dc)
+def _hermitian(mixed: np.ndarray) -> np.ndarray:
+    # averaged with its conjugate transpose, so exactly Hermitian whatever the BLAS order
     return (mixed + mixed.conj().T) / 2
+
+
+def _grid_means(blocks, n: int, products=(), k: int = 0, ricci: bool = False):
+    """Grid means over [conj(d); d; dd] node blocks, in one pass.
+
+    The second moments <a_i b_j> for each pair of row names (a, b) in
+    ``products``, one matrix product per block summed in node order from 0,
+    so one block gives the bits of one product over the grid; the k third
+    moments of :class:`_Triples` against conj(d), then d; and, with
+    ``ricci``, the Ricci block of :func:`ricci_numeric`.
+    """
+    sums, triples, nodes = [0] * len(products), _Triples(n, k) if k else None, 0
+    # [d | dd] goes to LAPACK (column-major) in QR blocks of a fixed node count, whatever
+    # the sample blocks: each call takes at most _QR_BLOCK_BYTES while n <= 32
+    step = max(_QR_BLOCK_BYTES // (16 * max(2 * n, 1)), 2 * n) if ricci else 0
+    rows, fill = np.empty((step, 2 * n), dtype=complex, order="F"), 0
+    r = np.empty((0, 2 * n), dtype=complex)
+
+    def stack(r, rows):  # a QR block factored alone, then stacked on the R so far
+        return np.linalg.qr(np.vstack([r, np.linalg.qr(rows, mode="r")]), mode="r")
+
+    for block in blocks:
+        named = {"dc": block[:n], "d": block[n : 2 * n], "dd": block[2 * n :]}
+        sums = [s + named[a] @ named[b].T for s, (a, b) in zip(sums, products)]
+        if k:
+            triples.add(named["d"], block[: k * n])
+        done, nodes = 0, nodes + block.shape[1]
+        while ricci and done < block.shape[1]:
+            take = min(step - fill, block.shape[1] - done)
+            rows[fill : fill + take] = block[n:, done : done + take].T
+            fill, done = fill + take, done + take
+            if fill == step:
+                r, fill = stack(r, rows), 0
+    means = [s / nodes for s in sums], triples.means() if k else []
+    if not ricci:
+        return means
+    r = stack(r, rows[:fill]) if fill else r
+    inv11, r22 = np.linalg.inv(r[:n, :n]), r[n:, n:]
+    return (*means, (inv11 @ inv11.conj().T) * -(r22.conj().T @ r22).T)
 
 
 def metric_numeric(
@@ -192,40 +231,46 @@ def metric_numeric(
     the constant-gain submanifold.
     """
 
-    def blocks(d):
-        pure = _mean2(d, d)  # made exactly symmetric as the mixed block is made Hermitian
-        return _hermitian_mean(d, d.conj()), (pure + pure.T) / 2
+    def blocks(half):
+        (mixed, pure), _ = _grid_means(half, f.dimension, [("d", "dc"), ("d", "d")])
+        return _hermitian(mixed), (pure + pure.T) / 2  # exactly symmetric
 
-    (d2,) = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes))
-    (mixed, pure), residual, converged = _checked(*_halves(blocks, (d2,)), _TOL, "metric")
+    halves = map(blocks, _halves(f, cfg.nodes))
+    (mixed, pure), residual, converged = _checked(*halves, _TOL, "metric")
     return HermitianMetric(mixed, pure, f.labels, residual, converged)
 
 
-def _triples(d: np.ndarray, *factors: np.ndarray) -> list[np.ndarray]:
-    """The third moments <d_i d_j e_k>, one for each factor e (n rows on d's nodes).
+class _Triples:
+    """The k third moments <d_i d_j e_l> against k stacked factors e, over node blocks.
 
-    Each is symmetric in i and j.  Each chunk of nodes is one matrix
-    product of the n(n+1)/2 products d_i d_j with j >= i against the
-    stacked factors; the chunks are summed in node order and the sum is
-    mirrored into i > j, so the result is exactly symmetric.  The chunk is
-    the largest power of two whose product block fits
-    ``_TRIPLE_BLOCK_BYTES``, so memory stays flat in the node count.
+    Each is symmetric in i and j.  :meth:`add` walks a block in chunks, each
+    one matrix product of the n(n+1)/2 products d_i d_j with j >= i against
+    the factors; chunks are summed in node order, and :meth:`means` mirrors
+    the sum into i > j, so the result is exactly symmetric.  A chunk is the
+    largest power of two whose product block fits ``_TRIPLE_BLOCK_BYTES``,
+    so memory stays flat in the node count.
     """
-    n, m = d.shape
-    rows, cols = np.triu_indices(n)
-    fit = min(m, _TRIPLE_BLOCK_BYTES // (d.itemsize * max(rows.size, 1)))
-    chunk = 1 << (max(fit, 1).bit_length() - 1)
-    acc = np.zeros((rows.size, n * len(factors)), dtype=complex)
-    for start in range(0, m, chunk):
-        span = slice(start, start + chunk)
-        prod = d[rows, span]
-        prod *= d[cols, span]
-        acc += prod @ np.concatenate([e[:, span] for e in factors]).T
-    out = np.empty((n, n, acc.shape[1]), dtype=complex)
-    out[rows, cols] = acc
-    out[cols, rows] = acc
-    out /= m
-    return np.split(out, len(factors), axis=2)
+
+    def __init__(self, n: int, k: int):
+        self.rows, self.cols = np.triu_indices(n)
+        fit = max(_TRIPLE_BLOCK_BYTES // (16 * max(self.rows.size, 1)), 1)
+        self.chunk, self.n, self.k, self.nodes = 1 << (fit.bit_length() - 1), n, k, 0
+        self.acc = np.zeros((self.rows.size, n * k), dtype=complex)
+
+    def add(self, d: np.ndarray, factors: np.ndarray) -> None:
+        for start in range(0, d.shape[1], self.chunk):
+            span = slice(start, start + self.chunk)
+            prod = d[self.rows, span]
+            prod *= d[self.cols, span]
+            self.acc += prod @ factors[:, span].T
+        self.nodes += d.shape[1]
+
+    def means(self) -> list[np.ndarray]:
+        out = np.empty((self.n, self.n, self.acc.shape[1]), dtype=complex)
+        out[self.rows, self.cols] = self.acc
+        out[self.cols, self.rows] = self.acc
+        out /= self.nodes
+        return np.split(out, self.k, axis=2)
 
 
 def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
@@ -246,19 +291,19 @@ def connection_numeric(
     pairs carry only the -alpha triple product.
     """
 
-    def blocks(d, dd):
+    def blocks(half):
         # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar
-        dc = d.conj()
-        triple, triple_pure = _triples(d, dc, d)
+        seconds = [("dd", "dc"), ("dd", "d")]
+        (s, s_pure), (triple, pure) = _grid_means(half, f.dimension, seconds, 2)
         return (
-            _gamma(triple, _mean2(dd, dc), alpha),
-            _gamma(triple_pure, _mean2(dd, d), alpha),
+            _gamma(triple, s, alpha),
+            _gamma(pure, s_pure, alpha),
             -alpha * triple.transpose(0, 2, 1),
             -alpha * np.conj(triple.transpose(2, 0, 1)),
         )
 
-    sample = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes), 2)
-    fams, residual, converged = _checked(*_halves(blocks, sample), _TOL, "connection")
+    halves = map(blocks, _halves(f, cfg.nodes, f.dimension))
+    fams, residual, converged = _checked(*halves, _TOL, "connection")
     return ConnectionTensors(float(alpha), *fams, residual=residual, converged=converged)
 
 
@@ -269,41 +314,29 @@ def t_tensor_numeric(
 
     T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z.
     """
-    (d2,) = _log_derivs(f.coordinates, f.signature, _doubled_grid(cfg.nodes))
-    halves = _halves(lambda d: [2.0 * t for t in _triples(d, d.conj(), d)], (d2,))
-    (tm, tp), residual, converged = _checked(*halves, _TOL, "t_tensor")
+    halves = (_grid_means(half, f.dimension, (), 2)[1] for half in _halves(f, cfg.nodes))
+    doubled = ([2.0 * t for t in half] for half in halves)
+    (tm, tp), residual, converged = _checked(*doubled, _TOL, "t_tensor")
     return ConnectionTensors(
         alpha=0.0, t_mixed=tm, t_pure=tp, residual=residual, converged=converged
     )
 
 
-def _ricci(d: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    """R_{i jbar} = (R11^-1 R11^-H) o -(R22^H R22)^T from the QR of [d | dd].
-
-    R11^H R11 is g^T and R22^H R22 is <(I-P) dd_j, (I-P) dd_i>, P the grid
-    projection onto span{d_l}; the 1/sqrt(m) weight cancels.  Each block of
-    nodes is factored alone, then stacked on the R so far (a tall-skinny QR
-    with a quarter of the error of stacking raw blocks at n = 16), so each
-    LAPACK call takes at most ``_QR_BLOCK_BYTES`` while n <= 32.
-    """
-    n, m = d.shape
-    step = max(_QR_BLOCK_BYTES // (d.itemsize * max(2 * n, 1)), 2 * n)
-    r = np.empty((0, 2 * n), dtype=complex)
-    for start in range(0, m, step):
-        span = slice(start, start + step)
-        block = np.linalg.qr(np.hstack([d[:, span].T, dd[:, span].T]), mode="r")
-        r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    inv11, r22 = np.linalg.inv(r[:n, :n]), r[n:, n:]
-    return (inv11 @ inv11.conj().T) * -(r22.conj().T @ r22).T
-
-
 def ricci_numeric(f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
     """Ricci block R_{i jbar} = -d_i d_jbar log det g, from quadrature alone.
 
-    With d log det g = tr(g^-1 dg) it is a projection of d^2 log h onto span{d log h} on
-    the m-node grid, read off one QR factor: g is not inverted, nothing is differenced.
+    With d log det g = tr(g^-1 dg) it is a projection of d^2 log h onto
+    span{d log h} on the m-node grid, read off the R factor of the QR of
+    [d | dd]: R_{i jbar} = (R11^-1 R11^-H) o -(R22^H R22)^T, where R11^H R11
+    is g^T and R22^H R22 is <(I-P) dd_j, (I-P) dd_i>, P the grid projection
+    onto span{d_l} (the 1/sqrt(m) weight cancels).  g is not inverted,
+    nothing is differenced.  Each block of nodes is factored alone, then
+    stacked on the R so far: a tall-skinny QR with a quarter of the error of
+    stacking raw blocks at n = 16.
     """
-    return _ricci(*_log_derivs(f.coordinates, f.signature, circle_nodes(cfg.nodes), 2))
+    n = f.dimension
+    (blocks,) = _sample(f.coordinates, f.signature, (circle_nodes(cfg.nodes),), n, n)
+    return _grid_means(blocks, n, ricci=True)[2]
 
 
 def oracle_tensors(
@@ -315,17 +348,15 @@ def oracle_tensors(
     and :func:`t_tensor_numeric`, checked and named as there; Ricci as
     :func:`ricci_numeric`, on the even half of the sample.
     """
-    m = cfg.nodes
-    d, dd = _log_derivs(f.coordinates, f.signature, _doubled_grid(m), 2)
 
-    def blocks(d, dd):
-        dc = d.conj()
-        (triple,) = _triples(d, dc)
-        return _hermitian_mean(d, dc), _gamma(triple, _mean2(dd, dc), 0.0), 2.0 * triple
+    def legs(blocks, ricci):
+        means = _grid_means(blocks, f.dimension, [("d", "dc"), ("dd", "dc")], 1, ricci)
+        (g, s), (triple,), *r = means
+        return _hermitian(g), _gamma(triple, s, 0.0), 2.0 * triple, *r
 
-    halves = zip(*_halves(blocks, (d, dd)), ("metric", "connection", "t_tensor"))
-    legs = [_checked([e], [o], _TOL, what)[0][0] for e, o, what in halves]
-    return (*legs, _ricci(d[:, :m], dd[:, :m]))
+    even, odd = map(legs, _halves(f, cfg.nodes, f.dimension), (True, False))
+    halves = zip(even, odd, ("metric", "connection", "t_tensor"))
+    return (*[_checked([e], [o], _TOL, what)[0][0] for e, o, what in halves], even[3])
 
 
 def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
@@ -354,9 +385,9 @@ def divergence(
             return (np.mean(ell * ell) / 2.0,)
         return (np.mean(np.expm1(alpha * ell) - alpha * ell) / (alpha * alpha),)
 
-    z = _doubled_grid(cfg.nodes)
+    z = circle_nodes(2 * cfg.nodes)
     ell = np.log(_spectral_grid(f2, z)) - np.log(_spectral_grid(f1, z))
-    (value,), residual, converged = _checked(*_halves(blocks, (ell,)), tol, "divergence")
+    (value,), residual, converged = _checked(blocks(ell[::2]), blocks(ell[1::2]), tol, "divergence")
     return DivergenceValue(
         alpha=float(alpha), value=float(value), residual=residual, converged=converged
     )
@@ -466,57 +497,67 @@ class DualityReport:
     reciprocal_residual: float
 
 
-def _gamma_parts(d: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_parts(
+    mixed: np.ndarray, pure: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Triple and second-derivative parts of Gamma over the full 2n index range.
 
     The full index runs over D = [d; conj(d)], the holomorphic then the
     anti-holomorphic coordinates.  Each block of <D_a D_b D_c> is a
-    transpose or conjugate of one of the two n-index triples, and each block
-    of <dd_a D_b> is one of <dd_i d_k>, <dd_i conj(d_k)> or a conjugate.
+    transpose or conjugate of one of the two n-index triples ``mixed`` =
+    <d_i d_j conj(d_k)> and ``pure`` = <d_i d_j d_k>, and each block of
+    <dd_a D_b> is one of ``second`` = [<dd_i conj(d_k)> | <dd_i d_k>] or a
+    conjugate.
     """
-    dc = d.conj()
-    mixed, pure = _triples(d, dc, d)
+    n = len(second)
     jk = mixed.transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
     ij = mixed.transpose(2, 0, 1)  # <conj(d_i) d_j d_k>
     triple = np.block(
         [[[pure, mixed], [jk, ij.conj()]], [[ij, jk.conj()], [mixed.conj(), pure.conj()]]]
     )
-    s_pure, s_mixed = _mean2(dd, d), _mean2(dd, dc)
-    second = np.block([[s_pure, s_mixed], [s_mixed.conj(), s_pure.conj()]])
-    return triple, second
+    s_mixed, s_pure = second[:, :n], second[:, n:]
+    return triple, np.block([[s_pure, s_mixed], [s_mixed.conj(), s_pure.conj()]])
 
 
-def _metric_derivatives(
-    f: ValidatedFilter, i: int, d: np.ndarray, z: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central Wirtinger differences of the full-index metric <D_a D_b> in xi_i and conj(xi_i).
+def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfig):
+    """Gamma parts of ``f`` and ``rec``, and lhs[mu] = d_mu <D_a D_b> of f, from one sample.
 
-    D = [d; conj(d)], with ``d`` sampled on the grid ``z``.  log h
-    separates per root, so moving xi_i changes row i of d alone: only rows
-    and columns i and n+i of the metric move, and each of the four steps
-    re-samples only row i.  Each stepped filter still goes through
-    :func:`cepgeo.filters.validate`.
+    lhs is a central Wirtinger difference of the full-index metric, D =
+    [d; conj(d)], in each xi_i and conj(xi_i).  log h separates per root,
+    so moving xi_i by +-h or +-ih changes row i of d alone, and only rows
+    and columns i and n+i of the metric move.  The 4n moved rows r (each
+    stepped filter still goes through :func:`cepgeo.filters.validate`) are
+    sampled in the same blocks as f and rec: f's one product per block
+    takes <r D_b> with <dd_i D_b>.
     """
-    n = f.dimension
-    xi = f.coordinates[i]
-    moved = [_with_coordinate(f, i, xi + s) for s in (step, -step, 1j * step, -1j * step)]
-    (rows,) = _log_derivs([g.coordinates[i] for g in moved], [f.signature[i]] * 4, z)
-    # metric row i: <r D_b> against the unmoved rows, with <r conj(d_b)> =
-    # conj(<conj(r) d_b>), then against r itself at b = i and b = n+i
-    u = np.hstack([_mean2(rows, d), _mean2(rows.conj(), d).conj()])
-    u[:, i] = np.mean(rows * rows, axis=1)
-    u[:, n + i] = np.mean(rows * rows.conj(), axis=1)
-    dx = (u[0] - u[1]) / (2.0 * step)
-    dy = (u[2] - u[3]) / (2.0 * step)
-    d_hol, d_anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-    out = []
-    for row, twin in ((d_hol, d_anti), (d_anti, d_hol)):
-        # row n+i is <conj(r) D_b> = conj(<r D_(b+n mod 2n)>); the metric is symmetric
-        dg = np.zeros((2 * n, 2 * n), dtype=complex)
-        dg[i] = dg[:, i] = row
-        dg[n + i] = dg[:, n + i] = np.roll(twin.conj(), n)
-        out.append(dg)
-    return tuple(out)
+    n, h = f.dimension, cfg.deriv_step
+    roots = [*f.coordinates, *rec.coordinates]
+    for i, xi in enumerate(f.coordinates):
+        roots += [_with_coordinate(f, i, xi + s).coordinates[i] for s in (h, -h, 1j * h, -1j * h)]
+    signs = [*f.signature, *rec.signature, *np.repeat(f.signature, 4)]
+    triples, second, diag = [_Triples(n, 2), _Triples(n, 2)], [0, 0], 0
+    (blocks,) = _sample(roots, signs, (circle_nodes(cfg.nodes),), n, 2 * n)
+    for block in blocks:  # conj(d) and d of f, d of rec, r, dd of f, dd of rec
+        d_rec, r = block[2 * n : 3 * n], block[3 * n : 7 * n]
+        f_rows, rec_rows = block[: 2 * n], np.vstack([d_rec.conj(), d_rec])
+        for k, (e, left) in enumerate([(f_rows, block[3 * n : 8 * n]), (rec_rows, block[8 * n :])]):
+            triples[k].add(e[n:], e)
+            second[k] = second[k] + left @ e.T
+        diag = diag + np.stack([np.sum(r * r, axis=1), np.sum(r * r.conj(), axis=1)])
+    m = cfg.nodes
+    parts = [_gamma_parts(*t.means(), s[len(s) - n :] / m) for t, s in zip(triples, second)]
+    # u[i, step, b] = <r D_b>, with <r r> at b = i and <r conj(r)> at b = n+i
+    u = np.roll(second[0][: 4 * n], n, axis=1).reshape(n, 4, 2 * n) / m
+    i = np.arange(n)
+    u[i, :, i], u[i, :, n + i] = diag.reshape(2, n, 4) / m
+    dx, dy = (u[:, 0] - u[:, 1]) / (2.0 * h), (u[:, 2] - u[:, 3]) / (2.0 * h)
+    hol, anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+    # lhs[i] holds the derivative of row i in row and column i and its twin
+    # <conj(r) D_b> = conj(<r D_(b+n mod 2n)>) in row and column n+i; lhs[n+i] likewise
+    lhs, mu, i = np.zeros((2 * n,) * 3, dtype=complex), np.arange(2 * n), np.tile(i, 2)
+    lhs[mu, i] = lhs[mu, :, i] = np.concatenate([hol, anti])
+    lhs[mu, n + i] = lhs[mu, :, n + i] = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
+    return *parts, lhs
 
 
 def _with_coordinate(f: ValidatedFilter, index: int, value: complex) -> ValidatedFilter:
@@ -536,33 +577,27 @@ def duality_check(
 
     Both sides run over all holomorphic and anti-holomorphic index
     combinations; the left side uses central Wirtinger differences of the
-    quadrature metric (one re-sampled row per step, see
-    :func:`_metric_derivatives`), so the residual is finite-difference
+    quadrature metric (the moved rows are sampled along with f, see
+    :func:`_duality_pass`), so the residual is finite-difference
     limited.  A filter with no roots has residuals of 0.  Also
     checks the reciprocal-system swap: the alpha-connection of the inverse
     filter equals the (-alpha)-connection of the original once the swapped
     pole/zero ordering is permuted back.
     """
     n = f.dimension
-    z = circle_nodes(cfg.nodes)
-    d, dd = _log_derivs(f.coordinates, f.signature, z, 2)
-    parts = _gamma_parts(d, dd)
-    gamma_a = _gamma(*parts, alpha)
-    gamma_ma = _gamma(*parts, -alpha)
-
-    worst = 0.0
-    for i in range(n):
-        for mu, lhs in zip((i, n + i), _metric_derivatives(f, i, d, z, cfg.deriv_step)):
-            rhs = gamma_a[mu] + gamma_ma[mu].T
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-
     rec = reciprocal(f)
+    parts, rec_parts, lhs = _duality_pass(f, rec, cfg)
+    gamma_ma = _gamma(*parts, -alpha)
+    lhs -= _gamma(*parts, alpha)
+    lhs -= gamma_ma.transpose(0, 2, 1)
+    worst = float(np.max(np.abs(lhs), initial=0.0))
+
     p, q = len(f.poles), len(f.zeros)
     perm = list(range(p, p + q)) + list(range(p))
     perm_full = perm + [n + a for a in perm]
-    gamma_rec = _gamma(*_gamma_parts(*_log_derivs(rec.coordinates, rec.signature, z, 2)), alpha)
-    expected = gamma_ma[np.ix_(perm_full, perm_full, perm_full)]
-    rec_residual = float(np.max(np.abs(gamma_rec - expected), initial=0.0))
+    gamma_rec = _gamma(*rec_parts, alpha)
+    gamma_rec -= gamma_ma[np.ix_(perm_full, perm_full, perm_full)]
+    rec_residual = float(np.max(np.abs(gamma_rec), initial=0.0))
     return DualityReport(
         alpha=float(alpha), duality_residual=worst, reciprocal_residual=rec_residual
     )

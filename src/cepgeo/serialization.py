@@ -10,6 +10,7 @@ document, and identical inputs produce byte-identical reports.  A
 ``TensorDocument`` keeps its blocks as arrays until then: every entry is
 one template filled with index text from its block's shape and bar
 pattern, and each distinct float bit pattern is rounded and written once.
+``render_table`` reads the same report object, never the JSON text.
 """
 
 from __future__ import annotations
@@ -113,15 +114,24 @@ def _rounded(x: Any) -> float:
     return x
 
 
+def _distinct(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], fmt) -> tuple[np.ndarray, ...]:
+    """``fmt`` of each distinct float bit pattern (-0.0 apart from 0.0), and each part's index.
+
+    The first inf or nan in entry order raises.
+    """
+    values = np.concatenate([np.empty(0), *(a.ravel().view(np.float64) for a, _ in blocks)])
+    if values.size:
+        _rounded(values[np.isfinite(values).argmin()])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object), inverse
+
+
 def _write_entries(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], out: list[str], nl: str) -> None:
     """A tensor document's entry list, one template per entry, each distinct float formatted once."""
-    values = np.concatenate([np.empty(0), *(a.ravel().view(np.float64) for a, _ in blocks)])
-    if not values.size:
+    texts, inverse = _distinct(blocks, lambda x: repr(fmt_float(x)))
+    if not texts.size:
         out.append("[]")
         return
-    _rounded(values[np.isfinite(values).argmin()])  # raises on the first inf or nan, if any
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)  # -0.0 apart from 0.0
-    texts = np.array([repr(fmt_float(x)) for x in bits.view(np.float64).tolist()], dtype=object)
     item, field = nl + "  ", nl + "    "
     heads: list[str] = []  # from the separator to '"re": ', one per entry
     for array, pattern in blocks:
@@ -190,29 +200,60 @@ def dumps_report(report: dict[str, Any]) -> str:
     return "".join(out)
 
 
+def _plain(obj: Any) -> Any:
+    """What ``json.loads(dumps_report(obj))`` gives, without the text."""
+    if isinstance(obj, TensorDocument):
+        values = itertools.chain.from_iterable(a.ravel().tolist() for a, _ in obj.blocks)
+        pairs = zip(_indices(obj), values)
+        entries = [{"idx": list(i), "re": z.real, "im": z.imag} for i, z in pairs]
+        obj = {"labels": obj.labels, "alpha": obj.alpha, "entries": entries}
+    if isinstance(obj, dict):  # _quote refuses a key that is not a string, as the writer does
+        return {_quote(key) and key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, (float, np.floating)):
+        return _rounded(obj)
+    _write(obj, [], "")  # refuses a value JSON has no type for, as the writer does
+    return int(obj) if isinstance(obj, np.integer) else obj
+
+
+def _indices(doc: TensorDocument):
+    for array, bars in doc.blocks:
+        axes = ([f"{i}{BAR}" if bar else i for i in range(n)] for n, bar in zip(array.shape, bars))
+        yield from itertools.product(*axes)
+
+
 def render_table(report: dict[str, Any]) -> str:
-    """Human-readable rendering of the JSON report, which stays the machine contract."""
-    report = json.loads(dumps_report(report))
+    """Human-readable rendering of the JSON report, which stays the machine contract.
+
+    Each value reads as it would once written and parsed back; a tensor
+    document's entries come from its blocks, each distinct float formatted once.
+    """
     lines: list[str] = []
 
     def emit(prefix: str, value: Any) -> None:
-        if isinstance(value, dict):
-            if set(value) == {"re", "im"}:
-                lines.append(f"{prefix} = {value['re']:.12g} + {value['im']:.12g}i")
-                return
-            if prefix:
-                lines.append(prefix)
+        if isinstance(value, TensorDocument):
+            texts, inverse = _distinct(value.blocks, lambda x: f"{fmt_float(x):.12g}")
+            parts = zip(_indices(value), texts[inverse[0::2]], texts[inverse[1::2]])
+            entries = [f"  [{','.join(map(str, i))}] = {re} + {im}i" for i, re, im in parts]
+            emit(prefix, {"labels": value.labels, "alpha": value.alpha})
+            key = f"{'  ' if prefix else ''}entries"
+            lines.extend([key, *entries] if entries else [f"{key} = []"])
+        elif isinstance(value, dict) and set(value) != {"re", "im"}:
+            lines.extend([prefix] if prefix else [])
             for k, v in value.items():
-                emit(f"{'  ' if prefix else ''}{k}", v)
-        elif isinstance(value, list):
-            if value and isinstance(value[0], dict) and "idx" in value[0]:
-                lines.append(prefix)
-                for entry in value:
-                    idx = ",".join(str(t) for t in entry["idx"])
-                    lines.append(f"  [{idx}] = {entry['re']:.12g} + {entry['im']:.12g}i")
-            else:
-                lines.append(f"{prefix} = {value}")
+                emit(f"{'  ' if prefix else ''}{_quote(k) and k}", v)
+        elif (
+            isinstance(value, (list, tuple)) and value and isinstance(value[0], dict)
+        ) and "idx" in value[0]:
+            lines.append(prefix)
+            for entry in _plain(value):
+                idx = ",".join(str(t) for t in entry["idx"])
+                lines.append(f"  [{idx}] = {entry['re']:.12g} + {entry['im']:.12g}i")
         else:
+            value = _plain(value)
+            if isinstance(value, dict):  # {"re", "im"}
+                value = f"{value['re']:.12g} + {value['im']:.12g}i"
             lines.append(f"{prefix} = {value}")
 
     emit("", report)

@@ -1,5 +1,6 @@
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,16 @@ def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
                 dyx = cross(1j * step, step)
                 hess[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
     return hess
+
+
+def peak_mib(fn):
+    """The tracemalloc peak of ``fn()`` in MiB, counting only what it allocates, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20, result
+    finally:
+        tracemalloc.stop()
 
 
 def parse_index(token):

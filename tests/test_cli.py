@@ -371,23 +371,31 @@ class TestOracleCompareCommand:
     def test_one_sample_and_one_triple_per_half(self, monkeypatch):
         f = validate(FilterSpec(gain=1.0, poles=(0.5, -0.2 + 0.3j), zeros=(0.1j,)))
         cfg = quadrature.QuadratureConfig(nodes=1024)
-        sample, triples, samples, moments = quadrature._log_derivs, quadrature._triples, [], []
+        sample, grids, widths, moments = quadrature._sample, [], [], []
 
-        def logged_sample(roots, signs, z, order=1):
-            samples.append((z.size, order))
-            return sample(roots, signs, z, order)
+        def counted(blocks):
+            for block in blocks:
+                widths.append(block.shape[1])
+                yield block
 
-        def logged_triples(d, *factors):
-            moments.append((d.shape, len(factors)))
-            return triples(d, *factors)
+        def logged_sample(roots, signs, nodes, conj=0, second=0):
+            grids.extend(nodes)
+            return [counted(blocks) for blocks in sample(roots, signs, nodes, conj, second)]
 
-        monkeypatch.setattr(quadrature, "_log_derivs", logged_sample)
-        monkeypatch.setattr(quadrature, "_triples", logged_triples)
+        class LoggedTriples(quadrature._Triples):
+            def __init__(self, n, k):
+                super().__init__(n, k)
+                moments.append(self)
+
+        monkeypatch.setattr(quadrature, "_sample", logged_sample)
+        monkeypatch.setattr(quadrature, "_Triples", LoggedTriples)
         oracle_compare(f, cfg)
-        # d and dd once on the doubled grid; then the mixed third moment
-        # alone, on the even and on the odd half
-        assert samples == [(2048, 2)]
-        assert moments == [((3, 1024), 1), ((3, 1024), 1)]
+        # each node of the doubled grid sampled once, even half first; then
+        # one accumulation of the mixed third moment alone over each half
+        doubled = quadrature.circle_nodes(2048)
+        assert np.array_equal(np.concatenate(grids), np.concatenate([doubled[::2], doubled[1::2]]))
+        assert sum(widths) == 2048
+        assert [(t.acc.shape, t.nodes) for t in moments] == [((6, 3), 1024)] * 2
 
     def test_n16_filter_passes(self, capsys, tmp_path):
         # the Gram-inverse Ricci oracle missed this filter by 1.2e-4

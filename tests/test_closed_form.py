@@ -1,5 +1,4 @@
 import cmath
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +26,7 @@ from conftest import (
     GAIN,
     arma_from_roots,
     mp_inverse_metric,
+    peak_mib,
     replace_param,
     wirtinger_mixed_hessian,
 )
@@ -437,14 +437,9 @@ class TestAlphaConnection:
         # the six returned (32, 32, 32) complex arrays hold 3 MiB; T is
         # written in place and the (n, n) work arrays stay well under 1/4 MiB
         m = random_points(23, 1, n=32, signature=mixed_signature(32), radius=0.95, sep=1e-3)[0]
-        tracemalloc.start()
-        try:
-            conn = alpha_connection(m, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, conn = peak_mib(lambda: alpha_connection(m, 0.5))
         assert conn.gamma_mixed.nbytes == 2**19
-        assert peak <= 3.25 * 2**20
+        assert peak <= 3.25
 
     def test_cross_families_scale_with_alpha(self):
         m = ARMA11

@@ -1,5 +1,4 @@
 import cmath
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from cepgeo.priors import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import mp_inverse_metric, wirtinger_mixed_hessian
+from conftest import mp_inverse_metric, peak_mib, wirtinger_mixed_hessian
 
 AR1_HALF = ModelPoint((0.5,), (-1,))
 AR2 = ModelPoint((0.4 + 0.2j, -0.3 + 0.5j), (-1, -1))
@@ -205,14 +204,9 @@ class TestBatchedAgainstPerPoint:
 
 def test_check_memory_does_not_grow_with_samples_or_dimension():
     # at n = 32 one tuple's (n, n) complex array is 16 KiB; 2000 of them at once would be 31 MiB
-    tracemalloc.start()
-    try:
-        report = check_superharmonic(prior_psi1(32), (16, 16), 2000, seed=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, report = peak_mib(lambda: check_superharmonic(prior_psi1(32), (16, 16), 2000, seed=2))
     assert report.samples == 2000
-    assert peak < 4 * 2**20
+    assert peak < 4
 
 
 class TestQuartiles:

@@ -1,12 +1,13 @@
 import ast
+import hashlib
 import pickle
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cepgeo import quadrature
+from cepgeo.cli import oracle_compare
 from cepgeo.closed_form import (
     ModelPoint,
     alpha_connection,
@@ -31,15 +32,28 @@ from cepgeo.quadrature import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, make_filter
+from conftest import GAIN, arma_from_roots, make_filter, peak_mib
 
 CFG = QuadratureConfig(nodes=2048)
 LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 
 
+def sampled(f, m=CFG.nodes, conj=0, second=0):
+    """The sampler's rows (conj(d), d, dd) on the m-node grid, as one array."""
+    (blocks,) = quadrature._sample(f.coordinates, f.signature, (circle_nodes(m),), conj, second)
+    return np.hstack([block.copy() for block in blocks])
+
+
 def first_derivs(f, m=CFG.nodes):
     """d_i log h on the m-node grid."""
-    return quadrature._log_derivs(f.coordinates, f.signature, circle_nodes(m))[0]
+    return sampled(f, m)
+
+
+def triples(d, *factors):
+    """``quadrature._Triples`` over one block of nodes."""
+    acc = quadrature._Triples(len(d), len(factors))
+    acc.add(d, np.vstack(factors))
+    return acc.means()
 
 
 class TestQuadratureConfig:
@@ -110,8 +124,8 @@ class TestMetricNumeric:
         # block is nonzero once the gain varies
         d = first_derivs(arma11)
         with_gain = np.vstack([np.full(d.shape[1], 2.0 / arma11.gain, dtype=complex), d])
-        mixed = quadrature._hermitian_mean(with_gain, with_gain.conj())
-        pure = quadrature._mean2(with_gain, with_gain)
+        block = np.vstack([with_gain.conj(), with_gain])
+        (mixed, pure), _ = quadrature._grid_means([block], len(with_gain), [("d", "dc"), ("d", "d")])
         assert np.max(np.abs(mixed[0, 1:])) < 1e-10
         assert mixed[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
         assert pure[0, 0] == pytest.approx(4.0 / arma11.gain**2, rel=1e-12)
@@ -202,16 +216,23 @@ class TestRicciNumeric:
 
     @pytest.mark.parametrize("m", [4096, 65536])
     def test_memory_stays_flat_in_the_node_count(self, m):
-        # the QR takes [d | dd] a block of nodes at a time, never as one copy
-        f = _mixed_filter(81, 16)
-        d, dd = quadrature._log_derivs(f.coordinates, f.signature, circle_nodes(m), 2)
-        tracemalloc.start()
-        try:
-            quadrature._ricci(d, dd)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
+        # the QR takes [d | dd] a QR block of nodes at a time, never as one copy,
+        # even when the whole grid comes as one sample block
+        block = sampled(_mixed_filter(81, 16), m, 16, 16)
+        assert peak_mib(lambda: quadrature._grid_means([block], 16, ricci=True))[0] < 1
+
+    # sha256 of the bytes of ricci_numeric, recorded when each grid was sampled
+    # as one (n, m) array; the sample and QR blocks must not move a bit
+    DIGESTS = {
+        (91, 6, 2048): "80b36b66ec690cd9907baaa9be28b97d85c9ee64199ab3a743885963e4f88625",
+        (16, 16, 4096): "8f4920b45cc99356d4d11539bbf3db711eb05749145caf19bb6c8bf26a197242",
+        (33, 3, 65536): "cd2bbc7d66617ca98a0144bd8ef2d9b06d50a5ed2fbc0cea16b05706a2587963",
+    }
+
+    @pytest.mark.parametrize("seed, n, m", sorted(DIGESTS))
+    def test_bits_are_those_of_the_whole_grid_sample(self, seed, n, m):
+        ricci = ricci_numeric(_mixed_filter(seed, n), QuadratureConfig(nodes=m))
+        assert hashlib.sha256(ricci.tobytes()).hexdigest() == self.DIGESTS[seed, n, m]
 
     def test_one_sample_gives_the_legs_of_the_separate_routines(self):
         f = _mixed_filter(91, 6)
@@ -223,6 +244,12 @@ class TestRicciNumeric:
         scale = np.max(np.abs(t_mixed))
         assert np.max(np.abs(gamma - connection_numeric(f, 0.0, CFG).gamma_mixed)) <= 1e-14 * scale
         assert np.max(np.abs(t - t_mixed)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_fine_grid_legs_match_closed_forms(self, n):
+        # 16 sample blocks or more per grid half, each summed into the moments
+        residuals = oracle_compare(_mixed_filter(60 + n, n), QuadratureConfig(nodes=65536))
+        assert max(residuals[leg] for leg in ("metric", "connection0", "t_tensor")) <= 1e-14
 
 
 class TestConnectionFamiliesAtNonzeroAlpha:
@@ -390,7 +417,7 @@ class TestDualityParts:
         d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
-        triple, second = quadrature._gamma_parts(d, dd)
+        (triple, second), _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
         expected_triple = np.einsum("am,bm,cm->abc", full, full, full) / z.size
         expected_second = np.einsum("am,bm->ab", full2, full) / z.size
         for actual, expected in ((triple, expected_triple), (second, expected_second)):
@@ -399,7 +426,7 @@ class TestDualityParts:
 
     def test_triples_are_exactly_symmetric_in_first_two_indices(self):
         d = first_derivs(_mixed_filter(41, 8))
-        for t in quadrature._triples(d, d.conj(), d):
+        for t in triples(d, d.conj(), d):
             assert np.array_equal(t, t.transpose(1, 0, 2))
 
     # m = 64 is one chunk at n <= 16; m = 16384 is many chunks at every n
@@ -407,7 +434,7 @@ class TestDualityParts:
     @pytest.mark.parametrize("n", [1, 16, 32])
     def test_triples_match_einsum_grid_means(self, n, m):
         d = first_derivs(_mixed_filter(70 + n, n), m)
-        mixed, pure = quadrature._triples(d, d.conj(), d)
+        mixed, pure = triples(d, d.conj(), d)
         expected = [
             np.stack([np.einsum("jm,km->jk", row * d, e, optimize=True) for row in d]) / m
             for e in (d.conj(), d)
@@ -420,26 +447,20 @@ class TestDualityParts:
     @pytest.mark.parametrize("m", [4096, 65536])
     def test_triples_memory_stays_flat_in_the_node_count(self, m):
         d = first_derivs(_mixed_filter(80, 16), m)
-        dc = d.conj()
-        tracemalloc.start()
-        try:
-            quadrature._triples(d, dc, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
+        factors = np.vstack([d.conj(), d])
+        acc = quadrature._Triples(16, 2)
+        assert peak_mib(lambda: (acc.add(d, factors), acc.means()))[0] < 1
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_one_row_step_matches_full_metric_difference(self, n):
         f = _mixed_filter(50 + n, n)
         z = circle_nodes(CFG.nodes)
-        d = first_derivs(f)
         step = CFG.deriv_step
+        lhs = quadrature._duality_pass(f, reciprocal(f), CFG)[2]
         for i in range(n):
             still = np.ones(2 * n, dtype=bool)
             still[[i, n + i]] = False
-            one_row = quadrature._metric_derivatives(f, i, d, z, step)
-            for fast, slow in zip(one_row, _full_metric_difference(f, i, step, z)):
+            for fast, slow in zip(lhs[[i, n + i]], _full_metric_difference(f, i, step, z)):
                 assert np.max(np.abs(fast - slow)) <= 1e-9
                 # only rows and columns i and n+i of the metric move
                 assert np.max(np.abs(slow[np.ix_(still, still)]), initial=0.0) <= 1e-12
@@ -449,9 +470,28 @@ class TestDualityParts:
         assert duality_check(f, 0.5, CFG).duality_residual < 1e-6
         exact = quadrature._gamma_parts
         monkeypatch.setattr(
-            quadrature, "_gamma_parts", lambda d, dd: (exact(d, dd)[0], 1.01 * exact(d, dd)[1])
+            quadrature, "_gamma_parts", lambda *moments: (exact(*moments)[0], 1.01 * exact(*moments)[1])
         )
         assert duality_check(f, 0.5, CFG).duality_residual > 1e-4
+
+
+MEMORY_ROUTINES = {
+    "oracle_tensors": quadrature.oracle_tensors,
+    "duality_check": lambda f, cfg: duality_check(f, 0.5, cfg),
+    "metric_numeric": metric_numeric,
+    "connection_numeric": lambda f, cfg: connection_numeric(f, 0.5, cfg),
+    "t_tensor_numeric": t_tensor_numeric,
+}
+
+
+@pytest.mark.parametrize("m", [4096, 65536])
+@pytest.mark.parametrize("routine", sorted(MEMORY_ROUTINES))
+def test_memory_stays_flat_in_the_node_count(routine, m):
+    # one (16, 65536) complex sample is 16 MiB; the node blocks, the n^3
+    # moments and, for the duality check, its (2n)^3 full-index arrays fit 4 MiB
+    f, cfg = _mixed_filter(81, 16), QuadratureConfig(nodes=m)
+    circle_nodes(m), circle_nodes(2 * m)  # the cached grids are not the routine's
+    assert peak_mib(lambda: MEMORY_ROUTINES[routine](f, cfg))[0] < 4
 
 
 def test_oracle_imports_only_closed_form_types():
@@ -471,18 +511,19 @@ def test_oracle_imports_only_closed_form_types():
 
 class TestGridCache:
     def test_grids_are_shared_and_read_only(self):
-        for make in (circle_nodes, quadrature._doubled_grid):
-            grid = make(256)
-            assert make(256) is grid
-            assert not grid.flags.writeable
-            with pytest.raises(ValueError):
-                grid[0] = 0.0
+        grid = circle_nodes(256)
+        assert circle_nodes(256) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
     def test_cached_grids_are_the_formula(self):
         m = 512
         assert np.array_equal(circle_nodes(m), np.exp(2j * np.pi * np.arange(m) / m))
         fine = np.exp(2j * np.pi * np.arange(2 * m) / (2 * m))
-        assert np.array_equal(quadrature._doubled_grid(m), np.concatenate([fine[::2], fine[1::2]]))
+        # the even nodes of the doubled grid are the m-node grid, bit for bit
+        assert np.array_equal(circle_nodes(2 * m)[::2], circle_nodes(m))
+        assert np.array_equal(circle_nodes(2 * m), fine)
 
     def test_results_do_not_depend_on_a_warm_cache(self):
         f = arma_from_roots((0.6 + 0.2j, -0.4 + 0.3j, 0.5j), 2)
@@ -499,7 +540,6 @@ class TestGridCache:
             )
 
         circle_nodes.cache_clear()
-        quadrature._doubled_grid.cache_clear()
         cold = run()
         warm = run()
         # pickles hold every float and array bit for bit

@@ -8,7 +8,6 @@ float rounded to 12 significant digits.
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from cepgeo import serialization
 from cepgeo.cli import main
 from cepgeo.serialization import BAR, TensorDocument, dumps_report, render_table, tensor_to_document
 
-from conftest import GAIN, readme_cli_argvs
+from conftest import GAIN, peak_mib, readme_cli_argvs
 
 
 def _reference_entries(array, bar_pattern):
@@ -250,14 +249,24 @@ def test_tensor_entries_are_left_for_the_writer_to_round():
     assert entries == [{"idx": [0, "0̄"], "re": 0.333333333333, "im": 0.0}]
 
 
+def test_table_is_rendered_without_parsing_the_report(monkeypatch):
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
+    doc = tensor_to_document([f"pole{i}" for i in range(6)], 0.5, [(block, (False, False, True))])
+    report = {"command": "tensors", "alpha": 0.5, "connection": doc, "scalar": np.float64(1 / 3)}
+    expected = render_table(json.loads(dumps_report(report)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("render_table parsed JSON text")
+
+    monkeypatch.setattr(serialization.json, "loads", refuse)
+    assert render_table(report) == expected
+
+
 def test_tensors_report_memory_peak(tmp_path, n16_path):
     # the text is 3.2 MiB: room for it, one copy and the arrays, not for a dict per entry
     out = str(tmp_path / "t.json")
     assert main(["tensors", n16_path, "--out", out]) == 0  # imports and caches warm
-    tracemalloc.start()
-    try:
-        assert main(["tensors", n16_path, "--out", out]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    peak, code = peak_mib(lambda: main(["tensors", n16_path, "--out", out]))
+    assert code == 0
+    assert peak <= 12

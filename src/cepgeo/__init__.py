@@ -1,7 +1,6 @@
 """Information geometry of minimum-phase linear filters.
 
-Submodules are imported lazily so that the CLI can configure thread caps
-before the numeric stack loads:
+Submodules:
 
 - ``filters``: transfer-function models, validation, cepstrum
 - ``closed_form``: potential, metric, connections, curvature in closed form
@@ -12,28 +11,4 @@ before the numeric stack loads:
 - ``cli``: command-line entry point
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "filters",
-    "closed_form",
-    "quadrature",
-    "priors",
-    "sampling",
-    "serialization",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -10,19 +10,6 @@ with the JSON error report on stdout.
 
 from __future__ import annotations
 
-import os
-
-_threads = os.environ.get("CEPGEO_THREADS")
-if _threads:
-    # honoured only if set before the numeric stack is first imported
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import math
 import sys
@@ -96,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--nodes", type=int, default=quadrature.NODES_DEFAULT)
-    p.add_argument("--deriv-step", type=float, default=quadrature.DERIV_STEP_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser(
@@ -264,7 +250,7 @@ def _cmd_oracle_compare(args) -> dict:
 
 def _cmd_duality_check(args) -> dict:
     f = _load_validated(args, args.input)
-    cfg = QuadratureConfig(nodes=args.nodes, deriv_step=args.deriv_step)
+    cfg = QuadratureConfig(nodes=args.nodes)
     report = quadrature.duality_check(f, args.alpha, cfg)
     return {
         "command": "duality-check",

@@ -109,7 +109,6 @@ class HermitianMetric:
 
     mixed: np.ndarray
     pure: np.ndarray
-    labels: tuple[str, ...]
     residual: float = 0.0
     converged: bool = True
 
@@ -207,7 +206,7 @@ def metric(m: ModelPoint) -> HermitianMetric:
     xi, c, a = _arrays(m)
     mixed = _hermitize(np.outer(c, c) / a, 1.0 / (1.0 - np.abs(xi) ** 2))
     pure = np.zeros((m.n, m.n), dtype=complex)
-    return HermitianMetric(mixed=mixed, pure=pure, labels=m.labels)
+    return HermitianMetric(mixed=mixed, pure=pure)
 
 
 def inverse_metric(m: ModelPoint) -> np.ndarray:

@@ -57,7 +57,8 @@ from .filters import (
 )
 
 NODES_DEFAULT = 4096
-DERIV_STEP_DEFAULT = 1e-5
+# the Wirtinger step of duality_check's central differences
+DERIV_STEP = 1e-5
 # largest change under grid doubling that the tensor routines accept
 _TOL = 1e-9
 # the unimodular factors that invariance_suite appends
@@ -83,20 +84,15 @@ class QuadratureUnconvergedWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Circle-grid size and Wirtinger step for tensor derivatives."""
+    """Circle-grid size of the quadrature routines."""
 
     nodes: int = NODES_DEFAULT
-    deriv_step: float = DERIV_STEP_DEFAULT
 
     def __post_init__(self):
         nodes = int(self.nodes)
         if nodes < 64 or nodes & (nodes - 1):
             raise ValueError(f"nodes must be a power of two >= 64, got {nodes}")
-        step = float(self.deriv_step)
-        if not (1e-7 <= step <= 1e-3):
-            raise ValueError(f"deriv_step must lie in [1e-7, 1e-3], got {step!r}")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "deriv_step", step)
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def metric_numeric(
 
     halves = map(blocks, _halves(f, cfg.nodes))
     (mixed, pure), residual, converged = _checked(*halves, _TOL, "metric")
-    return HermitianMetric(mixed, pure, f.labels, residual, converged)
+    return HermitianMetric(mixed, pure, residual, converged)
 
 
 class _Triples:
@@ -525,15 +521,17 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
     lhs is a central Wirtinger difference of the full-index metric, D =
     [d; conj(d)], in each xi_i and conj(xi_i).  log h separates per root,
     so moving xi_i by +-h or +-ih changes row i of d alone, and only rows
-    and columns i and n+i of the metric move.  The 4n moved rows r (each
-    stepped filter still goes through :func:`cepgeo.filters.validate`) are
+    and columns i and n+i of the metric move.  The 4n moved rows r are
     sampled in the same blocks as f and rec: f's one product per block
-    takes <r D_b> with <dd_i D_b>.
+    takes <r D_b> with <dd_i D_b>.  Each of the four steps goes through
+    :func:`cepgeo.filters.validate` as one filter with every root moved (its
+    rules are per root); the rows are sampled root by root, then by step.
     """
-    n, h = f.dimension, cfg.deriv_step
-    roots = [*f.coordinates, *rec.coordinates]
-    for i, xi in enumerate(f.coordinates):
-        roots += [_with_coordinate(f, i, xi + s).coordinates[i] for s in (h, -h, 1j * h, -1j * h)]
+    n, h, p = f.dimension, DERIV_STEP, len(f.poles)
+    moved = [[xi + s for xi in f.coordinates] for s in (h, -h, 1j * h, -1j * h)]
+    for coords in moved:
+        validate(replace(f.to_spec(), poles=coords[:p], zeros=coords[p:]), f.eps_stab)
+    roots = [*f.coordinates, *rec.coordinates, *np.transpose(moved).ravel()]
     signs = [*f.signature, *rec.signature, *np.repeat(f.signature, 4)]
     triples, second, diag = [_Triples(n, 2), _Triples(n, 2)], [0, 0], 0
     (blocks,) = _sample(roots, signs, (circle_nodes(cfg.nodes),), n, 2 * n)
@@ -558,14 +556,6 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
     lhs[mu, i] = lhs[mu, :, i] = np.concatenate([hol, anti])
     lhs[mu, n + i] = lhs[mu, :, n + i] = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
     return *parts, lhs
-
-
-def _with_coordinate(f: ValidatedFilter, index: int, value: complex) -> ValidatedFilter:
-    coords = list(f.coordinates)
-    coords[index] = value
-    p = len(f.poles)
-    spec = replace(f.to_spec(), poles=tuple(coords[:p]), zeros=tuple(coords[p:]))
-    return validate(spec, f.eps_stab)
 
 
 def duality_check(

@@ -1,3 +1,4 @@
+import json
 import re
 import shlex
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from cepgeo import filters
+from cepgeo.cli import main
 from cepgeo.closed_form import ModelPoint
 from cepgeo.filters import FilterSpec, validate
 from cepgeo.serialization import BAR
@@ -73,6 +75,29 @@ def wirtinger_mixed_hessian(evaluate, m, step=1e-4):
                 dyx = cross(1j * step, step)
                 hess[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
     return hess
+
+
+def input_error(capsys, tmp_path, run):
+    """(code, message) of the input error that ``run`` meets.
+
+    A list is a CLI argv, whose non-string items are written as JSON files
+    first; it must exit 2.  A callable is a library call that the CLI cannot
+    reach; its exception gets the code the CLI would report.
+    """
+    if callable(run):
+        with pytest.raises(ValueError) as exc_info:
+            run()
+        return getattr(exc_info.value, "code", "INVALID_INPUT"), str(exc_info.value)
+    argv = []
+    for k, item in enumerate(run):
+        if not isinstance(item, str):
+            path = tmp_path / f"input{k}.json"
+            path.write_text(json.dumps(item))
+            item = str(path)
+        argv.append(item)
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    return error["code"], error["message"]
 
 
 def peak_mib(fn):

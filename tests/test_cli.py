@@ -21,7 +21,7 @@ from cepgeo.serialization import (
     tensor_to_document,
 )
 
-from conftest import parse_tensor_document, readme_cli_argvs
+from conftest import input_error, parse_tensor_document, readme_cli_argvs
 
 GAIN_UNIT = math.sqrt(2.0 * math.pi)
 
@@ -235,7 +235,7 @@ def _child_env():
     # the child process imports the same cepgeo as this one, installed or not
     src = os.path.dirname(os.path.dirname(cepgeo.__file__))
     path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, CEPGEO_THREADS="1", PYTHONPATH=path_var)
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=path_var)
 
 
 class TestPinnedReports:
@@ -427,6 +427,52 @@ class TestOtherChecks:
         assert report["passed"] is True
         assert report["duality_residual"] == report["reciprocal_residual"] == 0.0
 
+    @pytest.mark.parametrize(
+        "root, code, message",
+        [
+            (
+                {"poles": [{"re": 0.5, "im": 0.0}, {"re": 0.999995, "im": 0.0}]},
+                "POLE_OUTSIDE_DISK",
+                "poles must lie strictly inside the unit disk: poles[1] has modulus 1.00001",
+            ),
+            (
+                {"zeros": [{"re": 0.3, "im": 0.0}, {"re": 0.0, "im": 0.999995}]},
+                "ZERO_OUTSIDE_DISK",
+                "zeros outside the unit disk (filter is not minimum phase): "
+                "zeros[1] has modulus 1.00001",
+            ),
+        ],
+        ids=["pole", "zero"],
+    )
+    def test_duality_check_steps_stay_in_the_margin(self, capsys, tmp_path, root, code, message):
+        # valid itself, but one Wirtinger step of 1e-5 moves the root past the circle
+        argv = ["duality-check", dict(root, gain=GAIN_UNIT)]
+        assert input_error(capsys, tmp_path, argv) == (code, message)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("ar", "malformed model token 'ar'; expected ar:p or ma:q"),
+            ("ar:0", "model shape must have at least one coordinate, got 'ar:0'"),
+        ],
+    )
+    def test_malformed_model_exits_2(self, capsys, tmp_path, model, message):
+        argv = ["check-prior", "--psi", "psi1", "--model", model, "--samples", "10"]
+        assert input_error(capsys, tmp_path, argv) == ("INVALID_INPUT", message)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"poles": [{"re": 0.5, "im": 0.0}]}, {"zeros": [{"re": 0.0, "im": 0.0}]}],
+        ids=["no-zero", "zero-at-origin"],
+    )
+    def test_invariance_check_without_a_zero_to_reflect(self, capsys, tmp_path, doc):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(dict(doc, gain=GAIN_UNIT)))
+        code, report = run_json(capsys, ["invariance-check", str(path)])
+        assert code == 0
+        assert report["outer_reflection"] is None
+        assert report["passed"] is True
+
     def test_invariance_check(self, capsys, arma_path):
         code, report = run_json(capsys, ["invariance-check", arma_path])
         assert code == 0
@@ -568,7 +614,7 @@ def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
     }
     reports = {}
     for threads in ("1", "2"):
-        env = dict(base, CEPGEO_THREADS=threads, PYTHONPATH=path_var)
+        env = dict(base, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path_var)
         for argv in commands:
             result = subprocess.run(
                 [sys.executable, "-m", "cepgeo", *argv],

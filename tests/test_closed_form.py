@@ -102,6 +102,20 @@ class TestModelPoint:
         with pytest.raises(ValueError):
             ModelPoint((1.0,), (-1,))
 
+    # from_filter always pairs the coordinates with their signature: library only
+    @pytest.mark.parametrize(
+        "params, signature, message",
+        [
+            ((0.5,), (-1, 1), "params and signature must have equal length"),
+            ((0.5, 0.3), (-1, 0), "signature entries must be -1 (pole) or +1 (zero)"),
+        ],
+        ids=["length-mismatch", "bad-signature"],
+    )
+    def test_rejects_malformed_input(self, params, signature, message):
+        with pytest.raises(ValueError) as exc_info:
+            ModelPoint(params, signature)
+        assert str(exc_info.value) == message
+
 
 def li2_test_points(seed=5):
     """Seeded |w| < 1 covering w -> 0, w -> +-1, the Re w = 1/2 seam and the circle."""

@@ -15,11 +15,12 @@ from cepgeo.filters import (
     cepstrum,
     outer_factor,
     reciprocal,
+    reflect_zero_out,
     transfer_values,
     validate,
 )
 
-from conftest import GAIN, make_filter
+from conftest import GAIN, input_error, make_filter
 
 GRID = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
 
@@ -236,3 +237,56 @@ def test_blaschke_factor_unimodular_on_circle(zs):
     f = make_filter(blaschke=(zs,))
     magnitude = np.abs(transfer_values(f, np.exp(1j * GRID)))
     assert np.max(np.abs(magnitude - 1.0)) < 1e-12
+
+
+ARMA11_DOC = {"gain": GAIN, "poles": [{"re": 0.5, "im": 0.0}], "zeros": [{"re": 0.3, "im": 0.0}]}
+
+
+@pytest.mark.parametrize(
+    "run, code, message",
+    [
+        (
+            ["validate", {"gain": GAIN, "blaschke": [{"re": 0.0, "im": 1.0}]}],
+            "BLASCHKE_POINT_OUTSIDE_DISK",
+            "Blaschke points must lie inside the open unit disk: blaschke[0] has modulus 1",
+        ),
+        # json.load reads Infinity
+        (["validate", {"gain": math.inf}], "INVALID_INPUT", "gain must be finite, got inf"),
+        (
+            ["cepstrum", ARMA11_DOC, "--trunc", "0"],
+            "INVALID_INPUT",
+            "truncation must be >= 1, got 0",
+        ),
+        (
+            lambda: transfer_values(make_filter(poles=(0.5,)), np.array([1.0, 0.0])),
+            "EVAL_AT_POLE",
+            "transfer function is singular at z = 0",
+        ),
+        (
+            lambda: transfer_values(make_filter(poles=(0.5,)), np.array([1.0, 0.5])),
+            "EVAL_AT_POLE",
+            "evaluation point coincides with pole (0.5+0j)",
+        ),
+        (
+            lambda: transfer_values(make_filter(blaschke=(0.5,)), np.array([1.0, 2.0])),
+            "EVAL_AT_POLE",
+            "evaluation point coincides with Blaschke pole 1/conj((0.5+0j))",
+        ),
+        (
+            lambda: reflect_zero_out(make_filter(zeros=(0.0, 0.3)), 0),
+            "INVALID_INPUT",
+            "cannot reflect a zero at the origin",
+        ),
+    ],
+    ids=[
+        "blaschke-on-circle",
+        "infinite-gain",
+        "trunc-0",
+        "eval-at-0",
+        "eval-at-pole",
+        "eval-at-blaschke-pole",
+        "reflect-origin",
+    ],
+)
+def test_input_checks(capsys, tmp_path, run, code, message):
+    assert input_error(capsys, tmp_path, run) == (code, message)

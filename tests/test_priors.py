@@ -17,7 +17,7 @@ from cepgeo.priors import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import mp_inverse_metric, peak_mib, wirtinger_mixed_hessian
+from conftest import input_error, mp_inverse_metric, peak_mib, wirtinger_mixed_hessian
 
 AR1_HALF = ModelPoint((0.5,), (-1,))
 AR2 = ModelPoint((0.4 + 0.2j, -0.3 + 0.5j), (-1, -1))
@@ -290,3 +290,22 @@ def test_reject_radius_against_mpmath(sep):
                     worst[psi_name] = max(worst.get(psi_name, 0.0), err)
     assert max(worst.values()) < SEPARATION_BOUNDS[sep], worst
     assert max(worst["psi1"], worst["psi2"]) < 1e-9, worst
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (
+            ["check-prior", "--psi", "psi1", "--model", "ar:1", "--samples", "0"],
+            "samples must be >= 1",
+        ),
+        # the CLI refuses an empty model shape while parsing it: library only
+        (
+            lambda: check_superharmonic(prior_psi1(n=0), (0, 0), 10, 0),
+            "model shape must have at least one coordinate",
+        ),
+    ],
+    ids=["no-samples", "no-coordinates"],
+)
+def test_input_checks(capsys, tmp_path, run, message):
+    assert input_error(capsys, tmp_path, run) == ("INVALID_INPUT", message)

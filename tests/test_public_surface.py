@@ -49,3 +49,17 @@ def test_public_definitions_are_used(path):
         and not BENCH_REFS[node.name]
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_environment_knobs(path):
+    # settings come from options and arguments; thread counts from the BLAS variables
+    reads = [
+        node.lineno
+        for node in ast.walk(TREES[path])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        and node.attr in ("environ", "getenv")
+    ]
+    assert reads == []

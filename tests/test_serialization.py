@@ -18,7 +18,7 @@ from cepgeo import serialization
 from cepgeo.cli import main
 from cepgeo.serialization import BAR, TensorDocument, dumps_report, render_table, tensor_to_document
 
-from conftest import GAIN, peak_mib, readme_cli_argvs
+from conftest import GAIN, input_error, peak_mib, readme_cli_argvs
 
 
 def _reference_entries(array, bar_pattern):
@@ -270,3 +270,25 @@ def test_tensors_report_memory_peak(tmp_path, n16_path):
     peak, code = peak_mib(lambda: main(["tensors", n16_path, "--out", out]))
     assert code == 0
     assert peak <= 12
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (["validate", [GAIN]], "filter document must be a JSON object"),
+        (["validate", {"poles": []}], "filter document requires a 'gain' field"),
+        (["validate", {"gain": GAIN, "poles": {"re": 0.5, "im": 0.0}}], "'poles' must be a list"),
+        (
+            ["validate", {"gain": GAIN, "zeros": [{"re": 0.3, "im": 0.0}, 0.5]}],
+            "zeros[1]: complex values must be {'re': .., 'im': ..} objects",
+        ),
+        # the CLI pairs every block with its own bar pattern: library only
+        (
+            lambda: tensor_to_document(("pole0",), None, [(np.zeros((1, 1)), (False,))]),
+            "bar pattern length must match tensor rank, which must be at least 1",
+        ),
+    ],
+    ids=["not-an-object", "no-gain", "poles-not-a-list", "zero-not-a-pair", "rank-mismatch"],
+)
+def test_input_checks(capsys, tmp_path, run, message):
+    assert input_error(capsys, tmp_path, run) == ("INVALID_INPUT", message)

@@ -23,10 +23,13 @@ metric, Gamma^(0), T and Ricci from one sample.
 No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
 into one reused buffer, and every reduction (moments, triple products, the
-tall-skinny QR) accumulates block by block, so memory stays flat in the node
-count.  The duality check builds its full-index Gamma from the two n-index
-triples and samples its 4n Wirtinger-stepped rows (log h separates per root,
-so a step moves one row) in the same pass.
+tall-skinny QR, the divergence integrand) accumulates block by block, so
+memory stays flat in the node count.  Grids are cached up to
+``_GRID_CACHE_BYTES``; the nodes of a larger grid are formed block by block.
+The duality check samples its 4n Wirtinger-stepped rows (log h separates
+per root, so a step moves one row) in the same pass as the two n-index
+triples, and compares the two sides of the identity a few rows of the full
+(2n)^3 index at a time, each gathered from those triples.
 
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
@@ -39,9 +42,9 @@ does not abort (roots near the circle legitimately converge slowly).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +79,17 @@ _TRIPLE_BLOCK_BYTES = 1 << 19
 # Bytes of each QR of the Ricci leg, so LAPACK stays on one thread: at n = 10 one QR
 # over 4096 nodes, or blocks of 160 KiB, gave other bits on 2 OpenBLAS threads.
 _QR_BLOCK_BYTES = 1 << 17
+# Nodes of each block of divergence's 2m-node grid: the whole grid at the
+# default node count, so a default run sums each half in one reduction.
+_SPECTRAL_BLOCK = 2 * NODES_DEFAULT
+# Bytes of each (rows, 2n, 2n) array of duality_check's mu-chunks: every n <= 10
+# filter is one chunk.
+_DUALITY_BLOCK_BYTES = 1 << 17
+# The user address space of a 64-bit process
+_ADDRESS_BYTES = 1 << 47
+# Bytes of all cached grids: the 1024-, 4096- and 8192-node grids of default
+# runs take 208 KiB.
+_GRID_CACHE_BYTES = 1 << 20
 
 
 class QuadratureUnconvergedWarning(UserWarning):
@@ -92,6 +106,9 @@ class QuadratureConfig:
         nodes = int(self.nodes)
         if nodes < 64 or nodes & (nodes - 1):
             raise ValueError(f"nodes must be a power of two >= 64, got {nodes}")
+        if 32 * nodes > _ADDRESS_BYTES:
+            # no routine holds the grid, but one that no process could hold would never finish
+            raise ValueError(f"nodes = {nodes}: the doubled grid is too large to allocate")
         object.__setattr__(self, "nodes", nodes)
 
 
@@ -105,33 +122,62 @@ class DivergenceValue:
     converged: bool = True
 
 
-# Grids are computed once per node count and shared, so they are read-only.
-@functools.lru_cache(maxsize=16)
+# Grids in the cache, least recently used first.  A grid that does not fit
+# _GRID_CACHE_BYTES is never cached: its nodes are formed block by block.
+_GRIDS: OrderedDict[int, np.ndarray] = OrderedDict()
+
+
+def _unit_roots(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
+    # one formula for every node, so a node formed alone has the bits of the cached one
+    return np.exp(2j * np.pi * np.arange(start, stop, step) / m)
+
+
 def circle_nodes(m: int) -> np.ndarray:
-    """m-th roots of unity, the quadrature grid (a shared, read-only array)."""
-    grid = np.exp(2j * np.pi * np.arange(m) / m)
+    """m-th roots of unity, the quadrature grid (a read-only array, shared while cached)."""
+    grid = _GRIDS.get(m)
+    if grid is not None:
+        _GRIDS.move_to_end(m)
+        return grid
+    grid = _unit_roots(m, 0, m)
     grid.flags.writeable = False
+    if grid.nbytes <= _GRID_CACHE_BYTES:
+        _GRIDS[m] = grid
+        while sum(g.nbytes for g in _GRIDS.values()) > _GRID_CACHE_BYTES:
+            _GRIDS.popitem(last=False)
     return grid
+
+
+def _nodes(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """Nodes start, start + step, ... below ``stop`` of the m-node grid.
+
+    Sliced from the cached grid when the grid fits the cache, else formed
+    from their indices, so a routine never holds a large grid whole.
+    """
+    if 16 * m <= _GRID_CACHE_BYTES:
+        return circle_nodes(m)[start:stop:step]
+    return _unit_roots(m, start, stop, step)
 
 
 def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
     """Node blocks of d_i log h = -c_i/(z - xi_i), one generator per grid, in node order.
 
-    c_i is -1 for a pole, +1 for a zero.  A block holds conj(d_i) of the
-    first ``conj`` roots, d_i of all, then d_i^2 log h = -c_i/(z - xi_i)^2 of
-    the first ``second``, in one buffer that every block reuses: reduce a
-    block before taking the next.  A block is the largest power of two of
-    nodes, at most a grid, whose rows fit ``_BLOCK_BYTES``.
+    A grid is (m, offset, stride): the nodes offset, offset + stride, ... of
+    the m-node grid.  c_i is -1 for a pole, +1 for a zero.  A block holds
+    conj(d_i) of the first ``conj`` roots, d_i of all, then d_i^2 log h =
+    -c_i/(z - xi_i)^2 of the first ``second``, in one buffer that every
+    block reuses: reduce a block before taking the next.  A block is the
+    largest power of two of nodes, at most a grid, whose rows fit
+    ``_BLOCK_BYTES``.
     """
     c = -np.asarray(signs, dtype=float)[:, None]
     xi = np.asarray(roots, dtype=complex)[:, None]
     n, rows = len(c), conj + len(c) + second
     fit = 1 << (max(_BLOCK_BYTES // (16 * rows or 1), 1).bit_length() - 1)
-    buf = np.empty((rows, min(fit, max(map(len, grids)))), dtype=complex)
+    buf = np.empty((rows, min(fit, max(m // stride for m, _, stride in grids))), dtype=complex)
 
-    def blocks(z):
-        for start in range(0, z.size, buf.shape[1]):
-            nodes = z[start : start + buf.shape[1]]
+    def blocks(m, offset, stride):
+        for start in range(offset, m, stride * buf.shape[1]):
+            nodes = _nodes(m, start, min(start + stride * buf.shape[1], m), stride)
             out = buf[:, : nodes.size]
             w, dd = out[conj : conj + n], out[conj + n :]
             np.subtract(nodes, xi, out=w)
@@ -140,7 +186,7 @@ def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
             np.conjugate(np.divide(c, w, out=w)[:conj], out=out[:conj])
             yield out
 
-    return [blocks(z) for z in grids]
+    return [blocks(*grid) for grid in grids]
 
 
 def _halves(f: ValidatedFilter, m: int, second: int = 0) -> list:
@@ -150,8 +196,8 @@ def _halves(f: ValidatedFilter, m: int, second: int = 0) -> list:
     rule is the mean of the two halves' rules, so checking against it costs
     2m nodes of work.
     """
-    z = circle_nodes(2 * m)
-    return _sample(f.coordinates, f.signature, (z[::2], z[1::2]), f.dimension, second)
+    grids = ((2 * m, 0, 2), (2 * m, 1, 2))
+    return _sample(f.coordinates, f.signature, grids, f.dimension, second)
 
 
 def _checked(even, odd, tol: float, what: str):
@@ -269,11 +315,11 @@ class _Triples:
         return np.split(out, self.k, axis=2)
 
 
-def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
-    # -alpha <d_i d_j e_k> + delta_ij <dd_i e_k>
+def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float, lo: int = 0) -> np.ndarray:
+    # -alpha <d_a d_b e_c> + delta_ab <dd_a e_c>, for the rows a = lo, lo + 1, ... of triple
     gamma = -alpha * triple
-    diag = np.arange(len(second))
-    gamma[diag, diag] += second
+    k = np.arange(len(triple))
+    gamma[k, lo + k] += second[lo : lo + len(triple)]
     return gamma
 
 
@@ -331,7 +377,7 @@ def ricci_numeric(f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
     stacking raw blocks at n = 16.
     """
     n = f.dimension
-    (blocks,) = _sample(f.coordinates, f.signature, (circle_nodes(cfg.nodes),), n, n)
+    (blocks,) = _sample(f.coordinates, f.signature, ((cfg.nodes, 0, 1),), n, n)
     return _grid_means(blocks, n, ricci=True)[2]
 
 
@@ -373,42 +419,25 @@ def divergence(
     is evaluated in the log domain via expm1, which keeps small ratios exact
     and avoids overflow; alpha = 0 is the separate squared-log branch
     (half the squared Hellinger-type integrand).  alpha = -1 recovers the
-    Kullback-Leibler (Itakura-Saito) form.
+    Kullback-Leibler (Itakura-Saito) form.  The densities are evaluated on
+    blocks of ``_SPECTRAL_BLOCK`` nodes, and each half's sum is the correctly
+    rounded sum of its block sums.
     """
 
-    def blocks(ell):
-        if alpha == 0.0:
-            return (np.mean(ell * ell) / 2.0,)
-        return (np.mean(np.expm1(alpha * ell) - alpha * ell) / (alpha * alpha),)
+    def integrand(ell):
+        return ell * ell if alpha == 0.0 else np.expm1(alpha * ell) - alpha * ell
 
-    z = circle_nodes(2 * cfg.nodes)
-    ell = np.log(_spectral_grid(f2, z)) - np.log(_spectral_grid(f1, z))
-    (value,), residual, converged = _checked(blocks(ell[::2]), blocks(ell[1::2]), tol, "divergence")
+    m, sums = cfg.nodes, []
+    for start in range(0, 2 * m, _SPECTRAL_BLOCK):
+        z = _nodes(2 * m, start, start + _SPECTRAL_BLOCK)
+        ell = np.log(_spectral_grid(f2, z)) - np.log(_spectral_grid(f1, z))
+        sums.append((np.sum(integrand(ell[::2])), np.sum(integrand(ell[1::2]))))
+    scale = 2.0 if alpha == 0.0 else alpha * alpha
+    even, odd = ([math.fsum(half) / m / scale] for half in zip(*sums))
+    (value,), residual, converged = _checked(even, odd, tol, "divergence")
     return DivergenceValue(
         alpha=float(alpha), value=float(value), residual=residual, converged=converged
     )
-
-
-def cepstrum_fft(f: ValidatedFilter, trunc: int) -> np.ndarray:
-    """Cepstrum coefficients phi_0..phi_N from an FFT of sampled log h.
-
-    Samples log h as a sum of per-factor principal logarithms (each factor
-    1 - root/z stays in the right half-plane, so no unwrapping is needed)
-    and reads the z^{-r} coefficients off the inverse FFT.  Independent of
-    the closed-form power sums in :func:`cepgeo.filters.cepstrum`.  Requires
-    a winding-free log, i.e. no z power and no Blaschke factors.
-    """
-    if f.z_power or f.blaschke_points:
-        raise ValueError("FFT cepstrum requires z_power == 0 and no Blaschke points")
-    if trunc >= NODES_DEFAULT // 2:
-        raise ValueError("truncation must be below half the node count")
-    z = circle_nodes(NODES_DEFAULT)
-    logh = np.full(NODES_DEFAULT, math.log(f.gain_term), dtype=complex)
-    for zt in f.zeros:
-        logh += np.log(1.0 - zt / z)
-    for p in f.poles:
-        logh -= np.log(1.0 - p / z)
-    return np.fft.ifft(logh)[: trunc + 1]
 
 
 @dataclass(frozen=True)
@@ -493,39 +522,79 @@ class DualityReport:
     reciprocal_residual: float
 
 
-def _gamma_parts(
-    mixed: np.ndarray, pure: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Triple and second-derivative parts of Gamma over the full 2n index range.
+def _full_second(second: np.ndarray) -> np.ndarray:
+    """<dd_a D_c> over the full index D = [d; conj(d)], the holomorphic then the
+    anti-holomorphic coordinates.
 
-    The full index runs over D = [d; conj(d)], the holomorphic then the
-    anti-holomorphic coordinates.  Each block of <D_a D_b D_c> is a
-    transpose or conjugate of one of the two n-index triples ``mixed`` =
-    <d_i d_j conj(d_k)> and ``pure`` = <d_i d_j d_k>, and each block of
-    <dd_a D_b> is one of ``second`` = [<dd_i conj(d_k)> | <dd_i d_k>] or a
-    conjugate.
+    Each block is one of ``second`` = [<dd_i conj(d_k)> | <dd_i d_k>] or a conjugate.
     """
     n = len(second)
-    jk = mixed.transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:] = second[:, n:], second[:, :n]
+    np.conjugate(second, out=out[n:])
+    return out
+
+
+def _triple_rows(mixed: np.ndarray, pure: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the full-index triple <D_a D_b D_c>, D = [d; conj(d)].
+
+    Each (n, n) block of a row is a transpose or conjugate of a row of one of
+    the two n-index triples ``mixed`` = <d_i d_j conj(d_k)> and ``pure`` =
+    <d_i d_j d_k>, so a row is gathered, not summed.
+    """
+    n = len(pure)
+    out = np.empty((hi - lo, 2 * n, 2 * n), dtype=complex)
+    i, j = slice(min(lo, n), min(hi, n)), slice(max(lo, n) - n, max(hi, n) - n)
+    hol, anti = out[: i.stop - i.start], out[i.stop - i.start :]
     ij = mixed.transpose(2, 0, 1)  # <conj(d_i) d_j d_k>
-    triple = np.block(
-        [[[pure, mixed], [jk, ij.conj()]], [[ij, jk.conj()], [mixed.conj(), pure.conj()]]]
-    )
-    s_mixed, s_pure = second[:, :n], second[:, n:]
-    return triple, np.block([[s_pure, s_mixed], [s_mixed.conj(), s_pure.conj()]])
+    hol[:, :n, :n] = pure[i]
+    hol[:, :n, n:] = mixed[i]
+    hol[:, n:, :n] = mixed[i].transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
+    np.conjugate(ij[i], out=hol[:, n:, n:])
+    anti[:, :n, :n] = ij[j]
+    np.conjugate(mixed[j].transpose(0, 2, 1), out=anti[:, :n, n:])
+    np.conjugate(mixed[j], out=anti[:, n:, :n])
+    np.conjugate(pure[j], out=anti[:, n:, n:])
+    return out
+
+
+def _lhs_rows(steps: np.ndarray, twins: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of lhs[mu] = d_mu <D_b D_c>, the left side of the duality identity.
+
+    Row mu, with i = mu mod n, holds ``steps[mu]`` (the derivative of row i of
+    d) in row and column i and ``twins[mu]`` (that of conj(d_i)) in row and
+    column n+i; the rest of the metric does not move.
+    """
+    n = len(steps) // 2
+    out = np.zeros((hi - lo, 2 * n, 2 * n), dtype=complex)
+    k, i = np.arange(hi - lo), np.arange(lo, hi) % n
+    out[k, i] = out[k, :, i] = steps[lo:hi]
+    out[k, n + i] = out[k, :, n + i] = twins[lo:hi]
+    return out
+
+
+def _row_sums(r: np.ndarray) -> np.ndarray:
+    """Row sums of r r and of r conj(r), formed in one temporary."""
+    prod = r * r
+    rr = np.sum(prod, axis=1)
+    np.multiply(r, np.conjugate(r, out=prod), out=prod)
+    return np.stack([rr, np.sum(prod, axis=1)])
 
 
 def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfig):
-    """Gamma parts of ``f`` and ``rec``, and lhs[mu] = d_mu <D_a D_b> of f, from one sample.
+    """Gamma parts of ``f`` and ``rec``, and the moved rows of d_mu <D_a D_b> of f, from one sample.
 
-    lhs is a central Wirtinger difference of the full-index metric, D =
-    [d; conj(d)], in each xi_i and conj(xi_i).  log h separates per root,
-    so moving xi_i by +-h or +-ih changes row i of d alone, and only rows
-    and columns i and n+i of the metric move.  The 4n moved rows r are
-    sampled in the same blocks as f and rec: f's one product per block
-    takes <r D_b> with <dd_i D_b>.  Each of the four steps goes through
-    :func:`cepgeo.filters.validate` as one filter with every root moved (its
-    rules are per root); the rows are sampled root by root, then by step.
+    The parts of each filter are its n-index triples <d_i d_j conj(d_k)> and
+    <d_i d_j d_k> and :func:`_full_second`.  The left side is a central
+    Wirtinger difference of the full-index metric, D = [d; conj(d)], in each
+    xi_i and conj(xi_i).  log h separates per root, so moving xi_i by +-h or
+    +-ih changes row i of d alone, and only rows and columns i and n+i of
+    the metric move: (steps, twins) hold them for :func:`_lhs_rows`.  The 4n
+    moved rows r are sampled in the same blocks as f and rec: f's one
+    product per block takes <r D_b> with <dd_i D_b>.  Each of the four steps
+    goes through :func:`cepgeo.filters.validate` as one filter with every
+    root moved (its rules are per root); the rows are sampled root by root,
+    then by step.
     """
     n, h, p = f.dimension, DERIV_STEP, len(f.poles)
     moved = [[xi + s for xi in f.coordinates] for s in (h, -h, 1j * h, -1j * h)]
@@ -534,28 +603,25 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
     roots = [*f.coordinates, *rec.coordinates, *np.transpose(moved).ravel()]
     signs = [*f.signature, *rec.signature, *np.repeat(f.signature, 4)]
     triples, second, diag = [_Triples(n, 2), _Triples(n, 2)], [0, 0], 0
-    (blocks,) = _sample(roots, signs, (circle_nodes(cfg.nodes),), n, 2 * n)
+    (blocks,) = _sample(roots, signs, ((cfg.nodes, 0, 1),), n, 2 * n)
     for block in blocks:  # conj(d) and d of f, d of rec, r, dd of f, dd of rec
         d_rec, r = block[2 * n : 3 * n], block[3 * n : 7 * n]
         f_rows, rec_rows = block[: 2 * n], np.vstack([d_rec.conj(), d_rec])
         for k, (e, left) in enumerate([(f_rows, block[3 * n : 8 * n]), (rec_rows, block[8 * n :])]):
             triples[k].add(e[n:], e)
             second[k] = second[k] + left @ e.T
-        diag = diag + np.stack([np.sum(r * r, axis=1), np.sum(r * r.conj(), axis=1)])
+        diag = diag + _row_sums(r)
     m = cfg.nodes
-    parts = [_gamma_parts(*t.means(), s[len(s) - n :] / m) for t, s in zip(triples, second)]
+    parts = [(*t.means(), _full_second(s[len(s) - n :] / m)) for t, s in zip(triples, second)]
     # u[i, step, b] = <r D_b>, with <r r> at b = i and <r conj(r)> at b = n+i
     u = np.roll(second[0][: 4 * n], n, axis=1).reshape(n, 4, 2 * n) / m
     i = np.arange(n)
     u[i, :, i], u[i, :, n + i] = diag.reshape(2, n, 4) / m
     dx, dy = (u[:, 0] - u[:, 1]) / (2.0 * h), (u[:, 2] - u[:, 3]) / (2.0 * h)
     hol, anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-    # lhs[i] holds the derivative of row i in row and column i and its twin
-    # <conj(r) D_b> = conj(<r D_(b+n mod 2n)>) in row and column n+i; lhs[n+i] likewise
-    lhs, mu, i = np.zeros((2 * n,) * 3, dtype=complex), np.arange(2 * n), np.tile(i, 2)
-    lhs[mu, i] = lhs[mu, :, i] = np.concatenate([hol, anti])
-    lhs[mu, n + i] = lhs[mu, :, n + i] = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
-    return *parts, lhs
+    # the twin <conj(r) D_b> = conj(<r D_(b+n mod 2n)>)
+    twins = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
+    return *parts, (np.concatenate([hol, anti]), twins)
 
 
 def duality_check(
@@ -572,22 +638,29 @@ def duality_check(
     limited.  A filter with no roots has residuals of 0.  Also
     checks the reciprocal-system swap: the alpha-connection of the inverse
     filter equals the (-alpha)-connection of the original once the swapped
-    pole/zero ordering is permuted back.
+    pole/zero ordering is permuted back.  Both sides are compared in chunks
+    of rows mu whose (rows, 2n, 2n) arrays fit ``_DUALITY_BLOCK_BYTES``, so
+    no whole (2n)^3 array is held.
     """
     n = f.dimension
-    rec = reciprocal(f)
-    parts, rec_parts, lhs = _duality_pass(f, rec, cfg)
-    gamma_ma = _gamma(*parts, -alpha)
-    lhs -= _gamma(*parts, alpha)
-    lhs -= gamma_ma.transpose(0, 2, 1)
-    worst = float(np.max(np.abs(lhs), initial=0.0))
-
-    p, q = len(f.poles), len(f.zeros)
-    perm = list(range(p, p + q)) + list(range(p))
-    perm_full = perm + [n + a for a in perm]
-    gamma_rec = _gamma(*rec_parts, alpha)
-    gamma_rec -= gamma_ma[np.ix_(perm_full, perm_full, perm_full)]
-    rec_residual = float(np.max(np.abs(gamma_rec), initial=0.0))
+    (mixed, pure, second), rec, lhs_parts = _duality_pass(f, reciprocal(f), cfg)
+    # f's index of each of the reciprocal's coordinates (its zeros come first)
+    perm = np.array([*range(len(f.poles), n), *range(len(f.poles))], dtype=int)
+    full = np.concatenate([perm, n + perm])
+    cube = perm[:, None, None], perm[:, None], perm
+    swapped = mixed[cube], pure[cube], second[full[:, None], full]
+    rows, worst, rec_residual = max(_DUALITY_BLOCK_BYTES // (64 * n * n or 1), 1), 0.0, 0.0
+    for lo in range(0, 2 * n, rows):
+        hi = min(lo + rows, 2 * n)
+        triple = _triple_rows(mixed, pure, lo, hi)
+        lhs = _lhs_rows(*lhs_parts, lo, hi)
+        lhs -= _gamma(triple, second, alpha, lo)
+        lhs -= _gamma(triple, second, -alpha, lo).transpose(0, 2, 1)
+        gamma_rec = _gamma(_triple_rows(*rec[:2], lo, hi), rec[2], alpha, lo)
+        gamma_rec -= _gamma(_triple_rows(*swapped[:2], lo, hi), swapped[2], -alpha, lo)
+        # np.maximum, unlike max(), keeps a NaN
+        worst = np.maximum(worst, np.max(np.abs(lhs)))
+        rec_residual = np.maximum(rec_residual, np.max(np.abs(gamma_rec)))
     return DualityReport(
-        alpha=float(alpha), duality_residual=worst, reciprocal_residual=rec_residual
+        alpha=float(alpha), duality_residual=float(worst), reciprocal_residual=float(rec_residual)
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import tracemalloc
@@ -11,6 +12,7 @@ from cepgeo import filters
 from cepgeo.cli import main
 from cepgeo.closed_form import ModelPoint
 from cepgeo.filters import FilterSpec, validate
+from cepgeo.quadrature import NODES_DEFAULT, circle_nodes
 from cepgeo.serialization import BAR
 
 # sigma for which the transfer-function prefactor sigma^2/(2 pi) is exactly 1,
@@ -108,6 +110,28 @@ def peak_mib(fn):
         return tracemalloc.get_traced_memory()[1] / 2**20, result
     finally:
         tracemalloc.stop()
+
+
+def cepstrum_fft(f, trunc):
+    """Cepstrum coefficients phi_0..phi_N from an FFT of sampled log h.
+
+    Samples log h as a sum of per-factor principal logarithms (each factor
+    1 - root/z stays in the right half-plane, so no unwrapping is needed)
+    and reads the z^{-r} coefficients off the inverse FFT.  Independent of
+    the closed-form power sums in :func:`cepgeo.filters.cepstrum`.  Requires
+    a winding-free log, i.e. no z power and no Blaschke factors.
+    """
+    if f.z_power or f.blaschke_points:
+        raise ValueError("FFT cepstrum requires z_power == 0 and no Blaschke points")
+    if trunc >= NODES_DEFAULT // 2:
+        raise ValueError("truncation must be below half the node count")
+    z = circle_nodes(NODES_DEFAULT)
+    logh = np.full(NODES_DEFAULT, math.log(f.gain_term), dtype=complex)
+    for zt in f.zeros:
+        logh += np.log(1.0 - zt / z)
+    for p in f.poles:
+        logh -= np.log(1.0 - p / z)
+    return np.fft.ifft(logh)[: trunc + 1]
 
 
 def parse_index(token):

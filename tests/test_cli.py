@@ -229,6 +229,28 @@ TENSORS_DIGESTS = {
     (8, "0.5"): "5bcc159987bc8d26c6bfc467c40bc1e05d3caf0db3f794255844cf936fdc75fb",
     (32, "0.5"): "7999cc60bf019737402492c1e0045d6e97e4e2f91fb64377479dbe82d6d6cbe2",
 }
+# duality-check at --alpha 0.5 keyed by n; n = 16 and 32 compare in several mu-chunks
+DUALITY_DIGESTS = {
+    4: "5db21285c0844d57d946b271243f299f308c52efb5ee0f6ccf523da9c780122e",
+    16: "c2990419291d6d4d8bcf980dbd98bebf9083cfbd682f5a7ed417ee57069aa658",
+    32: "cc540877942cdb2ed318a66b5d4f0af13c1f27146bf5cd0d1c6cd19930175967",
+}
+# divergence from the all-pass filter to the n = 16 filter, keyed by --alpha
+DIVERGENCE_DIGESTS = {
+    "-1": "13ad171dc55813f16255af8aacbc109c9d637eb815241f6e800c10e84fda9406",
+    "0": "21ceadd6171434c7fbf15194c981616ba01296f49550d80eec35d82794f69dec",
+}
+
+
+def _spiral_document(tmp_path, n):
+    """A filter of n roots on a spiral from radius 0.3 to 0.9."""
+    return _roots_document(tmp_path, [(0.3 + 0.6 * k / n) * cmath.exp(2.4j * k) for k in range(n)])
+
+
+def _digest(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def _child_env():
@@ -241,24 +263,29 @@ def _child_env():
 class TestPinnedReports:
     @pytest.mark.parametrize("psi, model, seed", sorted(CHECK_PRIOR_DIGESTS))
     def test_check_prior_bytes(self, tmp_path, psi, model, seed):
-        out = tmp_path / "r.json"
-        argv = ["check-prior", "--psi", psi, "--model", model, "--samples", "1000"]
-        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == CHECK_PRIOR_DIGESTS[psi, model, seed]
+        argv = ["check-prior", "--psi", psi, "--model", model, "--samples", "1000", "--seed", str(seed)]
+        assert _digest(argv, tmp_path) == CHECK_PRIOR_DIGESTS[psi, model, seed]
 
     @pytest.mark.parametrize(
         "n, alpha",
         [pytest.param(n, a, id=f"{n}-alpha{a}" if a else str(n)) for n, a in TENSORS_DIGESTS],
     )
     def test_tensors_bytes(self, tmp_path, n, alpha):
-        roots = [complex_to_json((0.3 + 0.6 * k / n) * cmath.exp(2.4j * k)) for k in range(n)]
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": roots[: n // 2], "zeros": roots[n // 2 :]}))
-        out = tmp_path / "t.json"
         flags = ["--alpha", alpha] if alpha else []
-        assert main(["tensors", str(path), *flags, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == TENSORS_DIGESTS[n, alpha]
+        argv = ["tensors", _spiral_document(tmp_path, n), *flags]
+        assert _digest(argv, tmp_path) == TENSORS_DIGESTS[n, alpha]
+
+    @pytest.mark.parametrize("n", sorted(DUALITY_DIGESTS))
+    def test_duality_check_bytes(self, tmp_path, n):
+        argv = ["duality-check", _spiral_document(tmp_path, n), "--alpha", "0.5"]
+        assert _digest(argv, tmp_path) == DUALITY_DIGESTS[n]
+
+    @pytest.mark.parametrize("alpha", sorted(DIVERGENCE_DIGESTS))
+    def test_divergence_bytes(self, tmp_path, alpha):
+        allpass = tmp_path / "allpass.json"
+        allpass.write_text(json.dumps({"gain": GAIN_UNIT}))
+        argv = ["divergence", str(allpass), _spiral_document(tmp_path, 16), "--alpha", alpha]
+        assert _digest(argv, tmp_path) == DIVERGENCE_DIGESTS[alpha]
 
 
 class TestCheckPriorCommand:
@@ -392,8 +419,7 @@ class TestOracleCompareCommand:
         oracle_compare(f, cfg)
         # each node of the doubled grid sampled once, even half first; then
         # one accumulation of the mixed third moment alone over each half
-        doubled = quadrature.circle_nodes(2048)
-        assert np.array_equal(np.concatenate(grids), np.concatenate([doubled[::2], doubled[1::2]]))
+        assert grids == [(2048, 0, 2), (2048, 1, 2)]
         assert sum(widths) == 2048
         assert [(t.acc.shape, t.nodes) for t in moments] == [((6, 3), 1024)] * 2
 
@@ -588,7 +614,9 @@ def test_console_entry_point_runs(tmp_path):
 
 def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
     # BLAS splits products this large (n = 10) across threads, and LAPACK
-    # a QR over many rows (the n = 32 Ricci leg); the reports must not move
+    # a QR over many rows (the n = 32 Ricci leg); the reports must not move,
+    # nor those that run in several chunks (duality at n = 32, divergence on
+    # a grid of several blocks)
     doc = {
         "gain": GAIN_UNIT,
         "poles": [complex_to_json(0.8 * cmath.exp(0.6j * k)) for k in range(5)],
@@ -602,8 +630,10 @@ def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):
         ["oracle-compare", str(path)],
         ["oracle-compare", _roots_document(tmp_path, sample_root_tuples(16, 8, 32, 0.9, 0.05)[1])],
         ["duality-check", str(path)],
+        ["duality-check", _spiral_document(tmp_path, 32)],
         ["invariance-check", str(path)],
         ["divergence", str(allpass), str(path), "--alpha", "-1"],
+        ["divergence", str(allpass), str(path), "--alpha", "-1", "--nodes", "65536"],
     ]
     src = os.path.dirname(os.path.dirname(cepgeo.__file__))
     path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -14,8 +14,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "cepgeo").glob("*.py"))
-# the FFT leg that tests hold filters.cepstrum against: an oracle, not a caller
-ALLOWED = {"cepstrum_fft"}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -44,7 +42,6 @@ def test_public_definitions_are_used(path):
         for node in TREES[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in ALLOWED
         and PACKAGE_REFS[node.name] - _references(node)[node.name] <= 0
         and not BENCH_REFS[node.name]
     ]

@@ -20,7 +20,6 @@ from cepgeo.filters import FilterSpec, cepstrum, reciprocal, validate
 from cepgeo.quadrature import (
     QuadratureConfig,
     QuadratureUnconvergedWarning,
-    cepstrum_fft,
     circle_nodes,
     connection_numeric,
     divergence,
@@ -32,7 +31,7 @@ from cepgeo.quadrature import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, make_filter, peak_mib
+from conftest import GAIN, arma_from_roots, cepstrum_fft, make_filter, peak_mib
 
 CFG = QuadratureConfig(nodes=2048)
 LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
@@ -40,7 +39,7 @@ LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 
 def sampled(f, m=CFG.nodes, conj=0, second=0):
     """The sampler's rows (conj(d), d, dd) on the m-node grid, as one array."""
-    (blocks,) = quadrature._sample(f.coordinates, f.signature, (circle_nodes(m),), conj, second)
+    (blocks,) = quadrature._sample(f.coordinates, f.signature, ((m, 0, 1),), conj, second)
     return np.hstack([block.copy() for block in blocks])
 
 
@@ -64,6 +63,11 @@ class TestQuadratureConfig:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             QuadratureConfig(nodes=32)
+
+    def test_rejects_a_grid_no_process_could_hold(self):
+        assert QuadratureConfig(nodes=2**42).nodes == 2**42
+        with pytest.raises(ValueError, match="too large to allocate"):
+            QuadratureConfig(nodes=2**43)
 
 
 class TestLogDerivatives:
@@ -413,7 +417,8 @@ class TestDualityParts:
         d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
-        (triple, second), _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        (mixed, pure, second), _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        triple = quadrature._triple_rows(mixed, pure, 0, 2 * n)
         expected_triple = np.einsum("am,bm,cm->abc", full, full, full) / z.size
         expected_second = np.einsum("am,bm->ab", full2, full) / z.size
         for actual, expected in ((triple, expected_triple), (second, expected_second)):
@@ -452,7 +457,7 @@ class TestDualityParts:
         f = _mixed_filter(50 + n, n)
         z = circle_nodes(CFG.nodes)
         step = quadrature.DERIV_STEP
-        lhs = quadrature._duality_pass(f, reciprocal(f), CFG)[2]
+        lhs = quadrature._lhs_rows(*quadrature._duality_pass(f, reciprocal(f), CFG)[2], 0, 2 * n)
         for i in range(n):
             still = np.ones(2 * n, dtype=bool)
             still[[i, n + i]] = False
@@ -464,10 +469,8 @@ class TestDualityParts:
     def test_check_is_not_tautological(self, monkeypatch):
         f = _mixed_filter(60, 4)
         assert duality_check(f, 0.5, CFG).duality_residual < 1e-6
-        exact = quadrature._gamma_parts
-        monkeypatch.setattr(
-            quadrature, "_gamma_parts", lambda *moments: (exact(*moments)[0], 1.01 * exact(*moments)[1])
-        )
+        exact = quadrature._full_second
+        monkeypatch.setattr(quadrature, "_full_second", lambda second: 1.01 * exact(second))
         assert duality_check(f, 0.5, CFG).duality_residual > 1e-4
 
 
@@ -477,6 +480,7 @@ MEMORY_ROUTINES = {
     "metric_numeric": metric_numeric,
     "connection_numeric": lambda f, cfg: connection_numeric(f, 0.5, cfg),
     "t_tensor_numeric": t_tensor_numeric,
+    "divergence": lambda f, cfg: divergence(make_filter(), f, -1.0, cfg),
 }
 
 
@@ -484,10 +488,28 @@ MEMORY_ROUTINES = {
 @pytest.mark.parametrize("routine", sorted(MEMORY_ROUTINES))
 def test_memory_stays_flat_in_the_node_count(routine, m):
     # one (16, 65536) complex sample is 16 MiB; the node blocks, the n^3
-    # moments and, for the duality check, its (2n)^3 full-index arrays fit 4 MiB
+    # moments and the duality check's mu-chunks of Gamma fit 4 MiB
     f, cfg = _mixed_filter(81, 16), QuadratureConfig(nodes=m)
-    circle_nodes(m), circle_nodes(2 * m)  # the cached grids are not the routine's
+    circle_nodes(m), circle_nodes(2 * m)  # a cached grid is not the routine's
     assert peak_mib(lambda: MEMORY_ROUTINES[routine](f, cfg))[0] < 4
+
+
+def test_divergence_memory_does_not_grow_past_the_cache():
+    # the 2m-node grids of 2^17 and 2^19 nodes are never held whole
+    f, peaks = _mixed_filter(81, 16), []
+    for m in (65536, 1 << 18):
+        cfg = QuadratureConfig(nodes=m)
+        peaks.append(peak_mib(lambda: divergence(make_filter(), f, -1.0, cfg))[0])
+    assert max(peaks) < 4
+    assert max(peaks) <= 1.1 * min(peaks)
+
+
+@pytest.mark.parametrize("n, bound", [(16, 2.2), (32, 6)])
+def test_duality_check_compares_in_bounded_chunks(n, bound):
+    # the full-index (2n)^3 arrays are 0.5 MiB each at n = 16 and 4 MiB at n = 32
+    f = _mixed_filter(81, n)
+    circle_nodes(CFG.nodes)
+    assert peak_mib(lambda: duality_check(f, 0.5, CFG))[0] <= bound
 
 
 def test_oracle_imports_only_closed_form_types():
@@ -521,6 +543,29 @@ class TestGridCache:
         assert np.array_equal(circle_nodes(2 * m)[::2], circle_nodes(m))
         assert np.array_equal(circle_nodes(2 * m), fine)
 
+    def test_cache_stays_within_its_byte_budget(self):
+        f = _mixed_filter(82, 2)
+        for m in (1 << 16, 1 << 17, 1 << 18, 1 << 19):
+            cfg = QuadratureConfig(nodes=m)
+            metric_numeric(f, cfg), duality_check(f, 0.5, cfg), divergence(make_filter(), f, 0.0, cfg)
+            cached = sum(grid.nbytes for grid in quadrature._GRIDS.values())
+            assert cached <= quadrature._GRID_CACHE_BYTES
+        # a grid larger than the cache is formed, not kept
+        assert circle_nodes(1 << 17) is not circle_nodes(1 << 17)
+        assert quadrature._GRID_CACHE_BYTES < circle_nodes(1 << 17).nbytes
+
+    def test_default_grids_stay_cached(self):
+        f = _mixed_filter(83, 4)
+        duality_check(f, 0.5, QuadratureConfig())
+        invariance_suite(f, QuadratureConfig())
+        assert {1024, 4096, 8192} <= set(quadrature._GRIDS)
+
+    def test_blocks_formed_from_indices_match_the_grid(self):
+        m = 1 << 17  # too large to cache
+        expected = circle_nodes(m)
+        for start, stop, step in [(0, 4096, 1), (1, m, 2), (m - 10, m, 2), (70000, 70500, 1)]:
+            assert np.array_equal(quadrature._nodes(m, start, stop, step), expected[start:stop:step])
+
     def test_results_do_not_depend_on_a_warm_cache(self):
         f = arma_from_roots((0.6 + 0.2j, -0.4 + 0.3j, 0.5j), 2)
         cfg = QuadratureConfig(nodes=256)
@@ -535,7 +580,7 @@ class TestGridCache:
                 divergence(make_filter(poles=(0.3,)), f, -1.0, cfg),
             )
 
-        circle_nodes.cache_clear()
+        quadrature._GRIDS.clear()
         cold = run()
         warm = run()
         # pickles hold every float and array bit for bit

@@ -225,11 +225,12 @@ def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[st
     """Max-norm relative residuals of each closed form against one quadrature sample."""
     point = ModelPoint.from_filter(f)
     g, gamma, t, ricci = quadrature.oracle_tensors(f, cfg)
+    conn = closed_form.alpha_connection(point, 0.0)  # Gamma^0 and T
     residuals = {
         "metric": _relative_residual(closed_form.metric(point).mixed, g),
-        "connection0": _relative_residual(closed_form.connection0(point).gamma_mixed, gamma),
-        "t_tensor": _relative_residual(closed_form.t_tensor(point).t_mixed, t),
-        "ricci0": _relative_residual(closed_form.ricci0(point).ricci, ricci),
+        "connection0": _relative_residual(conn.gamma_mixed, gamma),
+        "t_tensor": _relative_residual(conn.t_mixed, t),
+        "ricci0": _relative_residual(closed_form.alpha_ricci(point, 0.0).ricci, ricci),
     }
     residuals["max"] = max(residuals.values())
     return residuals

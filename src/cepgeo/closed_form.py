@@ -16,12 +16,16 @@ every tensor below has a rational closed form in the coordinates:
     T_{ij,kbar}       = -2 c_i c_j c_k conj(xi^k)
                         / ((1 - xi^i conj(xi^k)) (1 - xi^j conj(xi^k)))
     R^0_{i jbar}      = -1 / (1 - xi^i conj(xi^j))^2
-    R^{(alpha)}_{i jbar} = R^0_{i jbar}
-                        - (alpha/2) (c_i + c_j) / (1 - xi^i conj(xi^j))^2
+    R^{(alpha)}_{i jbar} = R^0_{i jbar} (1 + (alpha/2) (c_i + c_j))
 
 The sign of T here is the one fixed by its defining circle integral
 (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z; the quadrature module
 computes that integral independently and the two must agree.
+
+Each quantity has one code path.  Only :func:`factor_matrix` forms the
+factor 1 - xi^i conj(xi^j); the Li2 argument in :func:`kahler_potential` is
+the product xi^i conj(xi^j) itself.  ``connection0``, ``t_tensor`` and
+``ricci0`` are the alpha = 0 reads of ``alpha_connection`` and ``alpha_ricci``.
 
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
@@ -153,10 +157,16 @@ class KahlerPotential:
     value: float
 
 
-def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates xi, signature c, and a[i][j] = 1 - xi^i conj(xi^j)."""
+def factor_matrix(xi: np.ndarray) -> np.ndarray:
+    """a[..., i, j] = 1 - xi^i conj(xi^j) over any leading axes of ``xi`` (..., n)."""
+    xic = xi.conj()
+    return 1.0 - xi[..., :, None] * xic[..., None, :]
+
+
+def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates xi, signature c, a[i][j] = 1 - xi^i conj(xi^j) and its diagonal 1 - |xi^i|^2."""
     xi = np.asarray(m.params, dtype=complex)
-    return xi, np.asarray(m.signature, dtype=float), 1.0 - np.outer(xi, xi.conj())
+    return xi, np.asarray(m.signature, dtype=float), factor_matrix(xi), 1.0 - np.abs(xi) ** 2
 
 
 def _hermitize(a: np.ndarray, real_diag: np.ndarray) -> np.ndarray:
@@ -203,8 +213,8 @@ def kahler_potential(m: ModelPoint) -> KahlerPotential:
 
 def metric(m: ModelPoint) -> HermitianMetric:
     """Closed-form metric: mixed block c_i c_j / (1 - xi^i conj(xi^j)), pure block 0."""
-    xi, c, a = _arrays(m)
-    mixed = _hermitize(np.outer(c, c) / a, 1.0 / (1.0 - np.abs(xi) ** 2))
+    _, c, a, a_diag = _arrays(m)
+    mixed = _hermitize(np.outer(c, c) / a, 1.0 / a_diag)
     pure = np.zeros((m.n, m.n), dtype=complex)
     return HermitianMetric(mixed=mixed, pure=pure)
 
@@ -237,8 +247,7 @@ def cauchy_inverse(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
     # right operand in place, which swaps the factors of a complex product
     # and, with fused multiply-adds, its rounding.
     n = xi.shape[-1]
-    xic = xi.conj()
-    a = 1.0 - xi[..., :, None] * xic[..., None, :]  # a[i][j] = 1 - xi^i conj(xi^j)
+    a = factor_matrix(xi)
     row = a.prod(axis=-1)  # prod_k (1 - xi^i conj(xi^k))
     col = a.prod(axis=-2)  # prod_k (1 - xi^k conj(xi^j))
     diffs = xi[..., None, :] - xi[..., :, None]  # diffs[i][k] = xi^k - xi^i
@@ -278,11 +287,6 @@ def _determinant(m: ModelPoint, a: np.ndarray) -> float:
     return float(num / complex(np.prod(a)).real)
 
 
-def _levi_civita_diag(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Gamma^0_{jj,kbar}, the only block of Gamma^0 that is not zero
-    return np.outer(c, c) * xi.conj() / a**2
-
-
 def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
     # Complex products need not commute bitwise: each pair i <= j is
     # multiplied once and mirrored, so T is exactly symmetric in i, j.
@@ -298,17 +302,13 @@ def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def connection0(m: ModelPoint) -> ConnectionTensors:
-    """Levi-Civita connection: Gamma^0_{ij,kbar} = c_j c_k delta_ij conj(xi^k)/(1-xi^j conj(xi^k))^2."""
-    gamma = [np.zeros((m.n,) * 3, dtype=complex) for _ in range(4)]  # mixed, pure, cross, cross_bar
-    diag = np.arange(m.n)
-    gamma[0][diag, diag] = _levi_civita_diag(*_arrays(m))
-    return ConnectionTensors(0.0, *gamma)
+    """Levi-Civita Gamma^0, read at alpha = 0; public only because the benchmark imports it."""
+    return alpha_connection(m, 0.0)
 
 
 def t_tensor(m: ModelPoint) -> ConnectionTensors:
-    """Symmetric cubic tensor T_{ij,kbar}; the pure part vanishes at constant gain."""
-    t = _t(*_arrays(m))
-    return ConnectionTensors(alpha=0.0, t_mixed=t, t_pure=np.zeros(t.shape, dtype=complex))
+    """Cubic tensor T, read at alpha = 0; public only because the benchmark imports it."""
+    return alpha_connection(m, 0.0)
 
 
 def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
@@ -320,12 +320,12 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     T is built once and each family is written from it into its own
     C-ordered array, so the call holds no n^3 array beyond the six it returns.
     """
-    xi, c, a = _arrays(m)
+    xi, c, a, _ = _arrays(m)
     t = _t(xi, c, a)
     # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
     gamma_mixed = np.multiply(0.5 * alpha, t)
     diag = np.arange(m.n)
-    on_diag = _levi_civita_diag(xi, c, a) - gamma_mixed[diag, diag]
+    on_diag = np.outer(c, c) * xi.conj() / a**2 - gamma_mixed[diag, diag]
     np.subtract(0.0, gamma_mixed, out=gamma_mixed)
     gamma_mixed[diag, diag] = on_diag
     gamma_cross_bar = np.conjugate(t.transpose(2, 0, 1), order="C")
@@ -341,47 +341,35 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     )
 
 
-def _curvature(m: ModelPoint, alpha: float | None) -> CurvatureReport:
-    # R^0 (alpha None) or R^{(alpha)}, its scalar, det g and g^{i jbar},
-    # from one (1 - xi^i conj(xi^j)) and one square of it
-    xi, c, a = _arrays(m)
-    a2 = a**2
-    edge = (1.0 - np.abs(xi) ** 2) ** 2  # the diagonal of a2, real
-    ricci = _hermitize(-1.0 / a2, -1.0 / edge)
-    det_g = _determinant(m, a)
-    ginv = inverse_metric(m)
-    scalar = float(np.sum(ginv * ricci).real)
-    if alpha is None:
-        return CurvatureReport(0.0, ricci, scalar, det_g, ginv)
-    corr = _hermitize(-(c[:, None] + c[None, :]) / a2, -2.0 * c / edge)
-    return CurvatureReport(
-        alpha=float(alpha),
-        ricci=ricci + 0.5 * alpha * corr,
-        scalar=scalar + 0.5 * alpha * float(np.sum(ginv * corr).real),
-        det_g=det_g,
-        inverse=ginv,
-    )
-
-
 def ricci0(m: ModelPoint) -> CurvatureReport:
-    """Ricci block R^0_{i jbar} = -1/(1 - xi^i conj(xi^j))^2 and its scalar.
-
-    The scalar comes from contracting with the inverse metric, so exactly
-    coincident coordinates raise :class:`CoincidentRootsError` for the
-    scalar even though the Ricci block itself is regular.
-    """
-    return _curvature(m, None)
+    """Ricci R^0 and its scalar, read at alpha = 0; public only because the benchmark imports it."""
+    return alpha_ricci(m, 0.0)
 
 
 def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
     """alpha-corrected Ricci: R^{(alpha)}_{i jbar} = R^0_{i jbar} + (alpha/2) d_jbar T^k_{ik}.
 
-    Because T_{ik,lbar} = -2 c_i conj(xi^l) g_{k lbar} / (1 - xi^i conj(xi^l)),
+    R^0_{i jbar} = -1/(1 - xi^i conj(xi^j))^2.  Because
+    T_{ik,lbar} = -2 c_i conj(xi^l) g_{k lbar} / (1 - xi^i conj(xi^l)),
     the contraction T^k_{ik} = -2 c_i sum_l conj(xi^l) / (1 - xi^i conj(xi^l))
     needs no inverse metric, and its raw derivative is
     d_jbar T^k_{ik} = -2 c_i / (1 - xi^i conj(xi^j))^2.  The block keeps the
-    Hermitian part of that derivative, -(c_i + c_j) / (1 - xi^i conj(xi^j))^2,
-    which vanishes on pole-zero pairs.  The correction is independent of
-    alpha, so the family is exactly linear in alpha.
+    Hermitian part of that derivative, (c_i + c_j) R^0_{i jbar}, which
+    vanishes on pole-zero pairs.  The correction is independent of alpha, so
+    the family is exactly linear in alpha.  The scalar is contracted with the
+    inverse metric, so exactly coincident coordinates raise
+    :class:`CoincidentRootsError` even though the Ricci block is regular.
     """
-    return _curvature(m, alpha)
+    _, c, a, a_diag = _arrays(m)
+    # rebuilt from its upper triangle, so R^0 and (c_i + c_j) R^0 are exactly Hermitian
+    ricci = _hermitize(-1.0 / a**2, -1.0 / a_diag**2)
+    corr = (c[:, None] + c) * ricci
+    det_g = _determinant(m, a)
+    ginv = inverse_metric(m)
+    return CurvatureReport(
+        alpha=float(alpha),
+        ricci=ricci + 0.5 * alpha * corr,
+        scalar=float(np.sum(ginv * ricci).real) + 0.5 * alpha * float(np.sum(ginv * corr).real),
+        det_g=det_g,
+        inverse=ginv,
+    )

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import ModelPoint, cauchy_inverse
+from .closed_form import ModelPoint, cauchy_inverse, factor_matrix
 from .filters import EPS_STAB_DEFAULT, check_eps_stab
 from .sampling import sample_root_tuples
 
@@ -57,17 +57,18 @@ class _FactorPolynomial:
     terms: tuple[tuple[tuple[int, int], ...], ...]
 
     def value(self, xi: np.ndarray) -> np.ndarray:
-        xic = xi.conj()
+        a = factor_matrix(xi)
         total = np.zeros(xi.shape[:-1])
         for factors in self.terms:
-            total = total + math.prod(1.0 - xi[..., a] * xic[..., b] for a, b in factors).real
+            total = total + math.prod(a[..., i, j] for i, j in factors).real
         return total
 
     def mixed_hessian(self, xi: np.ndarray) -> np.ndarray:
         xic = xi.conj()
+        a = factor_matrix(xi)
         hess = np.zeros(xi.shape + xi.shape[-1:], dtype=complex)
         for factors in self.terms:
-            vals = [1.0 - xi[..., a] * xic[..., b] for a, b in factors]
+            vals = [a[..., i, j] for i, j in factors]
 
             def rest(*skip):
                 return math.prod(v for t, v in enumerate(vals) if t not in skip)

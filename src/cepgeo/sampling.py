@@ -12,6 +12,7 @@ import numpy as np
 # A round draws the tuples whose (k, n, n) separation arrays take about this
 # many bytes, and never more than the tuples still missing.
 _ROUND_BYTES = 1 << 18
+_MAX_REJECTIONS = 100_000  # rejected tuples in one call before RuntimeError
 
 
 def sample_root_tuples(
@@ -20,14 +21,13 @@ def sample_root_tuples(
     n: int,
     radius: float,
     min_separation: float = 0.0,
-    max_rejections: int = 100_000,
 ) -> np.ndarray:
     """(samples, n) complex array of root tuples, pairwise separated.
 
     Tuples whose minimum pairwise distance falls below ``min_separation``
     are rejected and redrawn, so the output is deterministic for a fixed
     seed but the rejection count is data dependent.  More than
-    ``max_rejections`` rejections in total raise ``RuntimeError``.  A round
+    ``_MAX_REJECTIONS`` rejections in total raise ``RuntimeError``.  A round
     draws at most the tuples still missing, so a generator passed in ends
     where drawing one tuple at a time would leave it.
     """
@@ -50,7 +50,7 @@ def sample_root_tuples(
             dist[:, diag, diag] = np.inf
             cand = cand[np.min(dist, axis=(1, 2)) >= min_separation]
             rejections += dist.shape[0] - cand.shape[0]
-            if rejections > max_rejections:
+            if rejections > _MAX_REJECTIONS:
                 raise RuntimeError(
                     "rejection sampling failed; separation too large for the disk"
                 )

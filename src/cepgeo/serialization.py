@@ -38,10 +38,19 @@ def complex_to_json(z: complex) -> dict[str, float]:
     return {"re": fmt_float(z.real), "im": fmt_float(z.imag)}
 
 
+def _number(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite, got a {value.bit_length()}-bit integer") from None
+
+
 def complex_from_json(obj: Any, what: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ValueError(f"{what}: complex values must be {{'re': .., 'im': ..}} objects")
-    return complex(float(obj["re"]), float(obj["im"]))
+    return complex(_number(obj["re"], f"{what}.re"), _number(obj["im"], f"{what}.im"))
 
 
 _FILTER_KEYS = {"gain", "poles", "zeros", "blaschke", "z_power"}
@@ -51,8 +60,8 @@ def parse_filter_document(doc: Any) -> FilterSpec:
     """Read the shared filter schema into a FilterSpec.
 
     Schema: {"gain": number, "poles": [{re,im}..], "zeros": [..],
-    "blaschke": [..], "z_power": int}; only "gain" is required and unknown
-    keys are rejected.
+    "blaschke": [..], "z_power": int}; only "gain" is required.  Unknown
+    keys, and values of the wrong JSON type, are rejected naming the field.
     """
     if not isinstance(doc, dict):
         raise ValueError("filter document must be a JSON object")
@@ -68,12 +77,15 @@ def parse_filter_document(doc: Any) -> FilterSpec:
             raise ValueError(f"'{key}' must be a list")
         return tuple(complex_from_json(item, f"{key}[{i}]") for i, item in enumerate(items))
 
+    z_power = doc.get("z_power", 0)
+    if not _number(z_power, "z_power").is_integer():
+        raise ValueError(f"z_power must be an integer, got {z_power!r}")
     return FilterSpec(
-        gain=float(doc["gain"]),
+        gain=_number(doc["gain"], "gain"),
         poles=complex_list("poles"),
         zeros=complex_list("zeros"),
         blaschke_points=complex_list("blaschke"),
-        z_power=int(doc.get("z_power", 0)),
+        z_power=int(z_power),
     )
 
 
@@ -202,11 +214,6 @@ def dumps_report(report: dict[str, Any]) -> str:
 
 def _plain(obj: Any) -> Any:
     """What ``json.loads(dumps_report(obj))`` gives, without the text."""
-    if isinstance(obj, TensorDocument):
-        values = itertools.chain.from_iterable(a.ravel().tolist() for a, _ in obj.blocks)
-        pairs = zip(_indices(obj), values)
-        entries = [{"idx": list(i), "re": z.real, "im": z.imag} for i, z in pairs]
-        obj = {"labels": obj.labels, "alpha": obj.alpha, "entries": entries}
     if isinstance(obj, dict):  # _quote refuses a key that is not a string, as the writer does
         return {_quote(key) and key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -240,6 +240,11 @@ DIVERGENCE_DIGESTS = {
     "-1": "13ad171dc55813f16255af8aacbc109c9d637eb815241f6e800c10e84fda9406",
     "0": "21ceadd6171434c7fbf15194c981616ba01296f49550d80eec35d82794f69dec",
 }
+# oracle-compare keyed by n: closed forms against one quadrature sample
+ORACLE_DIGESTS = {
+    4: "6defa3b38fc437a8bb68bd9d5635eb556aa693bd7e88f5eb1456dce4610d3601",
+    16: "a44642e92bec8154c81f951ae6b827fabcb6b662dca61a4585de14b02efa4ce0",
+}
 
 
 def _spiral_document(tmp_path, n):
@@ -286,6 +291,11 @@ class TestPinnedReports:
         allpass.write_text(json.dumps({"gain": GAIN_UNIT}))
         argv = ["divergence", str(allpass), _spiral_document(tmp_path, 16), "--alpha", alpha]
         assert _digest(argv, tmp_path) == DIVERGENCE_DIGESTS[alpha]
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_DIGESTS))
+    def test_oracle_compare_bytes(self, tmp_path, n):
+        argv = ["oracle-compare", _spiral_document(tmp_path, n)]
+        assert _digest(argv, tmp_path) == ORACLE_DIGESTS[n]
 
 
 class TestCheckPriorCommand:

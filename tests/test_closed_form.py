@@ -52,6 +52,26 @@ def max_relative(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
+def edge_points():
+    """n = 0..32 at random, with a root at 0, near the circle and in a near-coincident pair."""
+    rng = np.random.default_rng(41)
+    for n in range(33):
+        signature = mixed_signature(n)
+        xi = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        yield ModelPoint(tuple(xi), signature)
+        if n:
+            yield ModelPoint((0.0, *xi[1:]), signature)
+            yield ModelPoint(tuple((1.0 - 1e-6) * xi / np.abs(xi)), signature)
+        if n > 1:
+            for sep in (1e-6, 1e-10):
+                yield ModelPoint((xi[1] + sep, *xi[1:]), signature)
+
+
+def hermitian_from_upper(a, real_diag):
+    upper = np.triu(a, 1)
+    return upper + upper.conj().T + np.diag(real_diag.astype(complex))
+
+
 def alpha_ricci_correction(m):
     # d_jbar T^k_{ik} (Hermitian part) as alpha_ricci applies it
     return alpha_ricci(m, 2.0).ricci - ricci0(m).ricci
@@ -422,12 +442,22 @@ class TestTTensor:
             assert np.array_equal(t, np.transpose(t, (1, 0, 2)))
 
 
+ALPHAS = [pytest.param(a, id=f"alpha{a:g}") for a in (0.0, 0.5, -1.0)]
+
+
 class TestAlphaConnection:
-    def test_alpha_zero_is_connection0(self):
-        for m in random_points(15, 2):
-            assert np.array_equal(
-                alpha_connection(m, 0.0).gamma_mixed, connection0(m).gamma_mixed
-            )
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_is_the_levi_civita_diagonal_minus_half_alpha_t_bitwise(self, alpha):
+        # Gamma^0 as its own formula: zero off i = j, c_j c_k conj(xi^k) / a[j][k]^2 on it
+        for m in edge_points():
+            xi, c = np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float)
+            a = 1.0 - np.outer(xi, xi.conj())
+            conn = alpha_connection(m, alpha)
+            half_t = 0.5 * alpha * conn.t_mixed
+            gamma = 0.0 - half_t
+            diag = np.arange(m.n)
+            gamma[diag, diag] = np.outer(c, c) * xi.conj() / a**2 - half_t[diag, diag]
+            assert np.array_equal(conn.gamma_mixed, gamma), (m.n, m.params[:2])
 
     def test_ar1_alpha_one_flat(self):
         # Gamma^0 and (1/2) T coincide for AR(1), so the alpha=1 family is flat
@@ -528,9 +558,20 @@ class TestRicci:
 
 
 class TestAlphaRicci:
-    def test_alpha_zero_matches_ricci0(self):
-        for m in random_points(23, 2):
-            assert np.allclose(alpha_ricci(m, 0.0).ricci, ricci0(m).ricci, atol=1e-14)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.filterwarnings("ignore::cepgeo.closed_form.CoincidentRootsWarning")
+    def test_is_r0_plus_the_separate_correction_bitwise(self, alpha):
+        # R^0 and the correction -(c_i + c_j) / a^2 as two formulas of their own
+        for m in edge_points():
+            xi, c = np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float)
+            a2 = (1.0 - np.outer(xi, xi.conj())) ** 2
+            edge = (1.0 - np.abs(xi) ** 2) ** 2
+            r0 = hermitian_from_upper(-1.0 / a2, -1.0 / edge)
+            corr = hermitian_from_upper(-(c[:, None] + c[None, :]) / a2, -2.0 * c / edge)
+            report = alpha_ricci(m, alpha)
+            assert np.array_equal(report.ricci, r0 + 0.5 * alpha * corr), (m.n, m.params[:2])
+            scalar = float(np.sum(report.inverse * r0).real)
+            assert report.scalar == scalar + 0.5 * alpha * float(np.sum(report.inverse * corr).real)
 
     def test_ar1_analytic_values(self):
         # T^1_{11} = 2 conj(xi)/(1-|xi|^2) gives d_1bar T^1_11 = 2/(1-|xi|^2)^2,

@@ -49,12 +49,17 @@ def _raises(sampler, **kwargs):
     return False
 
 
+def _raises_within(monkeypatch, budget):
+    monkeypatch.setattr(sampling, "_MAX_REJECTIONS", budget)
+    return _raises(sample_root_tuples)
+
+
 @pytest.mark.parametrize("round_bytes", [7 * 16 * 4 * 4, sampling._ROUND_BYTES])
 def test_rejection_budget_raises_in_the_serial_cases(monkeypatch, round_bytes):
     # seed 3 draws 363 rejections before 20 tuples of n = 4 at separation 0.6
     monkeypatch.setattr(sampling, "_ROUND_BYTES", round_bytes)
     for budget in (0, 1, 50, 361, 362, 363, 364, 1000):
         expected = _raises(serial_root_tuples, max_rejections=budget)
-        assert _raises(sample_root_tuples, max_rejections=budget) == expected, budget
-    assert _raises(sample_root_tuples, max_rejections=362)
-    assert not _raises(sample_root_tuples, max_rejections=363)
+        assert _raises_within(monkeypatch, budget) == expected, budget
+    assert _raises_within(monkeypatch, 362)
+    assert not _raises_within(monkeypatch, 363)

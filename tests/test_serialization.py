@@ -282,13 +282,35 @@ def test_tensors_report_memory_peak(tmp_path, n16_path):
             ["validate", {"gain": GAIN, "zeros": [{"re": 0.3, "im": 0.0}, 0.5]}],
             "zeros[1]: complex values must be {'re': .., 'im': ..} objects",
         ),
+        (["validate", {"gain": None}], "gain must be a number, got None"),
+        (["validate", {"gain": [1.0]}], "gain must be a number, got [1.0]"),
+        (["validate", {"gain": "2.5"}], "gain must be a number, got '2.5'"),
+        (
+            ["validate", {"gain": GAIN, "poles": [{"re": 0.5, "im": None}]}],
+            "poles[0].im must be a number, got None",
+        ),
+        (
+            ["validate", {"gain": GAIN, "zeros": [{"re": {"x": 0.3}, "im": 0.0}]}],
+            "zeros[0].re must be a number, got {'x': 0.3}",
+        ),
+        (
+            ["validate", {"gain": GAIN, "blaschke": [{"re": 10**400, "im": 0.0}]}],
+            "blaschke[0].re must be finite, got a 1329-bit integer",
+        ),
+        (["validate", {"gain": GAIN, "z_power": math.inf}], "z_power must be an integer, got inf"),
+        (["validate", {"gain": GAIN, "z_power": 2.7}], "z_power must be an integer, got 2.7"),
+        (["validate", {"gain": GAIN, "z_power": True}], "z_power must be a number, got True"),
         # the CLI pairs every block with its own bar pattern: library only
         (
             lambda: tensor_to_document(("pole0",), None, [(np.zeros((1, 1)), (False,))]),
             "bar pattern length must match tensor rank, which must be at least 1",
         ),
     ],
-    ids=["not-an-object", "no-gain", "poles-not-a-list", "zero-not-a-pair", "rank-mismatch"],
+    ids=[
+        "not-an-object", "no-gain", "poles-not-a-list", "zero-not-a-pair", "gain-null",
+        "gain-list", "gain-string", "pole-im-null", "zero-re-object", "blaschke-re-overflows",
+        "z-power-infinite", "z-power-fraction", "z-power-bool", "rank-mismatch",
+    ],
 )
 def test_input_checks(capsys, tmp_path, run, message):
     assert input_error(capsys, tmp_path, run) == ("INVALID_INPUT", message)

@@ -11,6 +11,7 @@ with the JSON error report on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
@@ -186,13 +187,7 @@ def _cmd_divergence(args) -> dict:
     f2 = _load_validated(args, args.input2)
     cfg = QuadratureConfig(nodes=args.nodes)
     result = quadrature.divergence(f1, f2, args.alpha, cfg, tol=args.tol)
-    return {
-        "command": "divergence",
-        "alpha": result.alpha,
-        "value": result.value,
-        "residual": result.residual,
-        "converged": result.converged,
-    }
+    return {"command": "divergence", **dataclasses.asdict(result)}
 
 
 def _cmd_check_prior(args) -> dict:
@@ -238,8 +233,7 @@ def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[st
 
 def _cmd_oracle_compare(args) -> dict:
     f = _load_validated(args, args.input)
-    cfg = QuadratureConfig(nodes=args.nodes)
-    residuals = oracle_compare(f, cfg)
+    residuals = oracle_compare(f, QuadratureConfig(nodes=args.nodes))
     return {
         "command": "oracle-compare",
         "nodes": args.nodes,
@@ -251,13 +245,10 @@ def _cmd_oracle_compare(args) -> dict:
 
 def _cmd_duality_check(args) -> dict:
     f = _load_validated(args, args.input)
-    cfg = QuadratureConfig(nodes=args.nodes)
-    report = quadrature.duality_check(f, args.alpha, cfg)
+    report = quadrature.duality_check(f, args.alpha, QuadratureConfig(nodes=args.nodes))
     return {
         "command": "duality-check",
-        "alpha": report.alpha,
-        "duality_residual": report.duality_residual,
-        "reciprocal_residual": report.reciprocal_residual,
+        **dataclasses.asdict(report),
         "tol": args.tol,
         "passed": max(report.duality_residual, report.reciprocal_residual) < args.tol,
     }
@@ -265,25 +256,14 @@ def _cmd_duality_check(args) -> dict:
 
 def _cmd_invariance_check(args) -> dict:
     f = _load_validated(args, args.input)
-    cfg = QuadratureConfig(nodes=args.nodes)
-    report = quadrature.invariance_suite(f, cfg)
-
-    def leg(t):
-        return {"metric_residual": t.metric_residual, "sdf_residual": t.sdf_residual}
-
-    body = {
+    report = quadrature.invariance_suite(f, QuadratureConfig(nodes=args.nodes))
+    return {
         "command": "invariance-check",
-        "identity": leg(report.identity),
-        "z_power": leg(report.z_power),
-        "blaschke": leg(report.blaschke),
-        "outer_reflection": None
-        if report.outer_reflection is None
-        else leg(report.outer_reflection),
+        **dataclasses.asdict(report),
         "max_metric_residual": report.max_metric_residual,
         "tol": args.tol,
         "passed": report.max_metric_residual < args.tol,
     }
-    return body
 
 
 _DISPATCH = {

@@ -124,17 +124,16 @@ class ConnectionTensors:
     ``gamma_mixed`` holds Gamma^{(alpha)}_{ij,kbar}, ``gamma_pure``
     Gamma^{(alpha)}_{ij,k}, ``gamma_cross`` Gamma^{(alpha)}_{i jbar,k} and
     ``gamma_cross_bar`` Gamma^{(alpha)}_{i jbar,kbar}; ``t_mixed`` and
-    ``t_pure`` the corresponding T components.  Parts an operation does not
-    compute are None.
+    ``t_pure`` the corresponding T components.
     """
 
     alpha: float
-    gamma_mixed: np.ndarray | None = None
-    gamma_pure: np.ndarray | None = None
-    gamma_cross: np.ndarray | None = None
-    gamma_cross_bar: np.ndarray | None = None
-    t_mixed: np.ndarray | None = None
-    t_pure: np.ndarray | None = None
+    gamma_mixed: np.ndarray
+    gamma_pure: np.ndarray
+    gamma_cross: np.ndarray
+    gamma_cross_bar: np.ndarray
+    t_mixed: np.ndarray
+    t_pure: np.ndarray
     residual: float = 0.0
     converged: bool = True
 

@@ -14,7 +14,8 @@ Everything runs on root tuples with a leading sample axis, shape (S, n):
 the candidate's values and Hessians, the Cauchy inverse metric
 (:func:`cepgeo.closed_form.cauchy_inverse`) and their contraction.  The
 per-point functions are the S = 1 case of the same kernels, and a tuple gets
-the same bits in any batch.
+the same bits in any batch, so :func:`check_superharmonic` takes the
+sampler's rounds as they are drawn and never holds the whole sample.
 
 Superharmonicity reports are sampled evidence over the stability region,
 never proofs: the sample count always travels with the verdict.
@@ -30,13 +31,9 @@ import numpy as np
 
 from .closed_form import ModelPoint, cauchy_inverse, factor_matrix
 from .filters import EPS_STAB_DEFAULT, check_eps_stab
-from .sampling import sample_root_tuples
+from .sampling import root_tuple_rounds
 
 REJECT_RADIUS_DEFAULT = 1e-4
-# Delta psi is evaluated on chunks of sampled tuples whose (S, n, n) complex
-# arrays take about this many bytes, so peak memory grows neither with the
-# sample count nor with n^2 per tuple.
-_CHUNK_BYTES = 1 << 18
 
 
 def _coordinates(m: ModelPoint) -> np.ndarray:
@@ -203,9 +200,10 @@ def check_superharmonic(
 
     Near-coincident tuples are rejected at ``REJECT_RADIUS_DEFAULT`` because the
     candidate ratios involve |xi^1 - xi^2|^2 cancellations that amplify
-    rounding.  Delta psi is evaluated a chunk of tuples at a time (about
-    ``_CHUNK_BYTES`` per array); each value equals :func:`laplace_beltrami` at its tuple, bitwise.
-    Deterministic for a fixed seed.
+    rounding.  Delta psi is evaluated on each round of
+    :func:`cepgeo.sampling.root_tuple_rounds` as it is drawn (about 256 KiB
+    per (S, n, n) array); each value equals :func:`laplace_beltrami` at its
+    tuple, bitwise.  Deterministic for a fixed seed.
     """
     p, q = model_shape
     n = p + q
@@ -215,12 +213,10 @@ def check_superharmonic(
         raise ValueError("model shape must have at least one coordinate")
     check_eps_stab(eps_stab)  # the sampling radius is 1 - eps_stab
     signature = (-1,) * p + (1,) * q
-    tuples = sample_root_tuples(seed, samples, n, 1.0 - eps_stab, REJECT_RADIUS_DEFAULT)
     c = np.asarray(signature, dtype=float)
-    values = np.empty(samples)
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
-    for start in range(0, samples, step):
-        values[start : start + step] = _laplace_beltrami(psi, tuples[start : start + step], c)
+    values = np.empty(samples)  # before the first draw, so a size too large fails at once
+    for start, xi in root_tuple_rounds(seed, samples, n, 1.0 - eps_stab, REJECT_RADIUS_DEFAULT):
+        values[start : start + len(xi)] = _laplace_beltrami(psi, xi, c)
     violations = int(np.sum(values > 0.0))
     quartiles = _quartiles(values)
     histogram = {

@@ -18,7 +18,10 @@ are symmetric in i and j, so one kernel forms only the n(n+1)/2 products
 d_i d_j with j >= i, against the third factors a caller passes, and
 mirrors the rest.  The Ricci block is a projection of d^2 log h onto
 span{d log h}, read off a QR factor.  :func:`oracle_tensors` reads the
-metric, Gamma^(0), T and Ricci from one sample.
+metric, Gamma^(0), T and Ricci from one sample.  Each quantity has one
+pass: :func:`connection_numeric` returns T with the four connection
+families, as the closed form does, and :func:`t_tensor_numeric` and
+:func:`ricci_numeric` are reads of that pass and of :func:`oracle_tensors`.
 
 No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
@@ -82,6 +85,8 @@ _QR_BLOCK_BYTES = 1 << 17
 # Nodes of each block of divergence's 2m-node grid: the whole grid at the
 # default node count, so a default run sums each half in one reduction.
 _SPECTRAL_BLOCK = 2 * NODES_DEFAULT
+# Taylor coefficients 1/(k+2)! of _phi, k = 10 down to 0
+_PHI_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(10, -1, -1)]
 # Bytes of each (rows, 2n, 2n) array of duality_check's mu-chunks: every n <= 10
 # filter is one chunk.
 _DUALITY_BLOCK_BYTES = 1 << 17
@@ -232,7 +237,7 @@ def _grid_means(blocks, n: int, products=(), k: int = 0, ricci: bool = False):
     ``products``, one matrix product per block summed in node order from 0,
     so one block gives the bits of one product over the grid; the k third
     moments of :class:`_Triples` against conj(d), then d; and, with
-    ``ricci``, the Ricci block of :func:`ricci_numeric`.
+    ``ricci``, the Ricci block of :func:`oracle_tensors`.
     """
     sums, triples, nodes = [0] * len(products), _Triples(n, k) if k else None, 0
     # [d | dd] goes to LAPACK (column-major) in QR blocks of a fixed node count, whatever
@@ -326,15 +331,19 @@ def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float, lo: int = 0) ->
 def connection_numeric(
     f: ValidatedFilter, alpha: float, cfg: QuadratureConfig = QuadratureConfig()
 ) -> ConnectionTensors:
-    """All four alpha-connection index families by quadrature (T is :func:`t_tensor_numeric`).
+    """All four alpha-connection index families and T by quadrature.
 
     The second-derivative term contributes only when the first two indices
     are an unbarred pair (or, by conjugation, a barred pair); purely mixed
-    pairs carry only the -alpha triple product.
+    pairs carry only the -alpha triple product.  T is twice the two triples,
+
+    T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z,
+
+    and the residual is the largest change under grid doubling of all six.
     """
 
     def blocks(half):
-        # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar
+        # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar, t_mixed, t_pure
         seconds = [("dd", "dc"), ("dd", "d")]
         (s, s_pure), (triple, pure) = _grid_means(half, f.dimension, seconds, 2)
         return (
@@ -342,6 +351,8 @@ def connection_numeric(
             _gamma(pure, s_pure, alpha),
             -alpha * triple.transpose(0, 2, 1),
             -alpha * np.conj(triple.transpose(2, 0, 1)),
+            2.0 * triple,
+            2.0 * pure,
         )
 
     halves = map(blocks, _halves(f, cfg.nodes, f.dimension))
@@ -352,33 +363,13 @@ def connection_numeric(
 def t_tensor_numeric(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> ConnectionTensors:
-    """Symmetric tensor by quadrature, with the factor-2 normalisation
-
-    T_{ij,kbar} = (1/pi i) oint (d_i log h)(d_j log h)(d_k log h)* dz/z.
-    """
-    halves = (_grid_means(half, f.dimension, (), 2)[1] for half in _halves(f, cfg.nodes))
-    doubled = ([2.0 * t for t in half] for half in halves)
-    (tm, tp), residual, converged = _checked(*doubled, _TOL, "t_tensor")
-    return ConnectionTensors(
-        alpha=0.0, t_mixed=tm, t_pure=tp, residual=residual, converged=converged
-    )
+    """T, read at alpha = 0; public only because the benchmark imports it."""
+    return connection_numeric(f, 0.0, cfg)
 
 
 def ricci_numeric(f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
-    """Ricci block R_{i jbar} = -d_i d_jbar log det g, from quadrature alone.
-
-    With d log det g = tr(g^-1 dg) it is a projection of d^2 log h onto
-    span{d log h} on the m-node grid, read off the R factor of the QR of
-    [d | dd]: R_{i jbar} = (R11^-1 R11^-H) o -(R22^H R22)^T, where R11^H R11
-    is g^T and R22^H R22 is <(I-P) dd_j, (I-P) dd_i>, P the grid projection
-    onto span{d_l} (the 1/sqrt(m) weight cancels).  g is not inverted,
-    nothing is differenced.  Each block of nodes is factored alone, then
-    stacked on the R so far: a tall-skinny QR with a quarter of the error of
-    stacking raw blocks at n = 16.
-    """
-    n = f.dimension
-    (blocks,) = _sample(f.coordinates, f.signature, ((cfg.nodes, 0, 1),), n, n)
-    return _grid_means(blocks, n, ricci=True)[2]
+    """Ricci block R_{i jbar}, read off the oracle; public only because the benchmark imports it."""
+    return oracle_tensors(f, cfg)[3]
 
 
 def oracle_tensors(
@@ -386,9 +377,18 @@ def oracle_tensors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """g_{i jbar}, Gamma^(0)_{ij,kbar}, T_{ij,kbar} and R_{i jbar} from one sample.
 
-    Only the mixed blocks of :func:`metric_numeric`, :func:`connection_numeric`
-    and :func:`t_tensor_numeric`, checked and named as there; Ricci as
-    :func:`ricci_numeric`, on the even half of the sample.
+    The first three are the mixed blocks of :func:`metric_numeric` and
+    :func:`connection_numeric`, checked and named as there.  The Ricci block
+    R_{i jbar} = -d_i d_jbar log det g comes from quadrature alone, on the
+    even half of the sample (bitwise the m-node grid).  With d log det g =
+    tr(g^-1 dg) it is a projection of d^2 log h onto span{d log h}, read off
+    the R factor of the QR of [d | dd]: R_{i jbar} = (R11^-1 R11^-H) o
+    -(R22^H R22)^T, where R11^H R11 is g^T and R22^H R22 is
+    <(I-P) dd_j, (I-P) dd_i>, P the grid projection onto span{d_l} (the
+    1/sqrt(m) weight cancels).  g is not inverted, nothing is differenced.
+    Each block of nodes is factored alone, then stacked on the R so far: a
+    tall-skinny QR with a quarter of the error of stacking raw blocks at
+    n = 16.
     """
 
     def legs(blocks, ricci):
@@ -406,6 +406,19 @@ def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
     return np.abs(transfer_values(f, z)) ** 2
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1 - x)/x^2: Taylor below |x| = 1/8 (eleven terms reach 1e-17), expm1 above."""
+    small = np.abs(x) < 0.125
+    t, out = x[~small], np.empty_like(x)
+    out[~small] = (np.expm1(t) - t) / (t * t)
+    t, acc = x[small], np.full(np.count_nonzero(small), _PHI_TAYLOR[0])
+    for coeff in _PHI_TAYLOR[1:]:  # Horner, in place
+        acc *= t
+        acc += coeff
+    out[small] = acc
+    return out
+
+
 def divergence(
     f1: ValidatedFilter,
     f2: ValidatedFilter,
@@ -415,25 +428,20 @@ def divergence(
 ) -> DivergenceValue:
     """alpha-divergence D^(alpha)(S1 || S2) between the two spectral densities.
 
-    For alpha != 0 the integrand ((S2/S1)^alpha - 1 - alpha log(S2/S1))/alpha^2
-    is evaluated in the log domain via expm1, which keeps small ratios exact
-    and avoids overflow; alpha = 0 is the separate squared-log branch
-    (half the squared Hellinger-type integrand).  alpha = -1 recovers the
-    Kullback-Leibler (Itakura-Saito) form.  The densities are evaluated on
-    blocks of ``_SPECTRAL_BLOCK`` nodes, and each half's sum is the correctly
-    rounded sum of its block sums.
+    D = mean of ((S2/S1)^alpha - 1 - alpha l)/alpha^2 = mean of l^2 phi(alpha l),
+    with l = log(S2/S1) and :func:`_phi`, so it has no cancellation as alpha
+    goes to 0 and alpha = 0 (half the mean squared log ratio) is the same
+    formula.  alpha = -1 recovers the Kullback-Leibler (Itakura-Saito) form.
+    The densities are evaluated on blocks of ``_SPECTRAL_BLOCK`` nodes, and
+    each half's sum is the correctly rounded sum of its block sums.
     """
-
-    def integrand(ell):
-        return ell * ell if alpha == 0.0 else np.expm1(alpha * ell) - alpha * ell
-
     m, sums = cfg.nodes, []
     for start in range(0, 2 * m, _SPECTRAL_BLOCK):
         z = _nodes(2 * m, start, start + _SPECTRAL_BLOCK)
         ell = np.log(_spectral_grid(f2, z)) - np.log(_spectral_grid(f1, z))
-        sums.append((np.sum(integrand(ell[::2])), np.sum(integrand(ell[1::2]))))
-    scale = 2.0 if alpha == 0.0 else alpha * alpha
-    even, odd = ([math.fsum(half) / m / scale] for half in zip(*sums))
+        terms = ell * ell * _phi(alpha * ell)
+        sums.append((np.sum(terms[::2]), np.sum(terms[1::2])))
+    even, odd = ([math.fsum(half) / m] for half in zip(*sums))
     (value,), residual, converged = _checked(even, odd, tol, "divergence")
     return DivergenceValue(
         alpha=float(alpha), value=float(value), residual=residual, converged=converged
@@ -459,10 +467,8 @@ class InvarianceReport:
 
     @property
     def max_metric_residual(self) -> float:
-        legs = [self.identity, self.z_power, self.blaschke]
-        if self.outer_reflection is not None:
-            legs.append(self.outer_reflection)
-        return max(leg.metric_residual for leg in legs)
+        legs = [self.identity, self.z_power, self.blaschke, self.outer_reflection]
+        return max(leg.metric_residual for leg in legs if leg is not None)
 
 
 def _sdf_residual(f1, f2) -> float:
@@ -479,11 +485,17 @@ def invariance_suite(
 
     Checks (i) multiplying by z^5, (ii) appending a Blaschke point at 0.4, and
     (iii) reflecting a zero outside the disk with gain compensation and
-    recovering it through :func:`cepgeo.filters.outer_factor`.  For (i) and
-    (ii) the spectral density changes only at rounding level while the
-    coordinates are untouched; for (iii) both the root list and the gain are
-    transformed and recovered.  The outer-reflection leg is None when the
-    filter has no nonzero zero to reflect.
+    recovering it through :func:`cepgeo.filters.outer_factor`.  The outer-
+    reflection leg is None when the filter has no nonzero zero to reflect.
+
+    What each leg can detect: the identity, z_power and blaschke metric legs
+    compare two metric computations on the same roots (:func:`metric_numeric`
+    reads only the coordinates and signature, which (i) and (ii) leave
+    alone), so they catch only nondeterminism.  The sdf legs test that the
+    factors are unimodular on the circle.  The outer-reflection leg tests
+    the reflection round trip: its root list and gain are transformed and
+    recovered.  Neither kind sees a factor that :func:`transfer_values`
+    leaves out, since both factors have modulus 1 on the circle.
     """
     spec = f.to_spec()
     f_z = validate(replace(spec, z_power=spec.z_power + _Z_POWER_SHIFT), f.eps_stab)
@@ -495,8 +507,6 @@ def invariance_suite(
         g_other = metric_numeric(other, cfg).mixed
         return float(np.max(np.abs(g - g_other))) if g.size else 0.0
 
-    # the identity leg recomputes the metric, so it reads 0.0 only if the
-    # quadrature kernels are deterministic
     identity = TransformResiduals(metric_residual(f), _sdf_residual(f, f))
     leg_z = TransformResiduals(metric_residual(f_z), _sdf_residual(f, f_z))
     leg_b = TransformResiduals(metric_residual(f_b), _sdf_residual(f, f_b))

@@ -193,7 +193,7 @@ def serial_root_tuples(
             if dist.min() < min_separation:
                 rejections += 1
                 if rejections > max_rejections:
-                    raise RuntimeError("rejection sampling failed")
+                    raise ValueError("rejection sampling failed")
                 continue
         out[filled] = cand
         filled += 1

@@ -210,6 +210,18 @@ class TestDivergenceCommand:
         assert report["value"] == pytest.approx(li2, rel=1e-10)
         assert report["converged"] is True
 
+    @pytest.mark.parametrize("alpha", ["1e-20", "1e-200"])
+    def test_tiny_alpha_gives_the_alpha_zero_value(self, capsys, tmp_path, alpha):
+        # alpha^2 is 1e-40 and, at 1e-200, underflows to 0
+        allpass = tmp_path / "allpass.json"
+        allpass.write_text(json.dumps({"gain": GAIN_UNIT}))
+        argv = ["divergence", str(allpass), _spiral_document(tmp_path, 16), "--alpha"]
+        _, zero = run_json(capsys, [*argv, "0"])
+        code, report = run_json(capsys, [*argv, alpha])
+        assert code == 0
+        assert report["value"] == zero["value"] == pytest.approx(0.147622907997, rel=1e-11)
+        assert report["converged"] is True
+
 
 # sha256 of whole reports: a change of kernel must not move one digit.
 # Recorded with numpy 2.4 on x86-64 with AVX2 and FMA.
@@ -235,15 +247,22 @@ DUALITY_DIGESTS = {
     16: "c2990419291d6d4d8bcf980dbd98bebf9083cfbd682f5a7ed417ee57069aa658",
     32: "cc540877942cdb2ed318a66b5d4f0af13c1f27146bf5cd0d1c6cd19930175967",
 }
-# divergence from the all-pass filter to the n = 16 filter, keyed by --alpha
+# divergence from the all-pass filter to the n = 16 filter, keyed by --alpha;
+# -1 recorded again when the integrand became l^2 phi(alpha l): only its
+# residual moved (2.78e-17 -> 0.0, doubling noise)
 DIVERGENCE_DIGESTS = {
-    "-1": "13ad171dc55813f16255af8aacbc109c9d637eb815241f6e800c10e84fda9406",
+    "-1": "04eeb4063d05d5c9cad04a2dfde4981ac0904452ffc047b83916ecc6669b5aec",
     "0": "21ceadd6171434c7fbf15194c981616ba01296f49550d80eec35d82794f69dec",
 }
 # oracle-compare keyed by n: closed forms against one quadrature sample
 ORACLE_DIGESTS = {
     4: "6defa3b38fc437a8bb68bd9d5635eb556aa693bd7e88f5eb1456dce4610d3601",
     16: "a44642e92bec8154c81f951ae6b827fabcb6b662dca61a4585de14b02efa4ce0",
+}
+# invariance-check keyed by n
+INVARIANCE_DIGESTS = {
+    4: "0cd75ffdbf27037dced2a417432d2b1e26fdf7b2ef72138ce8319464136a70f1",
+    16: "a337131c7dbf88adbff96fc9bcfe263a29afa30f467a9c6e23ecb4b4d2cae18f",
 }
 
 
@@ -296,6 +315,11 @@ class TestPinnedReports:
     def test_oracle_compare_bytes(self, tmp_path, n):
         argv = ["oracle-compare", _spiral_document(tmp_path, n)]
         assert _digest(argv, tmp_path) == ORACLE_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(INVARIANCE_DIGESTS))
+    def test_invariance_check_bytes(self, tmp_path, n):
+        argv = ["invariance-check", _spiral_document(tmp_path, n)]
+        assert _digest(argv, tmp_path) == INVARIANCE_DIGESTS[n]
 
 
 class TestCheckPriorCommand:

@@ -89,6 +89,46 @@ class TestEvalTransfer:
         assert transfer_values(f, 1.0) == pytest.approx(4.0 / (2.0 * math.pi))
 
 
+class TestUnimodularFactors:
+    """The z power and the Blaschke factors of h, where |h|^2 on the circle cannot see them.
+
+    Both have modulus 1 on the circle, so nothing built on the spectral
+    density S tests them: only values off the circle and the phase on it.
+    """
+
+    B = 0.4 + 0.3j  # |B| = 0.5
+
+    def test_z_power_off_the_circle(self):
+        z = np.array([0.5 + 0.25j, -2.0 + 1.0j, 1.5j])
+        base = make_filter(poles=(0.5,), zeros=(0.3j,))
+        shifted = make_filter(poles=(0.5,), zeros=(0.3j,), z_power=3)
+        ratio = transfer_values(shifted, z) / transfer_values(base, z)
+        assert np.allclose(ratio, z**3, rtol=1e-14, atol=0.0)
+
+    def test_blaschke_factor_off_the_circle(self):
+        # (|b|/b)(b - z)/(1 - conj(b) z) is |b| at 0, 0 at b, and -1 at 2b when |b| = 1/2
+        f = make_filter(blaschke=(self.B,))
+        h = transfer_values(f, np.array([0.0, self.B, 2.0 * self.B]))
+        assert h == pytest.approx([0.5, 0.0, -1.0], abs=1e-15)
+
+    def test_blaschke_zero_inside_other_roots(self):
+        f = make_filter(poles=(0.5,), zeros=(0.3j,), blaschke=(self.B,))
+        assert transfer_values(f, np.array([self.B]))[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "z_power, blaschke",
+        [(0, ()), (5, ()), (0, (B, -0.7j)), (2, (B,))],
+        ids=["none", "z5", "two-points", "z2-one-point"],
+    )
+    def test_phase_on_the_circle_winds_once_per_factor(self, z_power, blaschke):
+        # the minimum-phase part does not wind around 0; z^k winds k times and
+        # each Blaschke factor once
+        f = make_filter(poles=(0.5, -0.2j), zeros=(0.6,), blaschke=blaschke, z_power=z_power)
+        h = transfer_values(f, np.exp(1j * GRID))
+        steps = np.angle(np.roll(h, -1) / h)
+        assert np.sum(steps) / (2.0 * np.pi) == pytest.approx(z_power + len(blaschke), abs=1e-9)
+
+
 class TestSpectralDensity:
     def test_allpass_cancelling_pair_is_constant(self):
         f = make_filter(poles=(0.5,), zeros=(0.5,))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cepgeo import priors
+from cepgeo import priors, sampling
 from cepgeo.closed_form import CoincidentRootsWarning, ModelPoint
 from cepgeo.priors import (
     BUILTINS,
@@ -169,9 +169,9 @@ class TestBatchedAgainstPerPoint:
         ],
     )
     def test_check_repeats_per_point_values_bitwise(self, monkeypatch, psi_name, shape):
-        # chunks of 97 tuples: the report must not depend on where they split
+        # rounds of 97 tuples: the report must not depend on where they split
         n = sum(shape)
-        monkeypatch.setattr(priors, "_CHUNK_BYTES", 97 * 16 * n * n)
+        monkeypatch.setattr(sampling, "_ROUND_BYTES", 97 * 16 * n * n)
         psi = BUILTINS[psi_name](n=n)
         report = check_superharmonic(psi, shape, 400, seed=9)
         rows = sample_root_tuples(9, 400, n, 1.0 - 1e-6, priors.REJECT_RADIUS_DEFAULT)
@@ -304,8 +304,14 @@ def test_reject_radius_against_mpmath(sep):
             lambda: check_superharmonic(prior_psi1(n=0), (0, 0), 10, 0),
             "model shape must have at least one coordinate",
         ),
+        # two roots of a disk of radius 1e-5 are never 1e-4 apart
+        (
+            ["check-prior", "--psi", "psi1", "--model", "ar:2", "--eps-stab", "0.99999"],
+            "cannot sample 2 roots pairwise 0.0001 apart in a disk of radius 1e-05:"
+            " more than 100000 tuples rejected",
+        ),
     ],
-    ids=["no-samples", "no-coordinates"],
+    ids=["no-samples", "no-coordinates", "separation-too-large-for-the-disk"],
 )
 def test_input_checks(capsys, tmp_path, run, message):
     assert input_error(capsys, tmp_path, run) == ("INVALID_INPUT", message)

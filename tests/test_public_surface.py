@@ -3,7 +3,9 @@
 Every public top-level ``def`` and ``class`` in ``src/cepgeo`` must be
 referenced, as a name or an attribute, from the package outside its own
 definition or from the benchmark in ``perfbench/``.  API that only tests
-call belongs in the tests.
+call belongs in the tests.  Every top-level assignment, public or private
+(dunders aside), must be read there too, so a constant cannot outlive its
+last reader.
 """
 
 import ast
@@ -28,11 +30,19 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _reads(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
 TREES = {path: _parse(path) for path in MODULES}
 PACKAGE_REFS = sum((_references(tree) for tree in TREES.values()), Counter())
-BENCH_REFS = sum(
-    (_references(_parse(path)) for path in sorted((ROOT / "perfbench").glob("*.py"))), Counter()
-)
+BENCH_TREES = [_parse(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+BENCH_REFS = sum((_references(tree) for tree in BENCH_TREES), Counter())
+READS = sum((_reads(tree) for tree in [*TREES.values(), *BENCH_TREES]), Counter())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -46,6 +56,24 @@ def test_public_definitions_are_used(path):
         and not BENCH_REFS[node.name]
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_level_names_are_read(path):
+    assigned = [
+        name.id
+        for node in TREES[path].body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    ]
+    unread = [
+        name
+        for name in assigned
+        if not (name.startswith("__") and name.endswith("__")) and not READS[name]
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

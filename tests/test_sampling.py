@@ -44,7 +44,7 @@ def test_generator_ends_in_the_serial_state(n, min_separation):
 def _raises(sampler, **kwargs):
     try:
         sampler(3, 20, 4, 0.9, 0.6, **kwargs)
-    except RuntimeError:
+    except ValueError:
         return True
     return False
 

@@ -193,20 +193,9 @@ def _cmd_divergence(args) -> dict:
 def _cmd_check_prior(args) -> dict:
     shape = _parse_model_shape(args.model)
     psi = priors.BUILTINS[args.psi](n=shape[0] + shape[1])
-    report = priors.check_superharmonic(
-        psi, shape, args.samples, args.seed, eps_stab=args.eps_stab
-    )
-    return {
-        "command": "check-prior",
-        "psi": report.kind,
-        "model": args.model,
-        "signature": list(report.signature),
-        "samples": report.samples,
-        "seed": report.seed,
-        "violations": report.violations,
-        "worst_value": report.worst_value,
-        "margin_histogram": report.margin_histogram,
-    }
+    report = priors.check_superharmonic(psi, shape, args.samples, args.seed, args.eps_stab)
+    head = {"command": "check-prior", "psi": report.psi, "model": args.model}  # psi, model lead
+    return {**head, **dataclasses.asdict(report)}
 
 
 def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:

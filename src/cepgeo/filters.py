@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,36 +36,43 @@ class FilterError(ValueError):
     code = "FILTER_ERROR"
 
 
-class PoleOutsideDisk(FilterError):
+class _RootViolation(FilterError):
+    """Roots with bad moduli: ``violations`` lists (index, modulus), all reported at once."""
+
+    where: str  # the root list named in the detail
+    template: str  # the message, with {detail} for the offending roots
+
+    def __init__(self, violations: list[tuple[int, float]]):
+        self.violations = violations
+        detail = ", ".join(f"{self.where}[{i}] has modulus {m:.6g}" for i, m in violations)
+        super().__init__(self.template.format(detail=detail))
+
+
+class PoleOutsideDisk(_RootViolation):
     code = "POLE_OUTSIDE_DISK"
-
-    def __init__(self, violations: list[tuple[int, float]]):
-        self.violations = violations
-        detail = ", ".join(f"poles[{i}] has modulus {m:.6g}" for i, m in violations)
-        super().__init__(f"poles must lie strictly inside the unit disk: {detail}")
+    where = "poles"
+    template = "poles must lie strictly inside the unit disk: {detail}"
 
 
-class ZeroOutsideDisk(FilterError):
+class ZeroOutsideDisk(_RootViolation):
     code = "ZERO_OUTSIDE_DISK"
-
-    def __init__(self, violations: list[tuple[int, float]]):
-        self.violations = violations
-        detail = ", ".join(f"zeros[{i}] has modulus {m:.6g}" for i, m in violations)
-        super().__init__(
-            f"zeros outside the unit disk (filter is not minimum phase): {detail}"
-        )
+    where = "zeros"
+    template = "zeros outside the unit disk (filter is not minimum phase): {detail}"
 
 
-class ZeroOnCircle(FilterError):
+class ZeroOnCircle(_RootViolation):
     code = "ZERO_ON_CIRCLE"
+    where = "zeros"
+    template = (
+        "zeros on (or within the stability margin of) the unit circle are not "
+        "representable: the log-transfer series diverges there: {detail}"
+    )
 
-    def __init__(self, violations: list[tuple[int, float]]):
-        self.violations = violations
-        detail = ", ".join(f"zeros[{i}] has modulus {m:.6g}" for i, m in violations)
-        super().__init__(
-            "zeros on (or within the stability margin of) the unit circle are not "
-            f"representable: the log-transfer series diverges there: {detail}"
-        )
+
+class BlaschkePointOutsideDisk(_RootViolation):
+    code = "BLASCHKE_POINT_OUTSIDE_DISK"
+    where = "blaschke"
+    template = "Blaschke points must lie inside the open unit disk: {detail}"
 
 
 class NonPositiveGain(FilterError):
@@ -75,22 +82,8 @@ class NonPositiveGain(FilterError):
         super().__init__(f"gain must be positive, got {gain!r}")
 
 
-class BlaschkePointOutsideDisk(FilterError):
-    code = "BLASCHKE_POINT_OUTSIDE_DISK"
-
-    def __init__(self, violations: list[tuple[int, float]]):
-        self.violations = violations
-        detail = ", ".join(f"blaschke[{i}] has modulus {m:.6g}" for i, m in violations)
-        super().__init__(f"Blaschke points must lie inside the open unit disk: {detail}")
-
-
 class EvalAtPole(FilterError):
     code = "EVAL_AT_POLE"
-
-
-def _gain_term(gain: float) -> float:
-    """Prefactor sigma^2/(2 pi) of the transfer function."""
-    return gain * gain / (2.0 * math.pi)
 
 
 def coordinate_labels(signature) -> tuple[str, ...]:
@@ -138,11 +131,12 @@ class FilterSpec:
 
     @property
     def gain_term(self) -> float:
-        return _gain_term(self.gain)
+        """Prefactor sigma^2/(2 pi) of the transfer function."""
+        return self.gain * self.gain / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class ValidatedFilter:
+class ValidatedFilter(FilterSpec):
     """A stable, minimum-phase filter with all roots inside the margin.
 
     Construct through :func:`validate`.  Coordinates of the underlying
@@ -150,13 +144,11 @@ class ValidatedFilter:
     conventional -1 (pole) / +1 (zero) markers.
     """
 
-    gain: float
-    poles: tuple[complex, ...]
-    zeros: tuple[complex, ...]
-    blaschke_points: tuple[complex, ...]
-    z_power: int
-    eps_stab: float
-    has_exact_cancellation: bool
+    eps_stab: float = field(kw_only=True)
+    has_exact_cancellation: bool = field(kw_only=True)
+
+    def __post_init__(self):
+        pass  # validate passes a FilterSpec's normalised fields; redoing it doubles its cost
 
     @property
     def dimension(self) -> int:
@@ -174,18 +166,8 @@ class ValidatedFilter:
     def labels(self) -> tuple[str, ...]:
         return coordinate_labels(self.signature)
 
-    @property
-    def gain_term(self) -> float:
-        return _gain_term(self.gain)
-
     def to_spec(self) -> FilterSpec:
-        return FilterSpec(
-            gain=self.gain,
-            poles=self.poles,
-            zeros=self.zeros,
-            blaschke_points=self.blaschke_points,
-            z_power=self.z_power,
-        )
+        return FilterSpec(self.gain, self.poles, self.zeros, self.blaschke_points, self.z_power)
 
 
 @dataclass(frozen=True)
@@ -206,12 +188,16 @@ class CepstrumSeries:
     tail_bound: float
 
 
+def _raise_if(error: type[_RootViolation], violations: list[tuple[int, float]]) -> None:
+    if violations:
+        raise error(violations)
+
+
 def _check_zero_band(zeros: tuple[complex, ...], eps_stab: float) -> None:
     """Raise :class:`ZeroOnCircle` for zeros in ``(1 - eps_stab, 1/(1 - eps_stab))``."""
     limit = 1.0 - eps_stab
     on_circle = [(j, abs(zt)) for j, zt in enumerate(zeros) if limit < abs(zt) < 1.0 / limit]
-    if on_circle:
-        raise ZeroOnCircle(on_circle)
+    _raise_if(ZeroOnCircle, on_circle)
 
 
 def check_eps_stab(eps_stab: float) -> None:
@@ -237,32 +223,25 @@ def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedF
         raise NonPositiveGain(spec.gain)
 
     limit = 1.0 - eps_stab
-    bad_poles = [(i, abs(p)) for i, p in enumerate(spec.poles) if abs(p) > limit]
-    if bad_poles:
-        raise PoleOutsideDisk(bad_poles)
-
+    _raise_if(PoleOutsideDisk, [(i, abs(p)) for i, p in enumerate(spec.poles) if abs(p) > limit])
     bad_blaschke = [(i, abs(b)) for i, b in enumerate(spec.blaschke_points) if abs(b) >= 1.0]
-    if bad_blaschke:
-        raise BlaschkePointOutsideDisk(bad_blaschke)
-
+    _raise_if(BlaschkePointOutsideDisk, bad_blaschke)
     _check_zero_band(spec.zeros, eps_stab)
-    outside = [(j, abs(zt)) for j, zt in enumerate(spec.zeros) if abs(zt) > limit]
-    if outside:
-        raise ZeroOutsideDisk(outside)
+    _raise_if(ZeroOutsideDisk, [(j, abs(zt)) for j, zt in enumerate(spec.zeros) if abs(zt) > limit])
 
     cancellation = bool(set(spec.poles) & set(spec.zeros))
     return ValidatedFilter(
-        gain=spec.gain,
-        poles=spec.poles,
-        zeros=spec.zeros,
-        blaschke_points=spec.blaschke_points,
-        z_power=spec.z_power,
+        spec.gain,
+        spec.poles,
+        spec.zeros,
+        spec.blaschke_points,
+        spec.z_power,
         eps_stab=eps_stab,
         has_exact_cancellation=cancellation,
     )
 
 
-def transfer_values(f: ValidatedFilter | FilterSpec, z: np.ndarray) -> np.ndarray:
+def transfer_values(f: FilterSpec, z: np.ndarray) -> np.ndarray:
     """Vectorised transfer-function evaluation at an array of points."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0.0) and (f.poles or f.zeros or f.z_power < 0):
@@ -346,20 +325,9 @@ def outer_factor(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> Valida
     is returned unchanged (the map is idempotent).
     """
     _check_zero_band(spec.zeros, eps_stab)
-    new_zeros = []
-    gain_term_factor = 1.0
-    for zt in spec.zeros:
-        m = abs(zt)
-        if m > 1.0:
-            new_zeros.append(1.0 / zt.conjugate())
-            gain_term_factor *= m
-        else:
-            new_zeros.append(zt)
-    reflected = replace(
-        spec,
-        zeros=tuple(new_zeros),
-        gain=spec.gain * math.sqrt(gain_term_factor),
-    )
+    zeros = tuple(1.0 / zt.conjugate() if abs(zt) > 1.0 else zt for zt in spec.zeros)
+    gain_term_factor = math.prod(abs(zt) for zt in spec.zeros if abs(zt) > 1.0)
+    reflected = replace(spec, zeros=zeros, gain=spec.gain * math.sqrt(gain_term_factor))
     return validate(reflected, eps_stab)
 
 
@@ -375,13 +343,7 @@ def reflect_zero_out(f: ValidatedFilter, index: int) -> FilterSpec:
         raise ValueError("cannot reflect a zero at the origin")
     zeros = list(f.zeros)
     zeros[index] = 1.0 / zt.conjugate()
-    return FilterSpec(
-        gain=f.gain * math.sqrt(abs(zt)),
-        poles=f.poles,
-        zeros=tuple(zeros),
-        blaschke_points=f.blaschke_points,
-        z_power=f.z_power,
-    )
+    return replace(f.to_spec(), gain=f.gain * math.sqrt(abs(zt)), zeros=tuple(zeros))
 
 
 def reciprocal(f: ValidatedFilter) -> ValidatedFilter:
@@ -393,13 +355,5 @@ def reciprocal(f: ValidatedFilter) -> ValidatedFilter:
     """
     if f.blaschke_points:
         raise ValueError("reciprocal of a filter with Blaschke factors is not minimum phase")
-    return validate(
-        FilterSpec(
-            gain=2.0 * math.pi / f.gain,
-            poles=f.zeros,
-            zeros=f.poles,
-            blaschke_points=(),
-            z_power=-f.z_power,
-        ),
-        f.eps_stab,
-    )
+    inverse = FilterSpec(2.0 * math.pi / f.gain, poles=f.zeros, zeros=f.poles, z_power=-f.z_power)
+    return validate(inverse, f.eps_stab)

@@ -180,7 +180,7 @@ class SuperharmonicReport:
     points, never globally.
     """
 
-    kind: str
+    psi: str
     signature: tuple[int, ...]
     samples: int
     seed: int
@@ -229,7 +229,7 @@ def check_superharmonic(
         "std": float(values.std()),
     }
     return SuperharmonicReport(
-        kind=psi.kind,
+        psi=psi.kind,
         signature=signature,
         samples=samples,
         seed=seed,

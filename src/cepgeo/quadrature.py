@@ -402,7 +402,6 @@ def oracle_tensors(
 
 
 def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
-    # works on ValidatedFilter and FilterSpec alike
     return np.abs(transfer_values(f, z)) ** 2
 
 

@@ -33,11 +33,7 @@ def root_tuple_rounds(
     the disk.  A round draws at most the tuples still missing, so a generator
     passed in ends where drawing one tuple at a time would leave it.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
     filled = rejections = 0
     diag = np.arange(n)
     per_round = max(1, _ROUND_BYTES // (16 * max(n, 1) ** 2))

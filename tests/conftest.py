@@ -175,11 +175,7 @@ def serial_root_tuples(
     The loop ``sampling.sample_root_tuples`` must reproduce bitwise, with the
     generator left in the same state and the same rejection budget.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     out = np.empty((samples, n), dtype=complex)
     filled = 0
     rejections = 0

@@ -1,10 +1,14 @@
 import cmath
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +634,25 @@ def test_readme_cli_examples_run(capsys, tmp_path):
         assert argv[0] == "cepgeo"
         assert main(argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_lists_every_error_code():
+    # the CLI reports an error's class code, or INVALID_INPUT for any other ValueError
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\| `([A-Z_]+)` \|", readme, re.M))
+    modules = [
+        importlib.import_module(f"cepgeo.{m.name}")
+        for m in pkgutil.iter_modules(cepgeo.__path__)
+        if m.name != "__main__"
+    ]
+    codes = {
+        obj.code
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and hasattr(obj, "code")
+    }
+    assert {"COINCIDENT_ROOTS", "FILTER_ERROR"} <= codes  # closed_form and filters were read
+    assert (codes | {"INVALID_INPUT"}) - documented == set()
 
 
 def test_console_entry_point_runs(tmp_path):

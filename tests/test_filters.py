@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from cepgeo.filters import (
     EPS_STAB_DEFAULT,
+    BlaschkePointOutsideDisk,
+    FilterError,
     FilterSpec,
     NonPositiveGain,
     PoleOutsideDisk,
@@ -330,3 +332,89 @@ ARMA11_DOC = {"gain": GAIN, "poles": [{"re": 0.5, "im": 0.0}], "zeros": [{"re": 
 )
 def test_input_checks(capsys, tmp_path, run, code, message):
     assert input_error(capsys, tmp_path, run) == (code, message)
+
+
+ZERO_ON_CIRCLE_MESSAGE = (
+    "zeros on (or within the stability margin of) the unit circle are not representable:"
+    " the log-transfer series diverges there: zeros[1] has modulus 1, zeros[2] has modulus 1"
+)
+
+
+@pytest.mark.parametrize(
+    "run, error, code, violations, message",
+    [
+        (
+            lambda: validate(FilterSpec(gain=1.0, poles=(0.5, 1.5, -2j, 1 - 1e-8))),
+            PoleOutsideDisk,
+            "POLE_OUTSIDE_DISK",
+            [(1, 1.5), (2, 2.0), (3, 0.99999999)],
+            "poles must lie strictly inside the unit disk: poles[1] has modulus 1.5,"
+            " poles[2] has modulus 2, poles[3] has modulus 1",
+        ),
+        (
+            lambda: validate(FilterSpec(gain=1.0, zeros=(0.3, 1 + 1e-9, -1j * (1 - 1e-8)))),
+            ZeroOnCircle,
+            "ZERO_ON_CIRCLE",
+            [(1, 1.000000001), (2, 0.99999999)],
+            ZERO_ON_CIRCLE_MESSAGE,
+        ),
+        (
+            lambda: validate(FilterSpec(gain=1.0, zeros=(2.0, 0.5, 3j, -1.5))),
+            ZeroOutsideDisk,
+            "ZERO_OUTSIDE_DISK",
+            [(0, 2.0), (2, 3.0), (3, 1.5)],
+            "zeros outside the unit disk (filter is not minimum phase): zeros[0] has modulus 2,"
+            " zeros[2] has modulus 3, zeros[3] has modulus 1.5",
+        ),
+        (
+            lambda: validate(FilterSpec(gain=1.0, blaschke_points=(0.5, 1.0, 2j))),
+            BlaschkePointOutsideDisk,
+            "BLASCHKE_POINT_OUTSIDE_DISK",
+            [(1, 1.0), (2, 2.0)],
+            "Blaschke points must lie inside the open unit disk: blaschke[1] has modulus 1,"
+            " blaschke[2] has modulus 2",
+        ),
+        (
+            lambda: outer_factor(FilterSpec(gain=1.0, zeros=(2.0, 1 + 1e-9, 1j * (1 - 1e-8)))),
+            ZeroOnCircle,
+            "ZERO_ON_CIRCLE",
+            [(1, 1.000000001), (2, 0.99999999)],
+            ZERO_ON_CIRCLE_MESSAGE,
+        ),
+        (
+            lambda: validate(FilterSpec(gain=-1.0)),
+            NonPositiveGain,
+            "NON_POSITIVE_GAIN",
+            None,
+            "gain must be positive, got -1.0",
+        ),
+    ],
+    ids=["poles", "zeros-on-circle", "zeros-outside", "blaschke", "outer-factor-band", "gain"],
+)
+def test_root_errors_are_pinned(run, error, code, violations, message):
+    """Class, code, violations and the message the CLI prints, for several offending roots."""
+    with pytest.raises(FilterError) as exc_info:
+        run()
+    exc = exc_info.value
+    assert type(exc) is error
+    assert exc.code == code
+    assert getattr(exc, "violations", None) == violations
+    assert str(exc) == message
+
+
+def test_derived_filters_are_pinned():
+    f = validate(FilterSpec(gain=1.3, poles=(0.5, 0.2 + 0.3j), zeros=(0.3 - 0.1j, -0.4), z_power=2))
+    assert repr(reciprocal(f)) == (
+        "ValidatedFilter(gain=4.83321946706122, poles=((0.3-0.1j), (-0.4+0j)),"
+        " zeros=((0.5+0j), (0.2+0.3j)), blaschke_points=(), z_power=-2, eps_stab=1e-06,"
+        " has_exact_cancellation=False)"
+    )
+    assert repr(reflect_zero_out(f, 0)) == (
+        "FilterSpec(gain=0.7310437227474538, poles=((0.5+0j), (0.2+0.3j)),"
+        " zeros=((3-1.0000000000000002j), (-0.4+0j)), blaschke_points=(), z_power=2)"
+    )
+    assert repr(outer_factor(reflect_zero_out(f, 0))) == (
+        "ValidatedFilter(gain=1.2999999999999998, poles=((0.5+0j), (0.2+0.3j)),"
+        " zeros=((0.3-0.10000000000000002j), (-0.4+0j)), blaschke_points=(), z_power=2,"
+        " eps_stab=1e-06, has_exact_cancellation=False)"
+    )

@@ -29,7 +29,10 @@ the product xi^i conj(xi^j) itself.  ``connection0``, ``t_tensor`` and
 
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
-the arrays it returns.
+the arrays it returns.  The blocks that vanish on the constant-gain
+manifold (the pure metric g_{ij}, Gamma_{ij,k} and T_{ijk}) are not
+allocated: each is a read-only, zero-strided view of one +0.0, so only the
+dense blocks cost memory and fresh pages.
 
 Index conventions: ``mixed`` arrays put the barred index last; the inverse
 metric ``B[i][j] = g^{i jbar}`` satisfies ``sum_j B[i][j] g[k][j] = delta_ik``
@@ -58,6 +61,11 @@ _LI2_COEFFS = tuple(
         start=1,
     )
 )
+
+
+# One complex +0.0 under every structurally zero block; bytes are immutable,
+# so no view of it can be made writeable.
+_ZERO = bytes(16)
 
 
 class CoincidentRootsError(ValueError):
@@ -108,7 +116,8 @@ class HermitianMetric:
 
     ``mixed[i][j]`` is g_{i jbar}; ``pure[i][j]`` is g_{ij}, which vanishes
     whenever the zeroth cepstrum coefficient is constant in the parameters
-    (always the case on the constant-gain submanifold).
+    (always the case on the constant-gain submanifold).  The closed form's
+    ``pure`` is a read-only view with zero strides; copy it to write to it.
     """
 
     mixed: np.ndarray
@@ -124,7 +133,9 @@ class ConnectionTensors:
     ``gamma_mixed`` holds Gamma^{(alpha)}_{ij,kbar}, ``gamma_pure``
     Gamma^{(alpha)}_{ij,k}, ``gamma_cross`` Gamma^{(alpha)}_{i jbar,k} and
     ``gamma_cross_bar`` Gamma^{(alpha)}_{i jbar,kbar}; ``t_mixed`` and
-    ``t_pure`` the corresponding T components.
+    ``t_pure`` the corresponding T components.  The closed form's
+    ``gamma_pure`` and ``t_pure`` vanish and are read-only views with zero
+    strides; copy them to write to them.
     """
 
     alpha: float
@@ -160,6 +171,11 @@ def factor_matrix(xi: np.ndarray) -> np.ndarray:
     """a[..., i, j] = 1 - xi^i conj(xi^j) over any leading axes of ``xi`` (..., n)."""
     xic = xi.conj()
     return 1.0 - xi[..., :, None] * xic[..., None, :]
+
+
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A structurally zero block: a read-only view of one complex +0.0, no memory per entry."""
+    return np.ndarray(shape, dtype=complex, buffer=_ZERO, strides=(0,) * len(shape))
 
 
 def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -214,8 +230,7 @@ def metric(m: ModelPoint) -> HermitianMetric:
     """Closed-form metric: mixed block c_i c_j / (1 - xi^i conj(xi^j)), pure block 0."""
     _, c, a, a_diag = _arrays(m)
     mixed = _hermitize(np.outer(c, c) / a, 1.0 / a_diag)
-    pure = np.zeros((m.n, m.n), dtype=complex)
-    return HermitianMetric(mixed=mixed, pure=pure)
+    return HermitianMetric(mixed=mixed, pure=_zeros(mixed.shape))
 
 
 def inverse_metric(m: ModelPoint) -> np.ndarray:
@@ -317,7 +332,8 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar} and
     Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar}).
     T is built once and each family is written from it into its own
-    C-ordered array, so the call holds no n^3 array beyond the six it returns.
+    C-ordered array, so the call holds no n^3 array beyond the four dense
+    ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
     """
     xi, c, a, _ = _arrays(m)
     t = _t(xi, c, a)
@@ -332,11 +348,11 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     return ConnectionTensors(
         alpha=float(alpha),
         gamma_mixed=gamma_mixed,
-        gamma_pure=np.zeros(t.shape, dtype=complex),
+        gamma_pure=_zeros(t.shape),
         gamma_cross=np.multiply(-0.5 * alpha, t.transpose(0, 2, 1), order="C"),
         gamma_cross_bar=gamma_cross_bar,
         t_mixed=t,
-        t_pure=np.zeros(t.shape, dtype=complex),
+        t_pure=_zeros(t.shape),
     )
 
 

@@ -467,14 +467,8 @@ class InvarianceReport:
     @property
     def max_metric_residual(self) -> float:
         legs = [self.identity, self.z_power, self.blaschke, self.outer_reflection]
-        return max(leg.metric_residual for leg in legs if leg is not None)
-
-
-def _sdf_residual(f1, f2) -> float:
-    z = circle_nodes(1024)
-    s1 = _spectral_grid(f1, z)
-    s2 = _spectral_grid(f2, z)
-    return float(np.max(np.abs(s1 - s2) / s1))
+        # np.max, unlike max(), keeps a NaN
+        return float(np.max([leg.metric_residual for leg in legs if leg is not None]))
 
 
 def invariance_suite(
@@ -501,14 +495,19 @@ def invariance_suite(
     blaschke = spec.blaschke_points + (_BLASCHKE_POINT,)
     f_b = validate(replace(spec, blaschke_points=blaschke), f.eps_stab)
     g = metric_numeric(f, cfg).mixed
+    z = circle_nodes(1024)
+    s = _spectral_grid(f, z)  # S_f, formed once; the identity leg forms it again
 
     def metric_residual(other: ValidatedFilter) -> float:
         g_other = metric_numeric(other, cfg).mixed
         return float(np.max(np.abs(g - g_other))) if g.size else 0.0
 
-    identity = TransformResiduals(metric_residual(f), _sdf_residual(f, f))
-    leg_z = TransformResiduals(metric_residual(f_z), _sdf_residual(f, f_z))
-    leg_b = TransformResiduals(metric_residual(f_b), _sdf_residual(f, f_b))
+    def sdf_residual(other: ValidatedFilter) -> float:
+        return float(np.max(np.abs(s - _spectral_grid(other, z)) / s))
+
+    identity = TransformResiduals(metric_residual(f), sdf_residual(f))
+    leg_z = TransformResiduals(metric_residual(f_z), sdf_residual(f_z))
+    leg_b = TransformResiduals(metric_residual(f_b), sdf_residual(f_b))
 
     reflection = None
     candidates = [j for j, zt in enumerate(f.zeros) if zt != 0.0]
@@ -516,7 +515,7 @@ def invariance_suite(
         j = max(candidates, key=lambda idx: abs(f.zeros[idx]))
         twin = reflect_zero_out(f, j)  # same S, no longer minimum phase
         recovered = outer_factor(twin, f.eps_stab)
-        reflection = TransformResiduals(metric_residual(recovered), _sdf_residual(f, twin))
+        reflection = TransformResiduals(metric_residual(recovered), sdf_residual(twin))
     return InvarianceReport(
         identity=identity, z_power=leg_z, blaschke=leg_b, outer_reflection=reflection
     )

@@ -126,6 +126,17 @@ def _rounded(x: Any) -> float:
     return x
 
 
+def _entry_float(x: float) -> str:
+    """``repr(fmt_float(x))``, without the float round trip where it cannot change the text.
+
+    A 12-digit text with a point and no exponent already is the shortest
+    repr of the float it rounds to: a shorter decimal differs from it by
+    more than a float's spacing, and repr writes no exponent in that range.
+    """
+    text = f"{x:.12g}"
+    return text if "." in text and "e" not in text else repr(float(text))
+
+
 def _distinct(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], fmt) -> tuple[np.ndarray, ...]:
     """``fmt`` of each distinct float bit pattern (-0.0 apart from 0.0), and each part's index.
 
@@ -140,7 +151,7 @@ def _distinct(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], fmt) -> tuple[n
 
 def _write_entries(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], out: list[str], nl: str) -> None:
     """A tensor document's entry list, one template per entry, each distinct float formatted once."""
-    texts, inverse = _distinct(blocks, lambda x: repr(fmt_float(x)))
+    texts, inverse = _distinct(blocks, _entry_float)
     if not texts.size:
         out.append("[]")
         return
@@ -238,6 +249,14 @@ def render_table(report: dict[str, Any]) -> str:
     """
     lines: list[str] = []
 
+    def cell(value: Any, top: bool = True) -> str:
+        # a complex {"re", "im"} pair reads re + im i, inside lists too
+        if isinstance(value, dict) and set(value) == {"re", "im"}:
+            return f"{value['re']:.12g} + {value['im']:.12g}i"
+        if isinstance(value, list):
+            return "[" + ", ".join(cell(item, False) for item in value) + "]"
+        return str(value) if top else repr(value)
+
     def emit(prefix: str, value: Any) -> None:
         if isinstance(value, TensorDocument):
             texts, inverse = _distinct(value.blocks, lambda x: f"{fmt_float(x):.12g}")
@@ -258,10 +277,7 @@ def render_table(report: dict[str, Any]) -> str:
                 idx = ",".join(str(t) for t in entry["idx"])
                 lines.append(f"  [{idx}] = {entry['re']:.12g} + {entry['im']:.12g}i")
         else:
-            value = _plain(value)
-            if isinstance(value, dict):  # {"re", "im"}
-                value = f"{value['re']:.12g} + {value['im']:.12g}i"
-            lines.append(f"{prefix} = {value}")
+            lines.append(f"{prefix} = {cell(_plain(value))}")
 
     emit("", report)
     return "\n".join(lines) + "\n"

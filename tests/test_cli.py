@@ -461,6 +461,23 @@ class TestOracleCompareCommand:
         assert sum(widths) == 2048
         assert [(t.acc.shape, t.nodes) for t in moments] == [((6, 3), 1024)] * 2
 
+    def test_nan_leg_reaches_the_max(self, monkeypatch):
+        # ricci0 is the last leg, which the builtin max() would drop
+        f = validate(FilterSpec(gain=1.0, poles=(0.5, -0.2 + 0.3j), zeros=(0.1j,)))
+        tensors = quadrature.oracle_tensors
+
+        def nan_ricci(f, cfg):
+            g, gamma, t, ricci = tensors(f, cfg)
+            ricci = ricci.copy()
+            ricci[0, 1] = np.nan
+            return g, gamma, t, ricci
+
+        monkeypatch.setattr(quadrature, "oracle_tensors", nan_ricci)
+        residuals = oracle_compare(f, quadrature.QuadratureConfig(nodes=1024))
+        assert residuals["metric"] < 1e-8
+        assert np.isnan(residuals["ricci0"])
+        assert np.isnan(residuals["max"])
+
     def test_n16_filter_passes(self, capsys, tmp_path):
         # the Gram-inverse Ricci oracle missed this filter by 1.2e-4
         path = _roots_document(tmp_path, sample_root_tuples(16, 1, 16, 0.9, 0.05)[0])
@@ -623,6 +640,14 @@ class TestOtherChecks:
         out = capsys.readouterr().out
         assert code == 0
         assert "valid = True" in out
+
+    def test_table_renders_complex_lists_like_complex_scalars(self, capsys, ar1_path):
+        code = main(["cepstrum", ar1_path, "--trunc", "2", "--format", "table"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert re.fullmatch(r"phi0 = \S+ \+ \S+i", lines[2])
+        assert lines[3] == "coeffs = [0.5 + 0i, 0.125 + 0i]"
+        assert lines[4] == "blaschke_coeffs = [0 + 0i, 0 + 0i]"
 
 
 def test_readme_cli_examples_run(capsys, tmp_path):

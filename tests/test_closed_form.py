@@ -478,12 +478,27 @@ class TestAlphaConnection:
             assert np.max(np.abs(a - b)) < 1e-14
 
     def test_holds_no_n3_temporary(self):
-        # the six returned (32, 32, 32) complex arrays hold 3 MiB; T is
-        # written in place and the (n, n) work arrays stay well under 1/4 MiB
+        # the four dense (32, 32, 32) complex results hold 2 MiB and the two
+        # zero views nothing; T is written in place and the (n, n) work
+        # arrays stay well under 1/4 MiB
         m = random_points(23, 1, n=32, signature=mixed_signature(32), radius=0.95, sep=1e-3)[0]
         peak, conn = peak_mib(lambda: alpha_connection(m, 0.5))
         assert conn.gamma_mixed.nbytes == 2**19
-        assert peak <= 3.25
+        assert peak <= 2.25
+
+    @pytest.mark.parametrize("n", [0, 1, 32])
+    def test_pure_blocks_are_read_only_zero_views(self, n):
+        m = random_points(29, 1, n=n, signature=mixed_signature(n))[0]
+        conn = alpha_connection(m, 0.5)
+        for block in (metric(m).pure, conn.gamma_pure, conn.t_pure):
+            assert block.shape == (n,) * block.ndim
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block.flags.writeable = True  # no caller can write into the shared zero
+            assert set(block.strides) <= {0}
+            assert block.dtype == complex
+            assert np.all(block == 0.0)
+            assert not np.signbit(block.real).any() and not np.signbit(block.imag).any()
 
     def test_cross_families_scale_with_alpha(self):
         m = ARMA11

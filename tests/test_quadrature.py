@@ -402,6 +402,15 @@ class TestInvarianceSuite:
     def test_reflection_leg_absent_without_zeros(self, ar1):
         assert invariance_suite(ar1, CFG).outer_reflection is None
 
+    @pytest.mark.parametrize("leg", ["identity", "z_power", "blaschke", "outer_reflection"])
+    def test_max_metric_residual_keeps_a_nan(self, leg):
+        legs = dict.fromkeys(
+            ("identity", "z_power", "blaschke", "outer_reflection"),
+            quadrature.TransformResiduals(1e-12, 0.0),
+        )
+        legs[leg] = quadrature.TransformResiduals(np.nan, 0.0)
+        assert np.isnan(quadrature.InvarianceReport(**legs).max_metric_residual)
+
 
 class TestDualityCheck:
     def test_ar1_identity_holds(self, ar1):

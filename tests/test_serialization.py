@@ -216,6 +216,20 @@ def test_writer_matches_the_stdlib_encoder(doc):
     assert dumps_report(doc) == stdlib_dumps(doc)
 
 
+def test_entry_floats_at_the_notation_boundaries_match_the_stdlib_encoder():
+    # where the 12-digit text and repr switch between point and exponent notation
+    values = np.array(
+        [1e-5, 1e-4, 99999999999.5, 123456789012.5, 1e12, 1.5e15, 1e16, 0.0, -0.0, 5.0, 5e-324]
+    )
+    block = np.empty((values.size, 1), dtype=complex)
+    block.real[:, 0], block.imag[:, 0] = values, -values  # each value and its negation
+    doc = tensor_to_document(("pole0",), None, [(block, (False, True))])
+    assert dumps_report(doc) == stdlib_dumps(doc)
+    assert [serialization._entry_float(x) for x in values[:5]] == [
+        "1e-05", "0.0001", "99999999999.5", "123456789012.0", "1000000000000.0"
+    ]
+
+
 @pytest.mark.parametrize(
     "value", [math.inf, -math.inf, math.nan, np.float32("inf")], ids=["inf", "-inf", "nan", "f32-inf"]
 )

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -263,11 +264,39 @@ ORACLE_DIGESTS = {
     4: "6defa3b38fc437a8bb68bd9d5635eb556aa693bd7e88f5eb1456dce4610d3601",
     16: "a44642e92bec8154c81f951ae6b827fabcb6b662dca61a4585de14b02efa4ce0",
 }
-# invariance-check keyed by n
+# invariance-check keyed by n; recorded again when the identity leg and the
+# z_power and blaschke metric legs left the report (every value that stayed
+# kept its bits)
 INVARIANCE_DIGESTS = {
-    4: "0cd75ffdbf27037dced2a417432d2b1e26fdf7b2ef72138ce8319464136a70f1",
-    16: "a337131c7dbf88adbff96fc9bcfe263a29afa30f467a9c6e23ecb4b4d2cae18f",
+    4: "55fcb06585edc1add18bc711af2c5d6d3eea98be2edf14b473ccddbd66f99a20",
+    16: "af53dde0685a6f57b738d6fc15d08c1163228bc57cd5670620959b401ce7b01e",
 }
+
+
+# the library call each checking command reads its residuals from, and every residual it reports
+RESIDUAL_SOURCES = {
+    "oracle-compare": (cli, "oracle_compare"),
+    "duality-check": (quadrature, "duality_check"),
+    "invariance-check": (quadrature, "invariance_suite"),
+}
+REPORTED_RESIDUALS = [
+    *[("oracle-compare", key) for key in ("metric", "connection0", "t_tensor", "ricci0", "max")],
+    ("duality-check", "duality_residual"),
+    ("duality-check", "reciprocal_residual"),
+    ("invariance-check", "z_power_sdf_residual"),
+    ("invariance-check", "blaschke_sdf_residual"),
+    ("invariance-check", "outer_reflection.metric_residual"),
+    ("invariance-check", "outer_reflection.sdf_residual"),
+]
+
+
+def _with_residual(record, name, value):
+    """``record`` with the residual ``name`` (dotted for a nested leg) set to ``value``."""
+    head, _, rest = name.partition(".")
+    if isinstance(record, dict):
+        return {**record, head: value}
+    inner = _with_residual(getattr(record, head), rest, value) if rest else value
+    return dataclasses.replace(record, **{head: inner})
 
 
 def _spiral_document(tmp_path, n):
@@ -558,7 +587,29 @@ class TestOtherChecks:
         code, report = run_json(capsys, ["invariance-check", arma_path])
         assert code == 0
         assert report["passed"] is True
-        assert report["max_metric_residual"] < 1e-10
+        assert "identity" not in report
+        assert report["max_metric_residual"] == report["outer_reflection"]["metric_residual"] < 1e-10
+        assert report["z_power_sdf_residual"] < 1e-10
+        assert report["blaschke_sdf_residual"] < 1e-10
+
+    def test_invariance_check_with_a_zero_on_the_margin(self, capsys, tmp_path):
+        # |zeta| = 1 - eps_stab, where reflecting the zero out and back rounds into the band
+        zero = {"re": -0.47842060155740035, "im": -0.8781296760766345}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"gain": GAIN_UNIT, "zeros": [zero]}))
+        assert run_json(capsys, ["validate", str(path)])[0] == 0
+        code, report = run_json(capsys, ["invariance-check", str(path)])
+        assert code == 0
+        assert report["outer_reflection"] is None
+
+    @pytest.mark.parametrize("value", [1.0, math.nan], ids=["one", "nan"])
+    @pytest.mark.parametrize("command, residual", REPORTED_RESIDUALS)
+    def test_every_residual_decides_passed(self, monkeypatch, arma_path, command, residual, value):
+        owner, call = RESIDUAL_SOURCES[command]
+        real = getattr(owner, call)
+        monkeypatch.setattr(owner, call, lambda *a: _with_residual(real(*a), residual, value))
+        args = cli._build_parser().parse_args([command, arma_path])
+        assert cli._DISPATCH[command](args)["passed"] is False
 
     def test_cepstrum_command(self, capsys, ar1_path):
         code, report = run_json(capsys, ["cepstrum", ar1_path, "--trunc", "4"])

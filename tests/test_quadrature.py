@@ -1,6 +1,8 @@
 import ast
 import hashlib
 import pickle
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,17 @@ from cepgeo.closed_form import (
     ricci0,
     t_tensor,
 )
-from cepgeo.filters import FilterSpec, cepstrum, reciprocal, validate
+from cepgeo.filters import (
+    EPS_STAB_DEFAULT,
+    FilterSpec,
+    ZeroOnCircle,
+    cepstrum,
+    outer_factor,
+    reciprocal,
+    reflect_zero_out,
+    transfer_values,
+    validate,
+)
 from cepgeo.quadrature import (
     QuadratureConfig,
     QuadratureUnconvergedWarning,
@@ -387,29 +399,126 @@ class TestCepstrumFFT:
 class TestInvarianceSuite:
     def test_all_legs_within_tolerance(self, arma11):
         report = invariance_suite(arma11, CFG)
-        assert report.identity.metric_residual == 0.0
-        assert report.z_power.metric_residual < 1e-12
-        assert report.blaschke.metric_residual < 1e-10
         assert report.outer_reflection is not None
         assert report.outer_reflection.metric_residual < 1e-10
-        assert report.max_metric_residual < 1e-10
+        assert report.max_metric_residual == report.outer_reflection.metric_residual
 
     def test_sdf_preserved_by_each_transformation(self, arma11):
         report = invariance_suite(arma11, CFG)
-        for leg in (report.z_power, report.blaschke, report.outer_reflection):
-            assert leg.sdf_residual < 1e-10
+        assert report.z_power_sdf_residual < 1e-10
+        assert report.blaschke_sdf_residual < 1e-10
+        assert report.outer_reflection.sdf_residual < 1e-10
 
     def test_reflection_leg_absent_without_zeros(self, ar1):
-        assert invariance_suite(ar1, CFG).outer_reflection is None
+        report = invariance_suite(ar1, CFG)
+        assert report.outer_reflection is None
+        assert report.max_metric_residual == 0.0
 
-    @pytest.mark.parametrize("leg", ["identity", "z_power", "blaschke", "outer_reflection"])
-    def test_max_metric_residual_keeps_a_nan(self, leg):
-        legs = dict.fromkeys(
-            ("identity", "z_power", "blaschke", "outer_reflection"),
-            quadrature.TransformResiduals(1e-12, 0.0),
+    @pytest.mark.parametrize("zeros, calls", [((), 0), ((0.0,), 0), ((0.3, -0.2j), 2)])
+    def test_metric_formed_only_for_the_reflection(self, monkeypatch, zeros, calls):
+        seen = []
+        counted = lambda *a: seen.append(a) or metric_numeric(*a)  # noqa: E731
+        monkeypatch.setattr(quadrature, "metric_numeric", counted)
+        invariance_suite(make_filter(poles=(0.5,), zeros=zeros), CFG)
+        assert len(seen) == calls
+
+    def test_zero_on_the_margin_at_every_angle(self):
+        # at |zeta| = 1 - eps_stab, 1/conj(zeta) or zeta reflected back can
+        # round into the margin band; such a zero is not the one reflected
+        limit, cfg = 1.0 - EPS_STAB_DEFAULT, QuadratureConfig(nodes=64)
+        turns = np.exp(2j * np.pi * np.arange(400) / 400)
+        refused = 0
+        with warnings.catch_warnings():  # the metric converges slowly this near the circle
+            warnings.simplefilter("ignore", QuadratureUnconvergedWarning)
+            for zt in limit * turns:
+                if abs(zt) > limit:
+                    continue
+                f = make_filter(zeros=(zt,))
+                try:
+                    outer_factor(reflect_zero_out(f, 0))
+                except ZeroOnCircle:
+                    refused += 1
+                    assert invariance_suite(f, cfg).outer_reflection is None
+                    both = invariance_suite(make_filter(zeros=(zt, 0.5)), cfg)
+                    assert both.outer_reflection is not None  # 0.5 is reflected instead
+                else:
+                    assert invariance_suite(f, cfg).outer_reflection is not None
+        assert refused > 0
+
+    @pytest.mark.parametrize(
+        "leg, patch",
+        [
+            # z^R as (1.01 z)^R
+            ("z_power_sdf_residual", lambda f, z: transfer_values(f, z) * 1.01**f.z_power),
+            (
+                "blaschke_sdf_residual",
+                lambda f, z: transfer_values(f, z)
+                * np.prod([1.0 - np.conj(b) * z for b in f.blaschke_points], axis=0),
+            ),
+        ],
+        ids=["z_power", "blaschke"],
+    )
+    def test_a_factor_not_unimodular_fails_its_sdf_leg(self, monkeypatch, arma11, leg, patch):
+        monkeypatch.setattr(quadrature, "transfer_values", patch)
+        report = invariance_suite(arma11, CFG)
+        (other,) = {"z_power_sdf_residual", "blaschke_sdf_residual"} - {leg}
+        assert getattr(report, leg) > 1e-3
+        assert getattr(report, other) < 1e-10
+        assert report.outer_reflection.sdf_residual < 1e-10
+
+    def test_reflection_without_gain_compensation_fails_the_sdf_leg(self, monkeypatch, arma11):
+        monkeypatch.setattr(
+            quadrature, "reflect_zero_out", lambda f, j: replace(reflect_zero_out(f, j), gain=f.gain)
         )
-        legs[leg] = quadrature.TransformResiduals(np.nan, 0.0)
-        assert np.isnan(quadrature.InvarianceReport(**legs).max_metric_residual)
+        report = invariance_suite(arma11, CFG)
+        assert report.outer_reflection.sdf_residual > 1e-3
+        assert report.outer_reflection.metric_residual < 1e-10  # the metric does not see the gain
+
+    def test_recovery_to_one_over_zeta_fails_the_metric_leg(self, monkeypatch):
+        def unconjugated(spec, eps_stab):
+            # 1/zeta in place of 1/conj(zeta), the conjugate of each recovered zero
+            zeros = [zt.conjugate() if abs(zt) > 1.0 else zt for zt in spec.zeros]
+            return outer_factor(replace(spec, zeros=tuple(zeros)), eps_stab)
+
+        monkeypatch.setattr(quadrature, "outer_factor", unconjugated)
+        report = invariance_suite(make_filter(poles=(0.5,), zeros=(0.3 + 0.4j,)), CFG)
+        assert report.outer_reflection.metric_residual > 1e-3
+        assert report.outer_reflection.sdf_residual < 1e-10  # the twin itself is right
+
+    @pytest.mark.parametrize(
+        "leg, faulty",
+        [
+            ("z_power_sdf_residual", lambda f: f.z_power),
+            ("blaschke_sdf_residual", lambda f: f.blaschke_points),
+            ("outer_reflection.sdf_residual", lambda f: any(abs(zt) > 1.0 for zt in f.zeros)),
+        ],
+        ids=["z_power", "blaschke", "outer_reflection-sdf"],
+    )
+    def test_each_leg_keeps_a_nan(self, monkeypatch, arma11, leg, faulty):
+        def values(f, z):
+            h = transfer_values(f, z)
+            if faulty(f):  # a NaN in S at one node of this leg's filter
+                h[3] = np.nan
+            return h
+
+        monkeypatch.setattr(quadrature, "transfer_values", values)
+        report = invariance_suite(arma11, CFG)
+        head, _, field = leg.partition(".")
+        value = getattr(report, head)
+        assert np.isnan(getattr(value, field) if field else value)
+
+    def test_reflection_metric_leg_keeps_a_nan(self, monkeypatch, arma11):
+        calls = []
+
+        def metric(f, cfg):
+            calls.append(f)
+            g = metric_numeric(f, cfg)
+            return replace(g, mixed=np.full_like(g.mixed, np.nan)) if len(calls) == 2 else g
+
+        monkeypatch.setattr(quadrature, "metric_numeric", metric)
+        report = invariance_suite(arma11, CFG)
+        assert np.isnan(report.outer_reflection.metric_residual)
+        assert np.isnan(report.max_metric_residual)
 
 
 class TestDualityCheck:

@@ -6,6 +6,13 @@ codes: 0 success, 2 validation or input error (a size too large to
 allocate included), 3 when ``--strict`` turns warnings or failed tolerance
 checks into an error.  An ``--out`` that cannot be written exits 2 too,
 with the JSON error report on stdout.
+
+A cold start imports only what every subcommand needs (argparse,
+:mod:`~cepgeo.filters`, :mod:`~cepgeo.serialization`); each command imports
+the modules it runs.  ``validate`` and ``cepstrum`` load nothing more,
+``tensors`` loads :mod:`~cepgeo.closed_form`, ``check-prior`` loads
+:mod:`~cepgeo.priors` (with ``closed_form`` and ``sampling``), and the four
+quadrature commands load :mod:`~cepgeo.quadrature` (with ``closed_form``).
 """
 
 from __future__ import annotations
@@ -15,16 +22,21 @@ import dataclasses
 import math
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import closed_form, filters, priors, quadrature, serialization
-from .closed_form import CoincidentRootsError, ModelPoint
-from .filters import FilterError
-from .quadrature import QuadratureConfig
+from . import filters, serialization
+
+if TYPE_CHECKING:  # for annotations; each command imports the modules it runs
+    from .quadrature import QuadratureConfig
 
 HOL = False
 BAR = True
+# quadrature.NODES_DEFAULT and sorted(priors.BUILTINS), held here so that
+# building the parser imports neither module; a test keeps them equal
+_NODES_DEFAULT = 4096
+_PSI_CHOICES = ("psi1", "psi2", "psi3")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,18 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("input2")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=quadrature.NODES_DEFAULT)
+    p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("check-prior", parents=[common], help="sampled superharmonicity check")
-    p.add_argument("--psi", choices=sorted(priors.BUILTINS), required=True)
+    p.add_argument("--psi", choices=_PSI_CHOICES, required=True)
     p.add_argument("--model", required=True, help="shape like ar:2 or ar:1,ma:1")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("oracle-compare", parents=[common], help="closed forms against quadrature")
     p.add_argument("input")
-    p.add_argument("--nodes", type=int, default=quadrature.NODES_DEFAULT)
+    p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser(
@@ -83,14 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--nodes", type=int, default=quadrature.NODES_DEFAULT)
+    p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser(
         "invariance-check", parents=[common], help="residuals under unimodular factors"
     )
     p.add_argument("input")
-    p.add_argument("--nodes", type=int, default=quadrature.NODES_DEFAULT)
+    p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-10)
 
     return parser
@@ -145,8 +157,10 @@ def _cmd_cepstrum(args) -> dict:
 
 
 def _cmd_tensors(args) -> dict:
+    from . import closed_form
+
     f = _load_validated(args, args.input)
-    point = ModelPoint.from_filter(f)
+    point = closed_form.ModelPoint.from_filter(f)
     potential = closed_form.kahler_potential(point)
     g = closed_form.metric(point)
     conn = closed_form.alpha_connection(point, args.alpha)
@@ -183,14 +197,18 @@ def _cmd_tensors(args) -> dict:
 
 
 def _cmd_divergence(args) -> dict:
+    from . import quadrature
+
     f1 = _load_validated(args, args.input)
     f2 = _load_validated(args, args.input2)
-    cfg = QuadratureConfig(nodes=args.nodes)
+    cfg = quadrature.QuadratureConfig(nodes=args.nodes)
     result = quadrature.divergence(f1, f2, args.alpha, cfg, tol=args.tol)
     return {"command": "divergence", **dataclasses.asdict(result)}
 
 
 def _cmd_check_prior(args) -> dict:
+    from . import priors
+
     shape = _parse_model_shape(args.model)
     psi = priors.BUILTINS[args.psi](n=shape[0] + shape[1])
     report = priors.check_superharmonic(psi, shape, args.samples, args.seed, args.eps_stab)
@@ -212,7 +230,9 @@ def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
 
 def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[str, float]:
     """Max-norm relative residuals of each closed form against one quadrature sample."""
-    point = ModelPoint.from_filter(f)
+    from . import closed_form, quadrature
+
+    point = closed_form.ModelPoint.from_filter(f)
     g, gamma, t, ricci = quadrature.oracle_tensors(f, cfg)
     conn = closed_form.alpha_connection(point, 0.0)  # Gamma^0 and T
     residuals = {
@@ -226,8 +246,10 @@ def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[st
 
 
 def _cmd_oracle_compare(args) -> dict:
+    from . import quadrature
+
     f = _load_validated(args, args.input)
-    residuals = oracle_compare(f, QuadratureConfig(nodes=args.nodes))
+    residuals = oracle_compare(f, quadrature.QuadratureConfig(nodes=args.nodes))
     return {
         "command": "oracle-compare",
         "nodes": args.nodes,
@@ -238,8 +260,11 @@ def _cmd_oracle_compare(args) -> dict:
 
 
 def _cmd_duality_check(args) -> dict:
+    from . import quadrature
+
     f = _load_validated(args, args.input)
-    report = quadrature.duality_check(f, args.alpha, QuadratureConfig(nodes=args.nodes))
+    cfg = quadrature.QuadratureConfig(nodes=args.nodes)
+    report = quadrature.duality_check(f, args.alpha, cfg)
     return {
         "command": "duality-check",
         **dataclasses.asdict(report),
@@ -249,8 +274,10 @@ def _cmd_duality_check(args) -> dict:
 
 
 def _cmd_invariance_check(args) -> dict:
+    from . import quadrature
+
     f = _load_validated(args, args.input)
-    report = quadrature.invariance_suite(f, QuadratureConfig(nodes=args.nodes))
+    report = quadrature.invariance_suite(f, quadrature.QuadratureConfig(nodes=args.nodes))
     legs = dataclasses.asdict(report)
     reflection = legs["outer_reflection"] or {}
     residuals = [legs["z_power_sdf_residual"], legs["blaschke_sdf_residual"], *reflection.values()]
@@ -302,8 +329,9 @@ def main(argv: list[str] | None = None) -> int:
                 text = serialization.dumps_report(report) + "\n"
             _emit(args, text)
         except (OSError, ValueError, MemoryError) as exc:  # a size too large to allocate
-            known = isinstance(exc, (FilterError, CoincidentRootsError))
-            error = {"code": exc.code if known else "INVALID_INPUT", "message": str(exc)}
+            # FilterError and closed_form's CoincidentRootsError carry their code on the class
+            code = getattr(type(exc), "code", "INVALID_INPUT")
+            error = {"code": code, "message": str(exc)}
             text = serialization.dumps_report({"command": args.command, "error": error}) + "\n"
             try:
                 _emit(args, text)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cepgeo
-from cepgeo import cli, closed_form, quadrature
+from cepgeo import cli, closed_form, priors, quadrature
 from cepgeo.cli import BAR, HOL, main, oracle_compare
 from cepgeo.filters import FilterSpec, validate
 from cepgeo.sampling import sample_root_tuples
@@ -317,6 +317,36 @@ def _child_env():
     return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=path_var)
 
 
+def _modules_after(argv):
+    """Every module a fresh process holds once ``main(argv)`` has written its report."""
+    code = (
+        "import json, os, sys; from cepgeo.cli import main; "
+        f"assert main({argv!r} + ['--out', os.devnull]) == 0; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+CHECK_PRIOR_ARGV = (
+    "check-prior", "--psi", "psi2", "--model", "ar:1,ma:1", "--samples", "200", "--seed", "1"
+)
+# the cepgeo modules a cold start of each subcommand never imports; "{f}" is a filter file
+NEVER_LOADED = {
+    ("validate", "{f}"): {"closed_form", "quadrature", "priors", "sampling"},
+    ("cepstrum", "{f}"): {"closed_form", "quadrature", "priors", "sampling"},
+    ("tensors", "{f}"): {"quadrature", "priors", "sampling"},
+    CHECK_PRIOR_ARGV: {"quadrature"},
+    ("divergence", "{f}", "{f}"): {"priors", "sampling"},
+    ("oracle-compare", "{f}"): {"priors", "sampling"},
+    ("duality-check", "{f}"): {"priors", "sampling"},
+    ("invariance-check", "{f}"): {"priors", "sampling"},
+}
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize("psi, model, seed", sorted(CHECK_PRIOR_DIGESTS))
     def test_check_prior_bytes(self, tmp_path, psi, model, seed):
@@ -376,17 +406,7 @@ class TestCheckPriorCommand:
 
     def test_leaves_numpy_ma_unimported(self):
         # np.percentile would import numpy.ma through np.unique
-        code = (
-            "import sys; from cepgeo.cli import main; "
-            "argv = ['check-prior', '--psi', 'psi2', '--model', 'ar:1,ma:1', '--samples', '200', "
-            "'--seed', '1', '--out', __import__('os').devnull]; "
-            "assert main(argv) == 0; print('numpy.ma' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert "numpy.ma" not in _modules_after(list(CHECK_PRIOR_ARGV))
 
     def test_bad_model_shape(self, capsys):
         code, report = run_json(
@@ -743,6 +763,38 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["valid"] is True
+
+
+@pytest.mark.parametrize("argv", list(NEVER_LOADED), ids=lambda argv: argv[0])
+def test_each_subcommand_imports_only_the_modules_it_runs(arma_path, argv):
+    modules = _modules_after([a.format(f=arma_path) for a in argv])
+    loaded = {m.removeprefix("cepgeo.") for m in modules if m.startswith("cepgeo.")}
+    every = {m.name for m in pkgutil.iter_modules(cepgeo.__path__)} - {"__main__"}
+    assert loaded == every - NEVER_LOADED[argv]
+
+
+def test_parser_constants_track_the_library(capsys):
+    parser = cli._build_parser()
+    for argv in (
+        ["divergence", "f.json", "g.json"],
+        ["oracle-compare", "f.json"],
+        ["duality-check", "f.json"],
+        ["invariance-check", "f.json"],
+    ):
+        assert parser.parse_args(argv).nodes == quadrature.NODES_DEFAULT, argv[0]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["check-prior", "--help"])
+    # argparse lists the choices as {a,b,...}, so an extra or missing one shows
+    assert "--psi {" + ",".join(sorted(priors.BUILTINS)) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["tensors", "oracle-compare"])
+def test_coincident_poles_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(dict(AR1_DOC, poles=[{"re": 0.5, "im": 0.0}] * 2)))
+    code, report = run_json(capsys, [command, str(path)])
+    assert code == 2
+    assert report["error"]["code"] == "COINCIDENT_ROOTS"
 
 
 def test_quadrature_reports_do_not_depend_on_thread_count(tmp_path):

@@ -12,7 +12,9 @@ A cold start imports only what every subcommand needs (argparse,
 the modules it runs.  ``validate`` and ``cepstrum`` load nothing more,
 ``tensors`` loads :mod:`~cepgeo.closed_form`, ``check-prior`` loads
 :mod:`~cepgeo.priors` (with ``closed_form`` and ``sampling``), and the four
-quadrature commands load :mod:`~cepgeo.quadrature` (with ``closed_form``).
+quadrature commands load :mod:`~cepgeo.quadrature`; ``oracle-compare`` and
+``invariance-check`` load ``closed_form`` too, ``divergence`` and
+``duality-check`` do not.
 """
 
 from __future__ import annotations
@@ -223,9 +225,7 @@ def _passed(residuals, tol: float) -> bool:
 
 def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
     scale = float(np.max(np.abs(numeric), initial=0.0))
-    if scale == 0.0:
-        return float(np.max(np.abs(closed), initial=0.0))
-    return float(np.max(np.abs(closed - numeric)) / scale)
+    return float(np.max(np.abs(closed - numeric), initial=0.0) / (scale or 1.0))
 
 
 def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[str, float]:

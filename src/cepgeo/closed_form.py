@@ -311,7 +311,6 @@ def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
         np.multiply(u[i], u[i:], out=t[i, i:])
         t[i + 1 :, i] = t[i, i + 1 :]
     np.multiply(-2.0 * c * xi.conj(), t, out=t)
-    t += 0.0  # no negative zeros, so reports print 0.0 for a vanishing part
     return t
 
 

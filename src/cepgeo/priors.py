@@ -42,25 +42,32 @@ def _coordinates(m: ModelPoint) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _FactorPolynomial:
-    """Sum of products of factors (1 - xi^a conj(xi^b)), with analytic Hessian.
+class PriorFunction:
+    """A candidate prior: a sum of products of factors (1 - xi^a conj(xi^b)).
 
-    Both methods take root tuples ``xi`` of shape (S, n).  Each operand of a
-    complex product is named first: numpy reuses a large unnamed right
-    operand in place, which swaps the factors and, with fused multiply-adds,
-    the rounding, so a tuple would not get the same bits in every batch.
+    ``terms`` lists each product as its (a, b) index pairs.  ``values`` maps
+    root tuples ``xi`` of shape (S, n) to psi, shape (S,), and ``hessians``
+    to the analytic d_i d_jbar psi, shape (S, n, n).  A candidate is a
+    function of the coordinates alone; the pole/zero signature enters only
+    through the metric.  The per-point ``evaluate`` is the S = 1 case.
+
+    Each operand of a complex product is named first: numpy reuses a large
+    unnamed right operand in place, which swaps the factors and, with fused
+    multiply-adds, the rounding, so a tuple would not get the same bits in
+    every batch.
     """
 
+    kind: str
     terms: tuple[tuple[tuple[int, int], ...], ...]
 
-    def value(self, xi: np.ndarray) -> np.ndarray:
+    def values(self, xi: np.ndarray) -> np.ndarray:
         a = factor_matrix(xi)
         total = np.zeros(xi.shape[:-1])
         for factors in self.terms:
             total = total + math.prod(a[..., i, j] for i, j in factors).real
         return total
 
-    def mixed_hessian(self, xi: np.ndarray) -> np.ndarray:
+    def hessians(self, xi: np.ndarray) -> np.ndarray:
         xic = xi.conj()
         a = factor_matrix(xi)
         hess = np.zeros(xi.shape + xi.shape[-1:], dtype=complex)
@@ -81,38 +88,18 @@ class _FactorPolynomial:
                         hess[..., a_s, b_t] += xic[..., b_s] * xi[..., a_t] * rest2
         return hess
 
-
-@dataclass(frozen=True)
-class PriorFunction:
-    """A candidate prior: real values and analytic mixed Hessians over a sample axis.
-
-    ``values`` maps root tuples of shape (S, n) to psi, shape (S,), and
-    ``hessians`` to d_i d_jbar psi, shape (S, n, n).  A candidate is a
-    function of the coordinates alone; the pole/zero signature enters only
-    through the metric.  The per-point ``evaluate`` is the S = 1 case.
-    """
-
-    kind: str
-    values: Callable[[np.ndarray], np.ndarray]
-    hessians: Callable[[np.ndarray], np.ndarray]
-
     def evaluate(self, m: ModelPoint) -> float:
         return float(self.values(_coordinates(m))[0])
 
 
-def _builtin(kind: str, terms) -> PriorFunction:
-    poly = _FactorPolynomial(terms=terms)
-    return PriorFunction(kind=kind, values=poly.value, hessians=poly.mixed_hessian)
-
-
 def prior_psi1(n: int = 2) -> PriorFunction:
     """Additive candidate sum_k (1 - |xi^k|^2), defined for any dimension."""
-    return _builtin("psi1", tuple(((k, k),) for k in range(n)))
+    return PriorFunction("psi1", tuple(((k, k),) for k in range(n)))
 
 
 def prior_psi2(n: int = 2) -> PriorFunction:
     """Product candidate prod_k (1 - |xi^k|^2)."""
-    return _builtin("psi2", (tuple((k, k) for k in range(n)),))
+    return PriorFunction("psi2", (tuple((k, k) for k in range(n)),))
 
 
 def prior_psi3(n: int = 2) -> PriorFunction:
@@ -123,7 +110,7 @@ def prior_psi3(n: int = 2) -> PriorFunction:
     """
     if n != 2:
         raise ValueError(f"psi3 is defined on two coordinates, not {n}")
-    return _builtin("psi3", (((0, 1), (1, 0), (0, 0), (1, 1)),))
+    return PriorFunction("psi3", (((0, 1), (1, 0), (0, 0), (1, 1)),))
 
 
 BUILTINS: dict[str, Callable[..., PriorFunction]] = {

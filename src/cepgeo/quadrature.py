@@ -9,7 +9,9 @@ rational integrands at hand).  First and second parameter derivatives of
 log h are analytic rational expressions, never differenced; only
 derivatives *of tensors* use central Wirtinger differences.  This module
 never calls the closed forms in :mod:`cepgeo.closed_form`, so agreement
-between the two is a genuine cross-check.
+between the two is a genuine cross-check: it takes only the record classes
+``HermitianMetric`` and ``ConnectionTensors`` from there, and imports them
+where it builds one.
 
 Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
@@ -49,10 +51,10 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_form import ConnectionTensors, HermitianMetric
 from .filters import (
     FilterSpec,
     ValidatedFilter,
@@ -63,6 +65,9 @@ from .filters import (
     transfer_values,
     validate,
 )
+
+if TYPE_CHECKING:  # imported where built, so divergence and duality_check never load closed_form
+    from .closed_form import ConnectionTensors, HermitianMetric
 
 NODES_DEFAULT = 4096
 # the Wirtinger step of duality_check's central differences
@@ -279,6 +284,7 @@ def metric_numeric(
     The pure block uses the same average without conjugation and vanishes on
     the constant-gain submanifold.
     """
+    from .closed_form import HermitianMetric
 
     def blocks(half):
         (mixed, pure), _ = _grid_means(half, f.dimension, [("d", "dc"), ("d", "d")])
@@ -343,6 +349,7 @@ def connection_numeric(
 
     and the residual is the largest change under grid doubling of all six.
     """
+    from .closed_form import ConnectionTensors
 
     def blocks(half):
         # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar, t_mixed, t_pure

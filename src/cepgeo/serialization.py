@@ -111,8 +111,10 @@ def tensor_to_document(
     ``blocks`` pairs each component array with the bar pattern of its
     indices, one flag per axis; the entries of each block follow in C order
     and blocks follow one another, so the document layout is deterministic.
+    Each block is kept as a C-ordered complex copy plus 0.0, which turns a
+    negative zero into 0.0, so a vanishing part is written as 0.0.
     """
-    blocks = [(np.ascontiguousarray(array, dtype=complex), tuple(bars)) for array, bars in blocks]
+    blocks = [(np.add(array, 0.0, dtype=complex, order="C"), tuple(bars)) for array, bars in blocks]
     if any(array.ndim != len(bars) or not bars for array, bars in blocks):
         raise ValueError("bar pattern length must match tensor rank, which must be at least 1")
     return TensorDocument(list(labels), alpha, blocks)

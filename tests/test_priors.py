@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,23 +29,33 @@ def hessian_at(psi, m):
     return psi.hessians(np.array([m.params]))[0]
 
 
-def differenced_prior(evaluate):
-    """A candidate whose mixed Hessian is the Wirtinger difference oracle, tuple by tuple."""
+class DifferencedPrior:
+    """A candidate whose mixed Hessian is the Wirtinger difference oracle, tuple by tuple.
 
-    def points(xi):
+    It has what the kernels read of a candidate: ``kind``, ``values`` and
+    ``hessians`` over root tuples of shape (S, n).
+    """
+
+    kind = "custom"
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+
+    @staticmethod
+    def _points(xi):
         # a candidate reads the coordinates alone; the signature only completes a ModelPoint
         return [ModelPoint(tuple(row), (-1,) * len(row)) for row in xi]
 
-    return PriorFunction(
-        "custom",
-        lambda xi: np.array([evaluate(m) for m in points(xi)]),
-        lambda xi: np.array([wirtinger_mixed_hessian(evaluate, m) for m in points(xi)]),
-    )
+    def values(self, xi):
+        return np.array([self.evaluate(m) for m in self._points(xi)])
+
+    def hessians(self, xi):
+        return np.array([wirtinger_mixed_hessian(self.evaluate, m) for m in self._points(xi)])
 
 
 class TestLaplaceBeltrami:
     def test_constant_function_maps_to_zero(self):
-        psi = differenced_prior(lambda m: 3.0)
+        psi = DifferencedPrior(lambda m: 3.0)
         assert laplace_beltrami(psi, AR2) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_boundary_factor_on_ar1(self):
@@ -62,7 +73,7 @@ class TestLaplaceBeltrami:
     def test_additivity(self):
         psi1 = prior_psi1(2)
         psi2 = prior_psi2(2)
-        combined = differenced_prior(lambda m: psi1.evaluate(m) + psi2.evaluate(m))
+        combined = DifferencedPrior(lambda m: psi1.evaluate(m) + psi2.evaluate(m))
         for row in sample_root_tuples(7, 5, 2, 0.9, 1e-3):
             m = ModelPoint(tuple(row), (-1, -1))
             total = laplace_beltrami(psi1, m) + laplace_beltrami(psi2, m)
@@ -107,8 +118,15 @@ class TestLaplaceBeltrami:
         fd = wirtinger_mixed_hessian(psi.evaluate, m, step=1e-4)
         assert np.max(np.abs(hessian_at(psi, m) - fd)) < 1e-6  # not a Hessian bug
 
+    def test_builtins_are_their_factor_terms(self):
+        # a candidate is a plain record: equal terms make an equal candidate
+        assert [f.name for f in dataclasses.fields(PriorFunction)] == ["kind", "terms"]
+        assert prior_psi1(2) == PriorFunction("psi1", (((0, 0),), ((1, 1),)))
+        assert prior_psi2(3) == PriorFunction("psi2", (((0, 0), (1, 1), (2, 2)),))
+        assert prior_psi3() == PriorFunction("psi3", (((0, 1), (1, 0), (0, 0), (1, 1)),))
+
     def test_custom_subharmonic_counterexample(self):
-        psi = differenced_prior(lambda m: abs(m.params[0]) ** 2)
+        psi = DifferencedPrior(lambda m: abs(m.params[0]) ** 2)
         assert laplace_beltrami(psi, AR1_HALF) > 0.0
 
 
@@ -124,7 +142,7 @@ class TestCheckSuperharmonic:
         assert report.violations == 0
 
     def test_subharmonic_candidate_violates_everywhere(self):
-        psi = differenced_prior(lambda m: abs(m.params[0]) ** 2)
+        psi = DifferencedPrior(lambda m: abs(m.params[0]) ** 2)
         report = check_superharmonic(psi, (2, 0), 100, seed=3)
         assert report.violations == report.samples
 

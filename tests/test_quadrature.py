@@ -674,7 +674,9 @@ def test_duality_check_compares_in_bounded_chunks(n, bound):
 
 
 def test_oracle_imports_only_closed_form_types():
-    # the oracle must never call the closed forms it checks
+    # the oracle must never call the closed forms it checks: it takes the two
+    # record classes by name, and never reaches the module as a name or an
+    # attribute (``closed_form.f``, ``cepgeo.closed_form.f``)
     tree = ast.parse(Path(quadrature.__file__).read_text())
     allowed = {"ConnectionTensors", "HermitianMetric"}
     for node in ast.walk(tree):
@@ -686,6 +688,10 @@ def test_oracle_imports_only_closed_form_types():
                 assert names <= allowed, names
             else:
                 assert "closed_form" not in names
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "closed_form", ast.unparse(node)
+        elif isinstance(node, ast.Name):
+            assert node.id != "closed_form"
 
 
 class TestGridCache:

@@ -63,16 +63,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="check stability and minimum phase")
     p.add_argument("input")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("cepstrum", parents=[common], help="complex-cepstrum series of a filter")
     p.add_argument("input")
     p.add_argument("--trunc", type=int, default=filters.TRUNCATION_DEFAULT)
+    p.set_defaults(run=_cmd_cepstrum)
 
     p = sub.add_parser(
         "tensors", parents=[common], help="closed-form geometry at the filter's coordinates"
     )
     p.add_argument("input")
     p.add_argument("--alpha", type=float, default=0.0)
+    p.set_defaults(run=_cmd_tensors)
 
     p = sub.add_parser("divergence", parents=[common], help="alpha-divergence between two filters")
     p.add_argument("input")
@@ -80,17 +83,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.set_defaults(run=_cmd_divergence)
 
     p = sub.add_parser("check-prior", parents=[common], help="sampled superharmonicity check")
     p.add_argument("--psi", choices=_PSI_CHOICES, required=True)
     p.add_argument("--model", required=True, help="shape like ar:2 or ar:1,ma:1")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_check_prior)
 
     p = sub.add_parser("oracle-compare", parents=[common], help="closed forms against quadrature")
     p.add_argument("input")
     p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-8)
+    p.set_defaults(run=_cmd_oracle_compare)
 
     p = sub.add_parser(
         "duality-check", parents=[common], help="alpha-duality and reciprocal-swap residuals"
@@ -99,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.set_defaults(run=_cmd_duality_check)
 
     p = sub.add_parser(
         "invariance-check", parents=[common], help="residuals under unimodular factors"
@@ -106,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(run=_cmd_invariance_check)
 
     return parser
 
@@ -290,18 +298,6 @@ def _cmd_invariance_check(args) -> dict:
     }
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "cepstrum": _cmd_cepstrum,
-    "tensors": _cmd_tensors,
-    "divergence": _cmd_divergence,
-    "check-prior": _cmd_check_prior,
-    "oracle-compare": _cmd_oracle_compare,
-    "duality-check": _cmd_duality_check,
-    "invariance-check": _cmd_invariance_check,
-}
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -319,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
             if not math.isfinite(getattr(args, "alpha", 0.0)):
                 raise ValueError(f"--alpha must be finite, got {args.alpha!r}")
-            report = _DISPATCH[args.command](args)
+            report = args.run(args)
             if caught:
                 report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
             # rendered here, so a value JSON cannot hold (inf, nan) is an input error

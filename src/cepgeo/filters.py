@@ -283,10 +283,10 @@ def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSer
 
         phi_r = (sum_i p_i^r - sum_j zeta_j^r) / r,
 
-    not from an FFT of sampled log h; the FFT route lives in the quadrature
-    module so the two paths stay independent.  Blaschke points contribute
-    the parameter-independent ``beta_r`` on the anticausal side; a Blaschke
-    point at the origin is a pure z factor and adds nothing.
+    not from an FFT of sampled log h; the FFT route, ``cepstrum_fft`` in the
+    tests' ``conftest.py``, checks it independently.  Blaschke points
+    contribute the parameter-independent ``beta_r`` on the anticausal side; a
+    Blaschke point at the origin is a pure z factor and adds nothing.
     """
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")

@@ -29,8 +29,9 @@ No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
 into one reused buffer, and every reduction (moments, triple products, the
 tall-skinny QR, the divergence integrand) accumulates block by block, so
-memory stays flat in the node count.  Grids are cached up to
-``_GRID_CACHE_BYTES``; the nodes of a larger grid are formed block by block.
+memory stays flat in the node count.  The QR takes whole slices of 2^k nodes
+of blocks of 2^j >= 2^k nodes, so R does not depend on the block size.  The
+last four grids of up to ``_CACHED_NODES`` nodes are cached, no larger one.
 The duality check samples its 4n Wirtinger-stepped rows (log h separates
 per root, so a step moves one row) in the same pass as the two n-index
 triples, and compares the two sides of the identity a few rows of the full
@@ -47,9 +48,9 @@ does not abort (roots near the circle legitimately converge slowly).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -87,7 +88,7 @@ _BLOCK_BYTES = 1 << 21
 # faster than 256 KiB.
 _TRIPLE_BLOCK_BYTES = 1 << 19
 # Bytes of each QR of the Ricci leg, so LAPACK stays on one thread: at n = 10 one QR
-# over 4096 nodes, or blocks of 160 KiB, gave other bits on 2 OpenBLAS threads.
+# over 4096 nodes, or slices of 160 KiB, gave other bits on 2 OpenBLAS threads.
 _QR_BLOCK_BYTES = 1 << 17
 # Nodes of each block of divergence's 2m-node grid: the whole grid at the
 # default node count, so a default run sums each half in one reduction.
@@ -99,9 +100,9 @@ _PHI_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(10, -1, -1)]
 _DUALITY_BLOCK_BYTES = 1 << 17
 # The user address space of a 64-bit process
 _ADDRESS_BYTES = 1 << 47
-# Bytes of all cached grids: the 1024-, 4096- and 8192-node grids of default
-# runs take 208 KiB.
-_GRID_CACHE_BYTES = 1 << 20
+# Nodes of the largest cached grid, 256 KiB: the four that the cache holds take
+# at most 1 MiB, and default runs use the 1024-, 4096- and 8192-node grids.
+_CACHED_NODES = 1 << 14
 
 
 class QuadratureUnconvergedWarning(UserWarning):
@@ -134,40 +135,30 @@ class DivergenceValue:
     converged: bool = True
 
 
-# Grids in the cache, least recently used first.  A grid that does not fit
-# _GRID_CACHE_BYTES is never cached: its nodes are formed block by block.
-_GRIDS: OrderedDict[int, np.ndarray] = OrderedDict()
-
-
 def _unit_roots(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
     # one formula for every node, so a node formed alone has the bits of the cached one
     return np.exp(2j * np.pi * np.arange(start, stop, step) / m)
 
 
-def circle_nodes(m: int) -> np.ndarray:
-    """m-th roots of unity, the quadrature grid (a read-only array, shared while cached)."""
-    grid = _GRIDS.get(m)
-    if grid is not None:
-        _GRIDS.move_to_end(m)
-        return grid
+@functools.lru_cache(maxsize=4)
+def _grid(m: int) -> np.ndarray:
     grid = _unit_roots(m, 0, m)
     grid.flags.writeable = False
-    if grid.nbytes <= _GRID_CACHE_BYTES:
-        _GRIDS[m] = grid
-        while sum(g.nbytes for g in _GRIDS.values()) > _GRID_CACHE_BYTES:
-            _GRIDS.popitem(last=False)
     return grid
+
+
+def circle_nodes(m: int) -> np.ndarray:
+    """m-th roots of unity, the quadrature grid (a read-only array, shared while cached)."""
+    return _grid(m) if m <= _CACHED_NODES else _grid.__wrapped__(m)
 
 
 def _nodes(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
     """Nodes start, start + step, ... below ``stop`` of the m-node grid.
 
-    Sliced from the cached grid when the grid fits the cache, else formed
-    from their indices, so a routine never holds a large grid whole.
+    Sliced from the cached grid up to ``_CACHED_NODES``, else formed from
+    their indices, so a routine never holds a large grid whole.
     """
-    if 16 * m <= _GRID_CACHE_BYTES:
-        return circle_nodes(m)[start:stop:step]
-    return _unit_roots(m, start, stop, step)
+    return _grid(m)[start:stop:step] if m <= _CACHED_NODES else _unit_roots(m, start, stop, step)
 
 
 def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
@@ -178,14 +169,14 @@ def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
     conj(d_i) of the first ``conj`` roots, d_i of all, then d_i^2 log h =
     -c_i/(z - xi_i)^2 of the first ``second``, in one buffer that every
     block reuses: reduce a block before taking the next.  A block is the
-    largest power of two of nodes, at most a grid, whose rows fit
-    ``_BLOCK_BYTES``.
+    largest power of two of nodes, at most a grid, whose rows would fit
+    ``_BLOCK_BYTES`` if every root carried dd, whatever ``second`` is.
     """
     c = -np.asarray(signs, dtype=float)[:, None]
     xi = np.asarray(roots, dtype=complex)[:, None]
-    n, rows = len(c), conj + len(c) + second
-    fit = 1 << (max(_BLOCK_BYTES // (16 * rows or 1), 1).bit_length() - 1)
-    buf = np.empty((rows, min(fit, max(m // stride for m, _, stride in grids))), dtype=complex)
+    n = len(c)
+    fit = 1 << (max(_BLOCK_BYTES // (16 * (conj + 2 * n) or 1), 1).bit_length() - 1)
+    buf = np.empty((conj + n + second, min(fit, max(m // s for m, _, s in grids))), dtype=complex)
 
     def blocks(m, offset, stride):
         for start in range(offset, m, stride * buf.shape[1]):
@@ -247,13 +238,12 @@ def _grid_means(blocks, n: int, products=(), k: int = 0, ricci: bool = False):
     ``ricci``, the Ricci block of :func:`oracle_tensors`.
     """
     sums, triples, nodes = [0] * len(products), _Triples(n, k) if k else None, 0
-    # [d | dd] goes to LAPACK (column-major) in QR blocks of a fixed node count, whatever
-    # the sample blocks: each call takes at most _QR_BLOCK_BYTES while n <= 32
-    step = max(_QR_BLOCK_BYTES // (16 * max(2 * n, 1)), 2 * n) if ricci else 0
-    rows, fill = np.empty((step, 2 * n), dtype=complex, order="F"), 0
+    # [d | dd] goes to LAPACK in whole slices of a power of two of nodes, each at most
+    # _QR_BLOCK_BYTES while n <= 45 and never fewer nodes than the largest power of two <= 2n
+    step = 1 << (max(_QR_BLOCK_BYTES // (32 * n or 1), 2 * n).bit_length() - 1)
     r = np.empty((0, 2 * n), dtype=complex)
 
-    def stack(r, rows):  # a QR block factored alone, then stacked on the R so far
+    def stack(r, rows):  # a QR slice factored alone, then stacked on the R so far
         return np.linalg.qr(np.vstack([r, np.linalg.qr(rows, mode="r")]), mode="r")
 
     for block in blocks:
@@ -261,17 +251,12 @@ def _grid_means(blocks, n: int, products=(), k: int = 0, ricci: bool = False):
         sums = [s + named[a] @ named[b].T for s, (a, b) in zip(sums, products)]
         if k:
             triples.add(named["d"], block[: k * n])
-        done, nodes = 0, nodes + block.shape[1]
-        while ricci and done < block.shape[1]:
-            take = min(step - fill, block.shape[1] - done)
-            rows[fill : fill + take] = block[n:, done : done + take].T
-            fill, done = fill + take, done + take
-            if fill == step:
-                r, fill = stack(r, rows), 0
+        nodes += block.shape[1]
+        for start in range(0, block.shape[1], step) if ricci else ():
+            r = stack(r, block[n:, start : start + step].T)
     means = [s / nodes for s in sums], triples.means() if k else []
     if not ricci:
         return means
-    r = stack(r, rows[:fill]) if fill else r
     inv11, r22 = np.linalg.inv(r[:n, :n]), r[n:, n:]
     return (*means, (inv11 @ inv11.conj().T) * -(r22.conj().T @ r22).T)
 
@@ -387,7 +372,9 @@ def oracle_tensors(
     """g_{i jbar}, Gamma^(0)_{ij,kbar}, T_{ij,kbar} and R_{i jbar} from one sample.
 
     The first three are the mixed blocks of :func:`metric_numeric` and
-    :func:`connection_numeric`, checked and named as there.  The Ricci block
+    :func:`connection_numeric`, checked and named as there: g with the bits
+    of :func:`metric_numeric` (the blocks are the same), Gamma^(0) and T to
+    rounding (their third moments take one factor, not two).  The Ricci block
     R_{i jbar} = -d_i d_jbar log det g comes from quadrature alone, on the
     even half of the sample (bitwise the m-node grid).  With d log det g =
     tr(g^-1 dg) it is a projection of d^2 log h onto span{d log h}, read off
@@ -395,8 +382,8 @@ def oracle_tensors(
     -(R22^H R22)^T, where R11^H R11 is g^T and R22^H R22 is
     <(I-P) dd_j, (I-P) dd_i>, P the grid projection onto span{d_l} (the
     1/sqrt(m) weight cancels).  g is not inverted, nothing is differenced.
-    Each block of nodes is factored alone, then stacked on the R so far: a
-    tall-skinny QR with a quarter of the error of stacking raw blocks at
+    Each QR slice of nodes is factored alone, then stacked on the R so far:
+    a tall-skinny QR with a quarter of the error of stacking raw slices at
     n = 16.
     """
 
@@ -649,7 +636,9 @@ def duality_check(
     no whole (2n)^3 array is held.
     """
     n = f.dimension
-    (mixed, pure, second), rec, lhs_parts = _duality_pass(f, reciprocal(f), cfg)
+    # the Blaschke factors leave the coordinates alone, so the reciprocal leg takes the root part
+    rec = reciprocal(validate(replace(f.to_spec(), blaschke_points=()), f.eps_stab))
+    (mixed, pure, second), rec, lhs_parts = _duality_pass(f, rec, cfg)
     # f's index of each of the reciprocal's coordinates (its zeros come first)
     perm = np.array([*range(len(f.poles), n), *range(len(f.poles))], dtype=int)
     full = np.concatenate([perm, n + perm])

@@ -99,10 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_oracle_compare)
 
     p = sub.add_parser(
-        "duality-check", parents=[common], help="alpha-duality and reciprocal-swap residuals"
+        "duality-check",
+        parents=[common],
+        help="alpha-duality and reciprocal-swap residuals",
+        description="Residuals of the alpha-duality identity, which is metric compatibility and "
+        "the same at every alpha, and of the reciprocal filter's pole/zero swap, by quadrature.",
     )
     p.add_argument("input")
-    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--nodes", type=int, default=_NODES_DEFAULT)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(run=_cmd_duality_check)
@@ -272,7 +275,7 @@ def _cmd_duality_check(args) -> dict:
 
     f = _load_validated(args, args.input)
     cfg = quadrature.QuadratureConfig(nodes=args.nodes)
-    report = quadrature.duality_check(f, args.alpha, cfg)
+    report = quadrature.duality_check(f, 0.0, cfg)  # alpha is not read
     return {
         "command": "duality-check",
         **dataclasses.asdict(report),

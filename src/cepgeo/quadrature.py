@@ -33,9 +33,9 @@ memory stays flat in the node count.  The QR takes whole slices of 2^k nodes
 of blocks of 2^j >= 2^k nodes, so R does not depend on the block size.  The
 last four grids of up to ``_CACHED_NODES`` nodes are cached, no larger one.
 The duality check samples its 4n Wirtinger-stepped rows (log h separates
-per root, so a step moves one row) in the same pass as the two n-index
-triples, and compares the two sides of the identity a few rows of the full
-(2n)^3 index at a time, each gathered from those triples.
+per root, so a step moves one row) in the same pass as the filter, and
+compares the two sides of the identity only in the two rows of the full
+index that each derivative moves: no (2n)^3 array is formed.
 
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .filters import (
+    FilterError,
     FilterSpec,
     ValidatedFilter,
     ZeroOnCircle,
@@ -95,9 +96,6 @@ _QR_BLOCK_BYTES = 1 << 17
 _SPECTRAL_BLOCK = 2 * NODES_DEFAULT
 # Taylor coefficients 1/(k+2)! of _phi, k = 10 down to 0
 _PHI_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(10, -1, -1)]
-# Bytes of each (rows, 2n, 2n) array of duality_check's mu-chunks: every n <= 10
-# filter is one chunk.
-_DUALITY_BLOCK_BYTES = 1 << 17
 # The user address space of a 64-bit process
 _ADDRESS_BYTES = 1 << 47
 # Nodes of the largest cached grid, 256 KiB: the four that the cache holds take
@@ -313,11 +311,11 @@ class _Triples:
         return np.split(out, self.k, axis=2)
 
 
-def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float, lo: int = 0) -> np.ndarray:
-    # -alpha <d_a d_b e_c> + delta_ab <dd_a e_c>, for the rows a = lo, lo + 1, ... of triple
+def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
+    # -alpha <d_a d_b e_c> + delta_ab <dd_a e_c>
     gamma = -alpha * triple
     k = np.arange(len(triple))
-    gamma[k, lo + k] += second[lo : lo + len(triple)]
+    gamma[k, k] += second
     return gamma
 
 
@@ -510,7 +508,6 @@ def invariance_suite(
 class DualityReport:
     """Residuals of the alpha-duality identity and the reciprocal-filter swap."""
 
-    alpha: float
     duality_residual: float
     reciprocal_residual: float
 
@@ -528,44 +525,6 @@ def _full_second(second: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triple_rows(mixed: np.ndarray, pure: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the full-index triple <D_a D_b D_c>, D = [d; conj(d)].
-
-    Each (n, n) block of a row is a transpose or conjugate of a row of one of
-    the two n-index triples ``mixed`` = <d_i d_j conj(d_k)> and ``pure`` =
-    <d_i d_j d_k>, so a row is gathered, not summed.
-    """
-    n = len(pure)
-    out = np.empty((hi - lo, 2 * n, 2 * n), dtype=complex)
-    i, j = slice(min(lo, n), min(hi, n)), slice(max(lo, n) - n, max(hi, n) - n)
-    hol, anti = out[: i.stop - i.start], out[i.stop - i.start :]
-    ij = mixed.transpose(2, 0, 1)  # <conj(d_i) d_j d_k>
-    hol[:, :n, :n] = pure[i]
-    hol[:, :n, n:] = mixed[i]
-    hol[:, n:, :n] = mixed[i].transpose(0, 2, 1)  # <d_i conj(d_j) d_k>
-    np.conjugate(ij[i], out=hol[:, n:, n:])
-    anti[:, :n, :n] = ij[j]
-    np.conjugate(mixed[j].transpose(0, 2, 1), out=anti[:, :n, n:])
-    np.conjugate(mixed[j], out=anti[:, n:, :n])
-    np.conjugate(pure[j], out=anti[:, n:, n:])
-    return out
-
-
-def _lhs_rows(steps: np.ndarray, twins: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of lhs[mu] = d_mu <D_b D_c>, the left side of the duality identity.
-
-    Row mu, with i = mu mod n, holds ``steps[mu]`` (the derivative of row i of
-    d) in row and column i and ``twins[mu]`` (that of conj(d_i)) in row and
-    column n+i; the rest of the metric does not move.
-    """
-    n = len(steps) // 2
-    out = np.zeros((hi - lo, 2 * n, 2 * n), dtype=complex)
-    k, i = np.arange(hi - lo), np.arange(lo, hi) % n
-    out[k, i] = out[k, :, i] = steps[lo:hi]
-    out[k, n + i] = out[k, :, n + i] = twins[lo:hi]
-    return out
-
-
 def _row_sums(r: np.ndarray) -> np.ndarray:
     """Row sums of r r and of r conj(r), formed in one temporary."""
     prod = r * r
@@ -575,46 +534,51 @@ def _row_sums(r: np.ndarray) -> np.ndarray:
 
 
 def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfig):
-    """Gamma parts of ``f`` and ``rec``, and the moved rows of d_mu <D_a D_b> of f, from one sample.
+    """<dd_a D_b>, the moved rows of d_mu <D_a D_b> and the swap residual of ``rec``, in one pass.
 
-    The parts of each filter are its n-index triples <d_i d_j conj(d_k)> and
-    <d_i d_j d_k> and :func:`_full_second`.  The left side is a central
-    Wirtinger difference of the full-index metric, D = [d; conj(d)], in each
-    xi_i and conj(xi_i).  log h separates per root, so moving xi_i by +-h or
-    +-ih changes row i of d alone, and only rows and columns i and n+i of
-    the metric move: (steps, twins) hold them for :func:`_lhs_rows`.  The 4n
-    moved rows r are sampled in the same blocks as f and rec: f's one
-    product per block takes <r D_b> with <dd_i D_b>.  Each of the four steps
-    goes through :func:`cepgeo.filters.validate` as one filter with every
-    root moved (its rules are per root); the rows are sampled root by root,
-    then by step.
+    D = [d; conj(d)] is the full index.  d_mu <D_a D_b> is a central
+    Wirtinger difference in xi_i or conj(xi_i), i = mu mod n.  log h
+    separates per root, so moving xi_i by +-h or +-ih changes row i of d
+    alone, and d_mu <D_a D_b> is zero outside rows and columns i and n+i;
+    being symmetric, it is returned as those two rows, a (2n, 2, 2n) array.
+    Each of the four steps goes through :func:`cepgeo.filters.validate` as
+    one filter with every root moved (its rules are per root), and its
+    error, code kept, names the step.  The 4n moved rows r are sampled root
+    by root, then by step, in the same blocks as f: one product per block
+    takes <r D_b> with <dd_i D_b>.  The swap residual is the largest
+    |d log h_rec + d log h_f| on the grid, the reciprocal's roots permuted
+    back (a NaN kept): 0.0 unless ``rec`` breaks the pole/zero swap.
     """
     n, h, p = f.dimension, DERIV_STEP, len(f.poles)
     moved = [[xi + s for xi in f.coordinates] for s in (h, -h, 1j * h, -1j * h)]
-    for coords in moved:
-        validate(replace(f.to_spec(), poles=coords[:p], zeros=coords[p:]), f.eps_stab)
+    for step, coords in zip(("+ h", "- h", "+ ih", "- ih"), moved):
+        try:
+            validate(replace(f.to_spec(), poles=coords[:p], zeros=coords[p:]), f.eps_stab)
+        except FilterError as exc:  # the code stays; the message says the step moved the root
+            exc.args = (f"{exc} after the duality check's step xi -> xi {step}, h = {h:g}",)
+            raise
+    # f's index of each of the reciprocal's coordinates (its zeros come first)
+    perm = np.array([*range(p, n), *range(p)], dtype=int)
     roots = [*f.coordinates, *rec.coordinates, *np.transpose(moved).ravel()]
     signs = [*f.signature, *rec.signature, *np.repeat(f.signature, 4)]
-    triples, second, diag = [_Triples(n, 2), _Triples(n, 2)], [0, 0], 0
-    (blocks,) = _sample(roots, signs, ((cfg.nodes, 0, 1),), n, 2 * n)
-    for block in blocks:  # conj(d) and d of f, d of rec, r, dd of f, dd of rec
-        d_rec, r = block[2 * n : 3 * n], block[3 * n : 7 * n]
-        f_rows, rec_rows = block[: 2 * n], np.vstack([d_rec.conj(), d_rec])
-        for k, (e, left) in enumerate([(f_rows, block[3 * n : 8 * n]), (rec_rows, block[8 * n :])]):
-            triples[k].add(e[n:], e)
-            second[k] = second[k] + left @ e.T
-        diag = diag + _row_sums(r)
+    second, diag, swap = 0, 0, 0.0
+    (blocks,) = _sample(roots, signs, ((cfg.nodes, 0, 1),), n, n)
+    for block in blocks:  # conj(d) and d of f, d of rec, r, dd of f
+        second = second + block[3 * n :] @ block[: 2 * n].T
+        diag = diag + _row_sums(block[3 * n : 7 * n])
+        mismatch = np.abs(block[2 * n : 3 * n] + block[n : 2 * n][perm])
+        swap = np.maximum(swap, np.max(mismatch, initial=0.0))  # unlike max(), keeps a NaN
     m = cfg.nodes
-    parts = [(*t.means(), _full_second(s[len(s) - n :] / m)) for t, s in zip(triples, second)]
     # u[i, step, b] = <r D_b>, with <r r> at b = i and <r conj(r)> at b = n+i
-    u = np.roll(second[0][: 4 * n], n, axis=1).reshape(n, 4, 2 * n) / m
+    u = np.roll(second[: 4 * n], n, axis=1).reshape(n, 4, 2 * n) / m
     i = np.arange(n)
     u[i, :, i], u[i, :, n + i] = diag.reshape(2, n, 4) / m
     dx, dy = (u[:, 0] - u[:, 1]) / (2.0 * h), (u[:, 2] - u[:, 3]) / (2.0 * h)
     hol, anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-    # the twin <conj(r) D_b> = conj(<r D_(b+n mod 2n)>)
+    # row n+i, the twin <conj(r) D_b> = conj(<r D_(b+n mod 2n)>)
     twins = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
-    return *parts, (np.concatenate([hol, anti]), twins)
+    rows = np.stack([np.concatenate([hol, anti]), twins], axis=1)
+    return _full_second(second[4 * n :] / m), rows, float(swap)
 
 
 def duality_check(
@@ -624,38 +588,28 @@ def duality_check(
 ) -> DualityReport:
     """Residuals of d_mu g_{nu rho} = Gamma^{(a)}_{mu nu,rho} + Gamma^{(-a)}_{mu rho,nu}.
 
-    Both sides run over all holomorphic and anti-holomorphic index
-    combinations; the left side uses central Wirtinger differences of the
-    quadrature metric (the moved rows are sampled along with f, see
-    :func:`_duality_pass`), so the residual is finite-difference
-    limited.  A filter with no roots has residuals of 0.  Also
-    checks the reciprocal-system swap: the alpha-connection of the inverse
-    filter equals the (-alpha)-connection of the original once the swapped
-    pole/zero ordering is permuted back.  Both sides are compared in chunks
-    of rows mu whose (rows, 2n, 2n) arrays fit ``_DUALITY_BLOCK_BYTES``, so
-    no whole (2n)^3 array is held.
+    The indices run over all holomorphic and anti-holomorphic coordinates.
+    Gamma^(a) = Gamma^(0) - (a/2) T with T fully symmetric, so the +-a
+    terms cancel and the identity is metric compatibility,
+    d_mu g_{nu rho} = Gamma^(0)_{mu nu,rho} + Gamma^(0)_{mu rho,nu}, for
+    every a: ``alpha`` is not read, and stays in the signature only because
+    the benchmark passes one.  The left side is a central Wirtinger
+    difference of the quadrature metric (see :func:`_duality_pass`), so
+    the residual is finite-difference limited.  Gamma^(0)_{mu nu,rho} =
+    delta_{mu nu} <dd_mu D_rho> is zero outside row mu, so both sides are
+    compared in the two rows i and n+i (i = mu mod n) that the left side
+    moves, one of which is mu; by symmetry the columns add nothing.  The
+    reciprocal residual checks the swap behind the reciprocal-system
+    duality, that 1/h has f's roots with the roles of poles and zeros
+    exchanged.  A filter with no roots has residuals of 0.
     """
     n = f.dimension
     # the Blaschke factors leave the coordinates alone, so the reciprocal leg takes the root part
     rec = reciprocal(validate(replace(f.to_spec(), blaschke_points=()), f.eps_stab))
-    (mixed, pure, second), rec, lhs_parts = _duality_pass(f, rec, cfg)
-    # f's index of each of the reciprocal's coordinates (its zeros come first)
-    perm = np.array([*range(len(f.poles), n), *range(len(f.poles))], dtype=int)
-    full = np.concatenate([perm, n + perm])
-    cube = perm[:, None, None], perm[:, None], perm
-    swapped = mixed[cube], pure[cube], second[full[:, None], full]
-    rows, worst, rec_residual = max(_DUALITY_BLOCK_BYTES // (64 * n * n or 1), 1), 0.0, 0.0
-    for lo in range(0, 2 * n, rows):
-        hi = min(lo + rows, 2 * n)
-        triple = _triple_rows(mixed, pure, lo, hi)
-        lhs = _lhs_rows(*lhs_parts, lo, hi)
-        lhs -= _gamma(triple, second, alpha, lo)
-        lhs -= _gamma(triple, second, -alpha, lo).transpose(0, 2, 1)
-        gamma_rec = _gamma(_triple_rows(*rec[:2], lo, hi), rec[2], alpha, lo)
-        gamma_rec -= _gamma(_triple_rows(*swapped[:2], lo, hi), swapped[2], -alpha, lo)
-        # np.maximum, unlike max(), keeps a NaN
-        worst = np.maximum(worst, np.max(np.abs(lhs)))
-        rec_residual = np.maximum(rec_residual, np.max(np.abs(gamma_rec)))
-    return DualityReport(
-        alpha=float(alpha), duality_residual=float(worst), reciprocal_residual=float(rec_residual)
-    )
+    second, diff, swap = _duality_pass(f, rec, cfg)
+    mu = np.arange(2 * n)
+    nu = np.stack([mu % n, mu % n + n], axis=1)  # the two rows held for each mu
+    diff[nu == mu[:, None]] -= second  # delta_{mu nu} <dd_mu D_rho>, in row nu = mu
+    diff[mu[:, None], [0, 1], mu[:, None]] -= second[mu[:, None], nu]  # delta_{mu rho} <dd_mu D_nu>
+    worst = np.max(np.abs(diff), initial=0.0)
+    return DualityReport(duality_residual=float(worst), reciprocal_residual=swap)

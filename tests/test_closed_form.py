@@ -20,6 +20,7 @@ from cepgeo.closed_form import (
     t_tensor,
     _li2,
 )
+from cepgeo.filters import reciprocal
 from cepgeo.sampling import sample_root_tuples
 
 from conftest import (
@@ -476,6 +477,26 @@ class TestAlphaConnection:
             a = alpha_connection(swapped, alpha).gamma_mixed
             b = alpha_connection(ARMA11, -alpha).gamma_mixed
             assert np.max(np.abs(a - b)) < 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.5, -1.0, 2.0])
+    def test_reciprocal_filter_maps_alpha_to_minus_alpha(self, alpha):
+        # 1/h has the roots of h with poles and zeros exchanged, its zeros
+        # first: its alpha family is the -alpha family of h, its T the
+        # negated T and its metric the metric, each with the roots permuted back
+        for n in range(1, 17):
+            f = arma_from_roots(sample_root_tuples(90 + n, 1, n, 0.9, 0.05)[0], (n + 1) // 2)
+            point, rec = ModelPoint.from_filter(f), ModelPoint.from_filter(reciprocal(f))
+            perm = np.array([*range(len(f.poles), n), *range(len(f.poles))])
+            cube = perm[:, None, None], perm[:, None], perm
+            conn, ref = alpha_connection(rec, alpha), alpha_connection(point, -alpha)
+            families = ("gamma_mixed", "gamma_pure", "gamma_cross", "gamma_cross_bar")
+            pairs = [(getattr(conn, name), getattr(ref, name)[cube]) for name in families]
+            pairs += [
+                (conn.t_mixed, -ref.t_mixed[cube]),
+                (metric(rec).mixed, metric(point).mixed[np.ix_(perm, perm)]),
+            ]
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n
 
     def test_holds_no_n3_temporary(self):
         # the four dense (32, 32, 32) complex results hold 2 MiB and the two

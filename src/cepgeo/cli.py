@@ -177,7 +177,7 @@ def _cmd_tensors(args) -> dict:
     potential = closed_form.kahler_potential(point)
     g = closed_form.metric(point)
     conn = closed_form.alpha_connection(point, args.alpha)
-    curv = closed_form.alpha_ricci(point, args.alpha)  # with det g and g^{i jbar}
+    curv = closed_form.alpha_ricci(point, args.alpha)  # with g^{i jbar}
     labels = point.labels
     return {
         "command": "tensors",
@@ -190,7 +190,7 @@ def _cmd_tensors(args) -> dict:
         "inverse_metric": serialization.tensor_to_document(
             labels, None, [(curv.inverse, (HOL, BAR))]
         ),
-        "metric_determinant": curv.det_g,
+        "metric_determinant": closed_form.metric_determinant(point),
         "connection": serialization.tensor_to_document(
             labels,
             args.alpha,

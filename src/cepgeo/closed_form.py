@@ -23,9 +23,11 @@ The sign of T here is the one fixed by its defining circle integral
 computes that integral independently and the two must agree.
 
 Each quantity has one code path.  Only :func:`factor_matrix` forms the
-factor 1 - xi^i conj(xi^j); the Li2 argument in :func:`kahler_potential` is
-the product xi^i conj(xi^j) itself.  ``connection0``, ``t_tensor`` and
-``ricci0`` are the alpha = 0 reads of ``alpha_connection`` and ``alpha_ricci``.
+factor 1 - xi^i conj(xi^j) (the metric and Ricci diagonals read its real
+part), and only :func:`metric_determinant` forms det g; the Li2 argument in
+:func:`kahler_potential` is the product xi^i conj(xi^j) itself.
+``connection0``, ``t_tensor`` and ``ricci0`` are the alpha = 0 reads of
+``alpha_connection`` and ``alpha_ricci``.
 
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -76,6 +79,10 @@ class CoincidentRootsError(ValueError):
 
 class CoincidentRootsWarning(UserWarning):
     """Nearly coincident coordinates: the metric is nearly singular."""
+
+
+class DeterminantUnderflowWarning(UserWarning):
+    """det g at distinct coordinates is below the smallest normal double."""
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,11 @@ class ConnectionTensors:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Ricci block R_{i jbar}, scalar curvature, det g and the inverse metric g^{i jbar}."""
+    """Ricci block R_{i jbar}, scalar curvature and the inverse metric g^{i jbar}; no det g."""
 
     alpha: float
     ricci: np.ndarray
     scalar: float
-    det_g: float
     inverse: np.ndarray
 
 
@@ -178,17 +184,17 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.ndarray(shape, dtype=complex, buffer=_ZERO, strides=(0,) * len(shape))
 
 
-def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates xi, signature c, a[i][j] = 1 - xi^i conj(xi^j) and its diagonal 1 - |xi^i|^2."""
+def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates xi, signature c and a[i][j] = 1 - xi^i conj(xi^j)."""
     xi = np.asarray(m.params, dtype=complex)
-    return xi, np.asarray(m.signature, dtype=float), factor_matrix(xi), 1.0 - np.abs(xi) ** 2
+    return xi, np.asarray(m.signature, dtype=float), factor_matrix(xi)
 
 
-def _hermitize(a: np.ndarray, real_diag: np.ndarray) -> np.ndarray:
-    # rebuild from the upper triangle so conjugate-transpose symmetry is exact
-    # (fused complex multiplies are not bit-symmetric under conjugation)
-    upper = np.triu(a, 1)
-    return upper + upper.conj().T + np.diag(real_diag.astype(complex))
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    # rebuilt from the upper triangle and the real diagonal, so conjugate-transpose
+    # symmetry is exact (fused complex multiplies are not bit-symmetric under conjugation)
+    upper = np.triu(x, 1)
+    return upper + upper.conj().T + np.diag(x.diagonal().real.astype(complex))
 
 
 def _li2(w: np.ndarray) -> np.ndarray:
@@ -228,8 +234,8 @@ def kahler_potential(m: ModelPoint) -> KahlerPotential:
 
 def metric(m: ModelPoint) -> HermitianMetric:
     """Closed-form metric: mixed block c_i c_j / (1 - xi^i conj(xi^j)), pure block 0."""
-    _, c, a, a_diag = _arrays(m)
-    mixed = _hermitize(np.outer(c, c) / a, 1.0 / a_diag)
+    _, c, a = _arrays(m)
+    mixed = _hermitize(np.outer(c, c) / a)
     return HermitianMetric(mixed=mixed, pure=_zeros(mixed.shape))
 
 
@@ -289,16 +295,25 @@ def metric_determinant(m: ModelPoint) -> float:
     """det g = prod_{j<k} |xi^k - xi^j|^2 / prod_{j,k} (1 - xi^j conj(xi^k)).
 
     Real and positive for pairwise-distinct coordinates, exactly zero at
-    coincidences; independent of the pole/zero signature.
+    coincidences; independent of the pole/zero signature.  A value below
+    the smallest normal double (``sys.float_info.min``), 0.0 or subnormal,
+    at distinct coordinates has underflowed: it is not zero, only too small
+    for a double, and a :class:`DeterminantUnderflowWarning` says so.  0.0
+    without that warning means two coordinates coincide exactly.
     """
-    return _determinant(m, _arrays(m)[2])
-
-
-def _determinant(m: ModelPoint, a: np.ndarray) -> float:
+    pairs = list(itertools.combinations(m.params, 2))
     # Python complex abs and a sequential product over the pair differences:
     # numpy's vectorised abs rounds some last bits differently
-    num = math.prod([abs(q - p) ** 2 for p, q in itertools.combinations(m.params, 2)])
-    return float(num / complex(np.prod(a)).real)
+    num = math.prod([abs(q - p) ** 2 for p, q in pairs])
+    det = float(num / complex(np.prod(_arrays(m)[2])).real)
+    if det < sys.float_info.min and all(p != q for p, q in pairs):
+        warnings.warn(
+            f"det g = {det:g} underflowed below the smallest normal double; "
+            "the coordinates are distinct and det g is not zero",
+            DeterminantUnderflowWarning,
+            stacklevel=2,
+        )
+    return det
 
 
 def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -334,7 +349,7 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     C-ordered array, so the call holds no n^3 array beyond the four dense
     ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
     """
-    xi, c, a, _ = _arrays(m)
+    xi, c, a = _arrays(m)
     t = _t(xi, c, a)
     # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
     gamma_mixed = np.multiply(0.5 * alpha, t)
@@ -370,20 +385,28 @@ def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
     d_jbar T^k_{ik} = -2 c_i / (1 - xi^i conj(xi^j))^2.  The block keeps the
     Hermitian part of that derivative, (c_i + c_j) R^0_{i jbar}, which
     vanishes on pole-zero pairs.  The correction is independent of alpha, so
-    the family is exactly linear in alpha.  The scalar is contracted with the
-    inverse metric, so exactly coincident coordinates raise
-    :class:`CoincidentRootsError` even though the Ricci block is regular.
+    the family is exactly linear in alpha.
+
+    At one signature (every c_i = c: an AR or an MA model) g_{i jbar} =
+    1/(1 - xi^i conj(xi^j)) is a Cauchy matrix, R^{(alpha)} = (1 + alpha c) R^0,
+    and the scalar has the closed form
+    S^{(alpha)} = (1 + alpha c) (n(n-1)/2 - Re sum_{ij} 1/(1 - xi^i conj(xi^j))),
+    which needs no inverse and is below -n at alpha = 0.  At a mixed
+    signature the scalar is the contraction sum_{ij} g^{i jbar} R_{i jbar}.
+    The inverse metric is formed either way, for the report, so exactly
+    coincident coordinates raise :class:`CoincidentRootsError` even though
+    the Ricci block is regular.
     """
-    _, c, a, a_diag = _arrays(m)
+    _, c, a = _arrays(m)
     # rebuilt from its upper triangle, so R^0 and (c_i + c_j) R^0 are exactly Hermitian
-    ricci = _hermitize(-1.0 / a**2, -1.0 / a_diag**2)
+    ricci = _hermitize(-1.0 / a**2)
     corr = (c[:, None] + c) * ricci
-    det_g = _determinant(m, a)
     ginv = inverse_metric(m)
+    if len(set(m.signature)) == 1:
+        # + 0.0: a flat model (1 + alpha c = 0) reports 0.0, not -0.0
+        scalar = (1.0 + alpha * c[0]) * (m.n * (m.n - 1) / 2 - float(np.sum(1.0 / a).real)) + 0.0
+    else:
+        scalar = float(np.sum(ginv * ricci).real) + 0.5 * alpha * float(np.sum(ginv * corr).real)
     return CurvatureReport(
-        alpha=float(alpha),
-        ricci=ricci + 0.5 * alpha * corr,
-        scalar=float(np.sum(ginv * ricci).real) + 0.5 * alpha * float(np.sum(ginv * corr).real),
-        det_g=det_g,
-        inverse=ginv,
+        alpha=float(alpha), ricci=ricci + 0.5 * alpha * corr, scalar=float(scalar), inverse=ginv
     )

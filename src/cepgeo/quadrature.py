@@ -17,13 +17,13 @@ Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
 <d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  Both
 are symmetric in i and j, so one kernel forms only the n(n+1)/2 products
-d_i d_j with j >= i, against the third factors a caller passes, and
-mirrors the rest.  The Ricci block is a projection of d^2 log h onto
+d_i d_j with j >= i, against each third factor in a product of its own,
+and mirrors the rest.  The Ricci block is a projection of d^2 log h onto
 span{d log h}, read off a QR factor.  :func:`oracle_tensors` reads the
-metric, Gamma^(0), T and Ricci from one sample.  Each quantity has one
-pass: :func:`connection_numeric` returns T with the four connection
-families, as the closed form does, and :func:`t_tensor_numeric` and
-:func:`ricci_numeric` are reads of that pass and of :func:`oracle_tensors`.
+metric, Gamma^(0), T and Ricci from one sample, with the bits of every
+other entry point.  :func:`connection_numeric` returns T with the four
+connection families, as the closed form does, and :func:`t_tensor_numeric`
+and :func:`ricci_numeric` are reads of it and of :func:`oracle_tensors`.
 
 No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
@@ -283,7 +283,7 @@ class _Triples:
 
     Each is symmetric in i and j.  :meth:`add` walks a block in chunks, each
     one matrix product of the n(n+1)/2 products d_i d_j with j >= i against
-    the factors; chunks are summed in node order, and :meth:`means` mirrors
+    each factor; chunks are summed in node order, and :meth:`means` mirrors
     the sum into i > j, so the result is exactly symmetric.  A chunk is the
     largest power of two whose product block fits ``_TRIPLE_BLOCK_BYTES``,
     so memory stays flat in the node count.
@@ -294,13 +294,16 @@ class _Triples:
         fit = max(_TRIPLE_BLOCK_BYTES // (16 * max(self.rows.size, 1)), 1)
         self.chunk, self.n, self.k, self.nodes = 1 << (fit.bit_length() - 1), n, k, 0
         self.acc = np.zeros((self.rows.size, n * k), dtype=complex)
+        # each factor's rows of the stack, and its columns of acc
+        self.parts = [(slice(j * n, j * n + n), self.acc[:, j * n : j * n + n]) for j in range(k)]
 
     def add(self, d: np.ndarray, factors: np.ndarray) -> None:
         for start in range(0, d.shape[1], self.chunk):
             span = slice(start, start + self.chunk)
             prod = d[self.rows, span]
             prod *= d[self.cols, span]
-            self.acc += prod @ factors[:, span].T
+            for part, acc in self.parts:  # a product per factor, so k moves no bits
+                acc += prod @ factors[part, span].T
         self.nodes += d.shape[1]
 
     def means(self) -> list[np.ndarray]:
@@ -370,9 +373,9 @@ def oracle_tensors(
     """g_{i jbar}, Gamma^(0)_{ij,kbar}, T_{ij,kbar} and R_{i jbar} from one sample.
 
     The first three are the mixed blocks of :func:`metric_numeric` and
-    :func:`connection_numeric`, checked and named as there: g with the bits
-    of :func:`metric_numeric` (the blocks are the same), Gamma^(0) and T to
-    rounding (their third moments take one factor, not two).  The Ricci block
+    :func:`connection_numeric`, checked and named as there, with their bits:
+    the sample blocks are the same, and each third moment is a matrix product
+    of its own, whether one factor is passed or two.  The Ricci block
     R_{i jbar} = -d_i d_jbar log det g comes from quadrature alone, on the
     even half of the sample (bitwise the m-node grid).  With d log det g =
     tr(g^-1 dg) it is a projection of d^2 log h onto span{d log h}, read off

@@ -173,8 +173,9 @@ class TestTensorsCommand:
         assert exc_info.value.code == 2
 
     def test_near_coincident_roots_warn_once(self, capsys, tmp_path):
-        # det g and g^{i jbar} come from the one curvature call, so the
-        # nearly singular metric is reported once
+        # g^{i jbar} comes from the one curvature call and det g from
+        # metric_determinant, which does not warn, so the nearly singular
+        # metric is reported once
         poles = (0.5, 0.5 + 1e-12)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": list(map(complex_to_json, poles))}))
@@ -187,12 +188,44 @@ class TestTensorsCommand:
         with pytest.warns(closed_form.CoincidentRootsWarning):
             curv = closed_form.alpha_ricci(point, 0.0)
         assert np.array_equal(curv.inverse, ginv)
-        assert curv.det_g == closed_form.metric_determinant(point)
         direct = {
             "inverse_metric": tensor_to_document(point.labels, None, [(ginv, (HOL, BAR))]),
             "metric_determinant": closed_form.metric_determinant(point),
         }
         assert json.loads(dumps_report(direct)) == {k: report[k] for k in direct}
+
+    def test_determinant_is_metric_determinant(self, capsys, monkeypatch, ar1_path):
+        # det g has one path; the curvature report holds none
+        calls = []
+
+        def determinant(point):
+            calls.append(point)
+            return 0.125
+
+        monkeypatch.setattr(closed_form, "metric_determinant", determinant)
+        code, report = run_json(capsys, ["tensors", ar1_path])
+        assert code == 0
+        assert report["metric_determinant"] == 0.125
+        assert calls == [closed_form.ModelPoint((0.5,), (-1,))]
+
+    def test_one_signature_scalar(self, capsys, tmp_path):
+        # 50-digit mpmath: -142.5167667...; the contraction printed -145.089
+        poles = sample_root_tuples(1, 1, 16, 0.5, 0.05)[0]
+        path = tmp_path / "ar16.json"
+        path.write_text(json.dumps({"gain": GAIN_UNIT, "poles": list(map(complex_to_json, poles))}))
+        code, report = run_json(capsys, ["tensors", str(path)])
+        assert code == 0
+        assert report["scalar_curvature"] == -142.516766742
+        assert "warnings" not in report
+
+    def test_determinant_below_the_double_range_warns(self, capsys, tmp_path):
+        # 30-digit det g is about 1.56e-406; the printed 0.0 is not a coincidence
+        path = _roots_document(tmp_path, list(sample_root_tuples(1, 1, 32, 0.5, 0.02)[0]))
+        code, report = run_json(capsys, ["tensors", path])
+        assert code == 0
+        assert report["metric_determinant"] == 0.0
+        assert [w.split(":")[0] for w in report["warnings"]] == ["DeterminantUnderflowWarning"]
+        assert main(["tensors", path, "--strict"]) == 3
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize(
@@ -286,9 +319,11 @@ DIVERGENCE_DIGESTS = {
     "0": "21ceadd6171434c7fbf15194c981616ba01296f49550d80eec35d82794f69dec",
 }
 # oracle-compare keyed by n: closed forms against one quadrature sample
+# n = 16 recorded again when the metric diagonal came to read the factor
+# matrix: its metric residual moved 7.96099297593e-16 -> 1.70592706627e-16
 ORACLE_DIGESTS = {
     4: "6defa3b38fc437a8bb68bd9d5635eb556aa693bd7e88f5eb1456dce4610d3601",
-    16: "a44642e92bec8154c81f951ae6b827fabcb6b662dca61a4585de14b02efa4ce0",
+    16: "9fb0b4216d2e9cff7e6692c121816aae15e069e4967126219fa42a18fdac874d",
 }
 # invariance-check keyed by n; recorded again when the identity leg and the
 # z_power and blaschke metric legs left the report (every value that stayed

@@ -1,12 +1,18 @@
 import cmath
+import dataclasses
+import functools
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cepgeo.closed_form import (
     CoincidentRootsError,
     CoincidentRootsWarning,
+    DeterminantUnderflowWarning,
     ModelPoint,
     alpha_connection,
     alpha_ricci,
@@ -68,9 +74,37 @@ def edge_points():
                 yield ModelPoint((xi[1] + sep, *xi[1:]), signature)
 
 
-def hermitian_from_upper(a, real_diag):
-    upper = np.triu(a, 1)
-    return upper + upper.conj().T + np.diag(real_diag.astype(complex))
+# 16 poles and 16 zeros whose det g, about 1.56e-406, underflows
+ARMA16_16 = ModelPoint(tuple(sample_root_tuples(1, 1, 32, 0.5, 0.02)[0]), (-1,) * 16 + (1,) * 16)
+
+
+def hermitian_from_upper(x):
+    """x from its upper triangle and the real part of its diagonal."""
+    upper = np.triu(x, 1)
+    return upper + upper.conj().T + np.diag(x.diagonal().real.astype(complex))
+
+
+def one_signature_scalar(m, alpha):
+    """(1 + alpha c)(n(n-1)/2 - Re sum_ij 1/(1 - xi^i conj(xi^j))), the scalar at one signature."""
+    xi = np.asarray(m.params, dtype=complex)
+    a = 1.0 - np.outer(xi, xi.conj())
+    return (1.0 + alpha * m.signature[0]) * (m.n * (m.n - 1) / 2 - float(np.sum(1.0 / a).real))
+
+
+def mp_scalar_terms(mp, m):
+    """sum_ij B[i][j] R^0_{i jbar} and sum_ij B[i][j] (c_i + c_j) R^0_{i jbar}, in mpmath.
+
+    The contraction of the alpha-Ricci block is their first plus alpha/2 times the second.
+    """
+    b = mp_inverse_metric(mp, m)
+    xi = [mp.mpc(p) for p in m.params]
+    c = m.signature
+    r0 = [[-1 / (1 - xi[i] * mp.conj(xi[j])) ** 2 for j in range(m.n)] for i in range(m.n)]
+    pairs = [(i, j) for i in range(m.n) for j in range(m.n)]
+    return (
+        mp.re(mp.fsum(b[i, j] * r0[i][j] for i, j in pairs)),
+        mp.re(mp.fsum(b[i, j] * (c[i] + c[j]) * r0[i][j] for i, j in pairs)),
+    )
 
 
 def alpha_ricci_correction(m):
@@ -243,6 +277,29 @@ class TestMetric:
     def test_pure_block_vanishes(self):
         assert np.all(metric(ARMA11).pure == 0.0)
 
+    @pytest.mark.parametrize("radius", [0.999, 0.99999])
+    def test_diagonals_match_mpmath_near_the_circle(self, radius):
+        # The diagonals read Re(1 - xi conj(xi)) = 1 - (x^2 + y^2) off the factor
+        # matrix.  Relative to eps/(1 - r^2), 40 points of 8 roots on |xi| = r
+        # were at most 0.49 (metric) and 0.95 (Ricci) from 40-digit values; with
+        # 1 - |xi|^2 through a hypot they were 1.68 and 3.35.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        unit = np.finfo(float).eps / (1.0 - radius**2)
+        worst_g = worst_r = 0.0
+        for _ in range(40):
+            angles = 2.0 * np.pi * (np.arange(8) + 0.5 * rng.random(8)) / 8
+            m = ModelPoint(tuple(radius * np.exp(1j * angles)), mixed_signature(8))
+            g, r = metric(m).mixed.diagonal(), ricci0(m).ricci.diagonal()
+            assert not np.any(g.imag) and not np.any(r.imag)
+            with mp.workdps(40):
+                for i, p in enumerate(m.params):
+                    edge = 1 - mp.mpf(p.real) ** 2 - mp.mpf(p.imag) ** 2
+                    worst_g = max(worst_g, float(abs(g[i].real * edge - 1)))
+                    worst_r = max(worst_r, float(abs(r[i].real * edge**2 + 1)))
+        assert worst_g <= unit
+        assert worst_r <= 2.0 * unit
+
     def test_kahler_closedness(self):
         # d_k g_{i jbar} == d_i g_{k jbar} by central Wirtinger differences
         step = 1e-5
@@ -380,6 +437,30 @@ class TestDeterminant:
             with mp.workdps(80):
                 ref = self.mp_det(mp, m)
                 assert abs(metric_determinant(m) - ref.real) / ref.real <= tol
+
+    def test_underflow_at_distinct_coordinates_warns(self):
+        # 30-digit det g is about 1.56e-406, below the double range
+        mp = pytest.importorskip("mpmath")
+        m = ARMA16_16
+        with mp.workdps(30):
+            xi = [mp.mpc(p) for p in m.params]
+            pairs = [abs(xi[k] - xi[j]) ** 2 for j in range(m.n) for k in range(j + 1, m.n)]
+            den = mp.fprod(1 - xi[j] * mp.conj(xi[k]) for j in range(m.n) for k in range(m.n))
+            ref = mp.fprod(pairs) / mp.re(den)
+        assert 0 < ref < sys.float_info.min
+        with pytest.warns(DeterminantUnderflowWarning, match="underflowed"):
+            det = metric_determinant(m)
+        assert det < sys.float_info.min
+
+    def test_coincident_pair_is_zero_without_the_underflow_warning(self):
+        params = ARMA16_16.params
+        for m in (
+            ModelPoint((0.5, 0.5), (-1, -1)),
+            ModelPoint((params[1], *params[1:]), ARMA16_16.signature),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert metric_determinant(m) == 0.0
 
     @pytest.mark.parametrize("sep", [1e-4, 1e-6, 1e-8, 1e-10])
     def test_matches_mpmath_at_a_near_coincident_pair(self, sep):
@@ -538,7 +619,14 @@ class TestRicci:
         report = ricci0(AR1)
         assert report.ricci[0, 0] == pytest.approx(-16.0 / 9.0)
         assert report.scalar == pytest.approx(-4.0 / 3.0)
-        assert report.det_g == pytest.approx(4.0 / 3.0)
+        assert metric_determinant(AR1) == pytest.approx(4.0 / 3.0)
+
+    def test_report_holds_no_determinant(self):
+        # det g has one path, metric_determinant
+        report = ricci0(ARMA11)
+        assert not hasattr(report, "det_g")
+        fields = [f.name for f in dataclasses.fields(report)]
+        assert fields == ["alpha", "ricci", "scalar", "inverse"]
 
     def test_arma11_off_diagonal(self):
         assert ricci0(ARMA11).ricci[0, 1] == pytest.approx(-1.0 / 0.85**2)
@@ -587,27 +675,85 @@ class TestRicci:
             assert ricci0(m).scalar == pytest.approx(total, rel=1e-9)
 
     def test_scalar_raises_at_exact_coincidence(self):
-        m = ModelPoint((0.4, 0.4), (-1, -1))
-        with pytest.warns(CoincidentRootsWarning):
-            with pytest.raises(CoincidentRootsError):
-                ricci0(m)
+        for signature in ((-1, -1), (-1, 1)):
+            m = ModelPoint((0.4, 0.4), signature)
+            with pytest.warns(CoincidentRootsWarning):
+                with pytest.raises(CoincidentRootsError):
+                    ricci0(m)
+
+
+AR16_ROOTS = tuple(sample_root_tuples(1, 1, 16, 0.5, 0.05)[0])
+# one-signature points whose contracted scalar missed 50-digit mpmath by
+# 1.8e-2 (AR(16), MA(16)), 5.3e-3 (AR(2)) and 1e-4, 1.3e-6 (AR(32))
+ONE_SIGNATURE = {
+    "ar16": ModelPoint(AR16_ROOTS, (-1,) * 16),
+    "ma16": ModelPoint(AR16_ROOTS, (1,) * 16),
+    "ar2-1e-7": ModelPoint((0.5 + 0.2j, 0.5 + 0.2j + 1e-7), (-1, -1)),
+    **{
+        f"ar32-{k}": ModelPoint(tuple(row), (-1,) * 32)
+        for k, row in enumerate(sample_root_tuples(7, 10, 32, 0.9, 0.05)[:2])
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_one_signature_terms(name):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        return mp_scalar_terms(mp, ONE_SIGNATURE[name])
+
+
+class TestOneSignatureScalar:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("name", sorted(ONE_SIGNATURE))
+    def test_matches_mpmath_contraction(self, name, alpha):
+        scalar, corr = mp_one_signature_terms(name)
+        m = ONE_SIGNATURE[name]
+        got = alpha_ricci(m, alpha).scalar
+        if 1.0 + alpha * m.signature[0] == 0.0:  # the MA model is flat at alpha = -1
+            assert got == 0.0 and str(got) == "0.0"
+        else:
+            ref = float(scalar + alpha / 2 * corr)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        angles=st.lists(st.integers(0, 359), min_size=1, max_size=6, unique=True),
+        radius=st.floats(0.05, 0.95),
+        pole=st.booleans(),
+    )
+    def test_scalar_is_below_minus_n(self, angles, radius, pole):
+        # n(n-1)/2 - Re sum 1/(1 - w): each Re 1/(1 - w) > 1/2 off the diagonal
+        # and >= 1 on it, so S^0 <= -n < 0
+        n = len(angles)
+        radii = radius * (1.0 + np.arange(n)) / n
+        xi = radii * np.exp(1j * np.deg2rad(angles))
+        m = ModelPoint(tuple(xi), ((-1,) if pole else (1,)) * n)
+        assert ricci0(m).scalar <= -n
 
 
 class TestAlphaRicci:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.filterwarnings("ignore::cepgeo.closed_form.CoincidentRootsWarning")
     def test_is_r0_plus_the_separate_correction_bitwise(self, alpha):
-        # R^0 and the correction -(c_i + c_j) / a^2 as two formulas of their own
+        # R^0 and the correction -(c_i + c_j) / a^2 as two formulas of their own;
+        # the scalar is the contraction at a mixed signature, the closed form at one
+        uniform = 0
         for m in edge_points():
             xi, c = np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float)
             a2 = (1.0 - np.outer(xi, xi.conj())) ** 2
-            edge = (1.0 - np.abs(xi) ** 2) ** 2
-            r0 = hermitian_from_upper(-1.0 / a2, -1.0 / edge)
-            corr = hermitian_from_upper(-(c[:, None] + c[None, :]) / a2, -2.0 * c / edge)
+            r0 = hermitian_from_upper(-1.0 / a2)
+            corr = hermitian_from_upper(-(c[:, None] + c[None, :]) / a2)
             report = alpha_ricci(m, alpha)
             assert np.array_equal(report.ricci, r0 + 0.5 * alpha * corr), (m.n, m.params[:2])
-            scalar = float(np.sum(report.inverse * r0).real)
-            assert report.scalar == scalar + 0.5 * alpha * float(np.sum(report.inverse * corr).real)
+            if len(set(m.signature)) == 1:
+                uniform += 1
+                assert report.scalar == one_signature_scalar(m, alpha) + 0.0
+            else:
+                scalar = float(np.sum(report.inverse * r0).real)
+                corr_scalar = float(np.sum(report.inverse * corr).real)
+                assert report.scalar == scalar + 0.5 * alpha * corr_scalar
+        assert uniform == 3  # the three points at n = 1
 
     def test_ar1_analytic_values(self):
         # T^1_{11} = 2 conj(xi)/(1-|xi|^2) gives d_1bar T^1_11 = 2/(1-|xi|^2)^2,

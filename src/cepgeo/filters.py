@@ -201,9 +201,11 @@ def _check_zero_band(zeros: tuple[complex, ...], eps_stab: float) -> None:
 
 
 def check_eps_stab(eps_stab: float) -> None:
-    """Raise ValueError unless the stability margin lies in (0, 1)."""
+    """Raise ValueError unless the stability margin lies in (0, 1) and moves 1 - eps_stab off 1."""
     if not (0.0 < eps_stab < 1.0):
         raise ValueError(f"eps_stab must be in (0, 1), got {eps_stab!r}")
+    if 1.0 - eps_stab == 1.0:  # at or below 2^-54 the margin rounds away, and |root| = 1 passes
+        raise ValueError(f"eps_stab = {eps_stab!r} is too small: 1 - eps_stab rounds to 1")
 
 
 def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedFilter:

@@ -15,27 +15,31 @@ where it builds one.
 
 Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
-<d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  Both
-are symmetric in i and j, so one kernel forms only the n(n+1)/2 products
-d_i d_j with j >= i, against each third factor in a product of its own,
-and mirrors the rest.  The Ricci block is a projection of d^2 log h onto
-span{d log h}, read off a QR factor.  :func:`oracle_tensors` reads the
-metric, Gamma^(0), T and Ricci from one sample, with the bits of every
-other entry point.  :func:`connection_numeric` returns T with the four
-connection families, as the closed form does, and :func:`t_tensor_numeric`
-and :func:`ricci_numeric` are reads of it and of :func:`oracle_tensors`.
+<d_i d_j conj(d_k)> and <d_i d_j d_k>, transposed or conjugated.  One
+kernel, :func:`_grid_means`, forms every moment, its factors named rows of
+the sample ("dc", "d", "dd").  The third moments are symmetric in i and j,
+so it forms only the n(n+1)/2 products d_i d_j with j >= i, against each
+factor in a product of its own, and mirrors the rest.  The Ricci block is
+a projection of d^2 log h onto span{d log h}, read off a QR factor.
+:func:`oracle_tensors` reads the metric, Gamma^(0), T and Ricci from one
+sample, with the bits of every other entry point.
+:func:`connection_numeric` returns T with the four connection families, as
+the closed form does, and :func:`t_tensor_numeric` and
+:func:`ricci_numeric` are reads of it and of :func:`oracle_tensors`.
 
 No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks
 into one reused buffer, and every reduction (moments, triple products, the
 tall-skinny QR, the divergence integrand) accumulates block by block, so
-memory stays flat in the node count.  The QR takes whole slices of 2^k nodes
-of blocks of 2^j >= 2^k nodes, so R does not depend on the block size.  The
-last four grids of up to ``_CACHED_NODES`` nodes are cached, no larger one.
-The duality check samples its 4n Wirtinger-stepped rows (log h separates
-per root, so a step moves one row) in the same pass as the filter, and
-compares the two sides of the identity only in the two rows of the full
-index that each derivative moves: no (2n)^3 array is formed.
+memory stays flat in the node count.  One rule, :func:`_pow2`, sizes the
+sample blocks, the triple chunks and the QR slices as powers of two.  The
+QR takes whole slices of 2^k nodes of blocks of 2^j >= 2^k nodes, so R
+does not depend on the block size.  The last four grids of up to
+``_CACHED_NODES`` nodes are cached, no larger one.  The duality check
+samples its 4n Wirtinger-stepped rows (log h separates per root, so a step
+moves one row) in the same pass as the filter, and compares the two sides
+of the identity only in the two rows of the full index that each
+derivative moves: no (2n)^3 array is formed.
 
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
@@ -84,7 +88,7 @@ _BLASCHKE_POINT = 0.4 + 0j
 # one block of conj(d), d and dd, which makes the BLAS calls of a whole-half
 # sample.
 _BLOCK_BYTES = 1 << 21
-# Bytes of d_i d_j products that _Triples holds per chunk of nodes.  On a
+# Bytes of d_i d_j products that _grid_means holds per chunk of nodes.  On a
 # 2-core Xeon, 512 KiB was as fast as 1 MiB at n = 8..16 and up to 15%
 # faster than 256 KiB.
 _TRIPLE_BLOCK_BYTES = 1 << 19
@@ -173,7 +177,7 @@ def _sample(roots, signs, grids, conj: int = 0, second: int = 0) -> list:
     c = -np.asarray(signs, dtype=float)[:, None]
     xi = np.asarray(roots, dtype=complex)[:, None]
     n = len(c)
-    fit = 1 << (max(_BLOCK_BYTES // (16 * (conj + 2 * n) or 1), 1).bit_length() - 1)
+    fit = _pow2(_BLOCK_BYTES // (16 * (conj + 2 * n) or 1))
     buf = np.empty((conj + n + second, min(fit, max(m // s for m, _, s in grids))), dtype=complex)
 
     def blocks(m, offset, stride):
@@ -221,38 +225,55 @@ def _checked(even, odd, tol: float, what: str):
     return even, residual, converged
 
 
+def _pow2(x: int) -> int:
+    """The largest power of two <= max(x, 1), the size of every block of nodes."""
+    return 1 << (max(x, 1).bit_length() - 1)
+
+
 def _hermitian(mixed: np.ndarray) -> np.ndarray:
     # averaged with its conjugate transpose, so exactly Hermitian whatever the BLAS order
     return (mixed + mixed.conj().T) / 2
 
 
-def _grid_means(blocks, n: int, products=(), k: int = 0, ricci: bool = False):
-    """Grid means over [conj(d); d; dd] node blocks, in one pass.
+def _grid_means(blocks, n: int, products=(), third=(), ricci: bool = False):
+    """Grid means over [conj(d); d; dd] node blocks in one pass, the one place moments form.
 
-    The second moments <a_i b_j> for each pair of row names (a, b) in
-    ``products``, one matrix product per block summed in node order from 0,
-    so one block gives the bits of one product over the grid; the k third
-    moments of :class:`_Triples` against conj(d), then d; and, with
-    ``ricci``, the Ricci block of :func:`oracle_tensors`.
+    Factors are named rows: "dc", "d" and "dd".  The second moments <a_i b_j>
+    for each pair (a, b) in ``products``, one matrix product per block
+    summed in node order from 0, so one block gives the bits of one product
+    over the grid.  The third moments <d_i d_j e_l> for each name e in
+    ``third``: a chunk of nodes, the largest power of two whose n(n+1)/2
+    products d_i d_j with j >= i fit ``_TRIPLE_BLOCK_BYTES``, forms them
+    once, then one matrix product per factor, so no factor moves another's
+    bits; chunks are summed in node order and mirrored into i > j at the
+    end, exactly symmetric.  With ``ricci``, the Ricci block of
+    :func:`oracle_tensors`.
     """
-    sums, triples, nodes = [0] * len(products), _Triples(n, k) if k else None, 0
+    rows, cols = np.triu_indices(n)
+    chunk = _pow2(_TRIPLE_BLOCK_BYTES // (16 * rows.size or 1))
     # [d | dd] goes to LAPACK in whole slices of a power of two of nodes, each at most
     # _QR_BLOCK_BYTES while n <= 45 and never fewer nodes than the largest power of two <= 2n
-    step = 1 << (max(_QR_BLOCK_BYTES // (32 * n or 1), 2 * n).bit_length() - 1)
+    step = _pow2(max(_QR_BLOCK_BYTES // (32 * n or 1), 2 * n))
+    sums, nodes = [0] * len(products), 0
+    triples = np.zeros((len(third), rows.size, n), dtype=complex)
     r = np.empty((0, 2 * n), dtype=complex)
-
-    def stack(r, rows):  # a QR slice factored alone, then stacked on the R so far
-        return np.linalg.qr(np.vstack([r, np.linalg.qr(rows, mode="r")]), mode="r")
-
     for block in blocks:
         named = {"dc": block[:n], "d": block[n : 2 * n], "dd": block[2 * n :]}
         sums = [s + named[a] @ named[b].T for s, (a, b) in zip(sums, products)]
-        if k:
-            triples.add(named["d"], block[: k * n])
+        for start in range(0, block.shape[1], chunk) if third else ():
+            span = slice(start, start + chunk)
+            prod = named["d"][rows, span]
+            prod *= named["d"][cols, span]
+            for acc, e in zip(triples, third):
+                acc += prod @ named[e][:, span].T
         nodes += block.shape[1]
         for start in range(0, block.shape[1], step) if ricci else ():
-            r = stack(r, block[n:, start : start + step].T)
-    means = [s / nodes for s in sums], triples.means() if k else []
+            # a QR slice factored alone, then stacked on the R so far
+            r_slice = np.linalg.qr(block[n:, start : start + step].T, mode="r")
+            r = np.linalg.qr(np.vstack([r, r_slice]), mode="r")
+    full = np.empty((len(third), n, n, n), dtype=complex)
+    full[:, rows, cols] = full[:, cols, rows] = triples / nodes
+    means = [s / nodes for s in sums], list(full)
     if not ricci:
         return means
     inv11, r22 = np.linalg.inv(r[:n, :n]), r[n:, n:]
@@ -276,42 +297,6 @@ def metric_numeric(
     halves = map(blocks, _halves(f, cfg.nodes))
     (mixed, pure), residual, converged = _checked(*halves, _TOL, "metric")
     return HermitianMetric(mixed, pure, residual, converged)
-
-
-class _Triples:
-    """The k third moments <d_i d_j e_l> against k stacked factors e, over node blocks.
-
-    Each is symmetric in i and j.  :meth:`add` walks a block in chunks, each
-    one matrix product of the n(n+1)/2 products d_i d_j with j >= i against
-    each factor; chunks are summed in node order, and :meth:`means` mirrors
-    the sum into i > j, so the result is exactly symmetric.  A chunk is the
-    largest power of two whose product block fits ``_TRIPLE_BLOCK_BYTES``,
-    so memory stays flat in the node count.
-    """
-
-    def __init__(self, n: int, k: int):
-        self.rows, self.cols = np.triu_indices(n)
-        fit = max(_TRIPLE_BLOCK_BYTES // (16 * max(self.rows.size, 1)), 1)
-        self.chunk, self.n, self.k, self.nodes = 1 << (fit.bit_length() - 1), n, k, 0
-        self.acc = np.zeros((self.rows.size, n * k), dtype=complex)
-        # each factor's rows of the stack, and its columns of acc
-        self.parts = [(slice(j * n, j * n + n), self.acc[:, j * n : j * n + n]) for j in range(k)]
-
-    def add(self, d: np.ndarray, factors: np.ndarray) -> None:
-        for start in range(0, d.shape[1], self.chunk):
-            span = slice(start, start + self.chunk)
-            prod = d[self.rows, span]
-            prod *= d[self.cols, span]
-            for part, acc in self.parts:  # a product per factor, so k moves no bits
-                acc += prod @ factors[part, span].T
-        self.nodes += d.shape[1]
-
-    def means(self) -> list[np.ndarray]:
-        out = np.empty((self.n, self.n, self.acc.shape[1]), dtype=complex)
-        out[self.rows, self.cols] = self.acc
-        out[self.cols, self.rows] = self.acc
-        out /= self.nodes
-        return np.split(out, self.k, axis=2)
 
 
 def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
@@ -340,7 +325,7 @@ def connection_numeric(
     def blocks(half):
         # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar, t_mixed, t_pure
         seconds = [("dd", "dc"), ("dd", "d")]
-        (s, s_pure), (triple, pure) = _grid_means(half, f.dimension, seconds, 2)
+        (s, s_pure), (triple, pure) = _grid_means(half, f.dimension, seconds, ("dc", "d"))
         return (
             _gamma(triple, s, alpha),
             _gamma(pure, s_pure, alpha),
@@ -389,7 +374,7 @@ def oracle_tensors(
     """
 
     def legs(blocks, ricci):
-        means = _grid_means(blocks, f.dimension, [("d", "dc"), ("dd", "dc")], 1, ricci)
+        means = _grid_means(blocks, f.dimension, [("d", "dc"), ("dd", "dc")], ("dc",), ricci)
         (g, s), (triple,), *r = means
         return _hermitian(g), _gamma(triple, s, 0.0), 2.0 * triple, *r
 

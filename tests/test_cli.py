@@ -96,6 +96,23 @@ class TestValidateCommand:
         assert code == 2
         assert report["error"]["code"] == "POLE_OUTSIDE_DISK"
 
+    @pytest.mark.parametrize(
+        "root, eps, code",
+        [
+            ({"poles": [{"re": 1.0, "im": 0.0}]}, "1e-300", "INVALID_INPUT"),
+            ({"zeros": [{"re": 0.0, "im": 1.0}]}, "1e-300", "INVALID_INPUT"),
+            ({"poles": [{"re": 1.0, "im": 0.0}]}, "1e-16", "POLE_OUTSIDE_DISK"),
+            ({"zeros": [{"re": 0.0, "im": 1.0}]}, "1e-16", "ZERO_ON_CIRCLE"),
+        ],
+    )
+    def test_root_on_circle_exits_2_at_the_smallest_margins(self, capsys, tmp_path, root, eps, code):
+        # at 1e-300, 1 - eps_stab rounds to 1 and the margin would let the root pass
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"gain": 1.0, **root}))
+        exit_code, report = run_json(capsys, ["validate", str(path), "--eps-stab", eps])
+        assert exit_code == 2
+        assert report["error"]["code"] == code
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, report = run_json(capsys, ["validate", str(tmp_path / "absent.json")])
         assert code == 2
@@ -548,30 +565,31 @@ class TestOracleCompareCommand:
     def test_one_sample_and_one_triple_per_half(self, monkeypatch):
         f = validate(FilterSpec(gain=1.0, poles=(0.5, -0.2 + 0.3j), zeros=(0.1j,)))
         cfg = quadrature.QuadratureConfig(nodes=1024)
-        sample, grids, widths, moments = quadrature._sample, [], [], []
+        sample, means, grids, widths, moments = quadrature._sample, quadrature._grid_means, [], [], []
 
-        def counted(blocks):
+        def counted(blocks, log):
             for block in blocks:
-                widths.append(block.shape[1])
+                log.append(block.shape[1])
                 yield block
 
         def logged_sample(roots, signs, nodes, conj=0, second=0):
             grids.extend(nodes)
-            return [counted(blocks) for blocks in sample(roots, signs, nodes, conj, second)]
+            return [counted(blocks, widths) for blocks in sample(roots, signs, nodes, conj, second)]
 
-        class LoggedTriples(quadrature._Triples):
-            def __init__(self, n, k):
-                super().__init__(n, k)
-                moments.append(self)
+        def logged_means(blocks, n, products=(), third=(), ricci=False):
+            seen = []
+            out = means(counted(blocks, seen), n, products, third, ricci)
+            moments.append((third, [t.shape for t in out[1]], sum(seen)))
+            return out
 
         monkeypatch.setattr(quadrature, "_sample", logged_sample)
-        monkeypatch.setattr(quadrature, "_Triples", LoggedTriples)
+        monkeypatch.setattr(quadrature, "_grid_means", logged_means)
         oracle_compare(f, cfg)
         # each node of the doubled grid sampled once, even half first; then
         # one accumulation of the mixed third moment alone over each half
         assert grids == [(2048, 0, 2), (2048, 1, 2)]
         assert sum(widths) == 2048
-        assert [(t.acc.shape, t.nodes) for t in moments] == [((6, 3), 1024)] * 2
+        assert moments == [(("dc",), [(3, 3, 3)], 1024)] * 2
 
     def test_nan_leg_reaches_the_max(self, monkeypatch):
         # ricci0 is the last leg, which the builtin max() would drop

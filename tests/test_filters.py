@@ -66,6 +66,20 @@ class TestValidate:
         with pytest.raises(PoleOutsideDisk):
             validate(spec, eps_stab=0.1)
 
+    @pytest.mark.parametrize("eps_stab", [2.0**-54, 1e-17, 1e-300, 5e-324])
+    def test_margin_that_rounds_away_is_rejected(self, eps_stab):
+        # 1 - eps_stab rounds to 1, so a root on the circle would pass the margin
+        with pytest.raises(ValueError, match="1 - eps_stab rounds to 1"):
+            validate(FilterSpec(gain=1.0, poles=(1.0,)), eps_stab=eps_stab)
+
+    @pytest.mark.parametrize("eps_stab", [2.0**-53, 1e-16])
+    def test_smallest_margins_that_move_one_are_accepted(self, eps_stab):
+        assert validate(FilterSpec(gain=1.0, poles=(0.5,)), eps_stab=eps_stab).eps_stab == eps_stab
+        with pytest.raises(PoleOutsideDisk):
+            validate(FilterSpec(gain=1.0, poles=(1.0,)), eps_stab=eps_stab)
+        with pytest.raises(ZeroOnCircle):
+            validate(FilterSpec(gain=1.0, zeros=(1j,)), eps_stab=eps_stab)
+
     def test_exact_cancellation_flagged_not_cancelled(self):
         f = validate(FilterSpec(gain=1.0, poles=(0.4,), zeros=(0.4,)))
         assert f.has_exact_cancellation

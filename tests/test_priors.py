@@ -152,6 +152,11 @@ class TestCheckSuperharmonic:
         with pytest.raises(ValueError, match=r"eps_stab must be in \(0, 1\)"):
             check_superharmonic(prior_psi1(2), (2, 0), 10, seed=3, eps_stab=eps_stab)
 
+    def test_eps_stab_that_rounds_away_is_rejected(self):
+        # the sampling radius 1 - eps_stab would be 1
+        with pytest.raises(ValueError, match="1 - eps_stab rounds to 1"):
+            check_superharmonic(prior_psi1(2), (2, 0), 10, seed=3, eps_stab=1e-300)
+
     def test_deterministic_for_fixed_seed(self):
         a = check_superharmonic(prior_psi2(2), (1, 1), 100, seed=11)
         b = check_superharmonic(prior_psi2(2), (1, 1), 100, seed=11)

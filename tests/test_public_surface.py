@@ -3,7 +3,9 @@
 Every public top-level ``def`` and ``class`` in ``src/cepgeo`` must be
 referenced, as a name or an attribute, from the package outside its own
 definition or from the benchmark in ``perfbench/``.  API that only tests
-call belongs in the tests.  Every top-level assignment, public or private
+call belongs in the tests.  Every private top-level ``def`` and ``class``
+must be referenced from the package itself, so a helper cannot outlive its
+last caller.  Every top-level assignment, public or private
 (dunders aside), must be read there too, so a constant cannot outlive its
 last reader.
 """
@@ -54,6 +56,19 @@ def test_public_definitions_are_used(path):
         and not node.name.startswith("_")
         and PACKAGE_REFS[node.name] - _references(node)[node.name] <= 0
         and not BENCH_REFS[node.name]
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_private_definitions_are_used(path):
+    # references from the tests do not count
+    unused = [
+        node.name
+        for node in TREES[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and PACKAGE_REFS[node.name] - _references(node)[node.name] <= 0
     ]
     assert unused == []
 

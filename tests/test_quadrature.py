@@ -60,11 +60,9 @@ def first_derivs(f, m=CFG.nodes):
     return sampled(f, m)
 
 
-def triples(d, *factors):
-    """``quadrature._Triples`` over one block of nodes."""
-    acc = quadrature._Triples(len(d), len(factors))
-    acc.add(d, np.vstack(factors))
-    return acc.means()
+def triples(d, *third):
+    """The third moments of ``quadrature._grid_means`` against the named rows, over one block."""
+    return quadrature._grid_means([np.vstack([d.conj(), d])], len(d), third=third)[1]
 
 
 class TestQuadratureConfig:
@@ -609,7 +607,7 @@ class TestDualityParts:
 
     def test_triples_are_exactly_symmetric_in_first_two_indices(self):
         d = first_derivs(_mixed_filter(41, 8))
-        for t in triples(d, d.conj(), d):
+        for t in triples(d, "dc", "d"):
             assert np.array_equal(t, t.transpose(1, 0, 2))
 
     # m = 64 is one chunk at n <= 16; m = 16384 is many chunks at every n
@@ -617,7 +615,7 @@ class TestDualityParts:
     @pytest.mark.parametrize("n", [1, 16, 32])
     def test_triples_match_einsum_grid_means(self, n, m):
         d = first_derivs(_mixed_filter(70 + n, n), m)
-        mixed, pure = triples(d, d.conj(), d)
+        mixed, pure = triples(d, "dc", "d")
         expected = [
             np.stack([np.einsum("jm,km->jk", row * d, e, optimize=True) for row in d]) / m
             for e in (d.conj(), d)
@@ -627,12 +625,21 @@ class TestDualityParts:
             assert actual.shape == want.shape == (n, n, n)
             assert np.max(np.abs(actual - want)) <= 1e-13 * scale
 
+    # m = 64 is one chunk at n <= 16; m = 16384 is many chunks at every n
+    @pytest.mark.parametrize("m", [64, 16384])
+    @pytest.mark.parametrize("n", [1, 16, 32])
+    def test_a_factor_has_the_same_bits_alone_and_with_another(self, n, m):
+        # connection_numeric asks for ("dc", "d"), oracle_tensors for ("dc",) alone
+        d = first_derivs(_mixed_filter(70 + n, n), m)
+        (alone,) = triples(d, "dc")
+        mixed, _ = triples(d, "dc", "d")
+        assert np.array_equal(mixed, alone)
+
     @pytest.mark.parametrize("m", [4096, 65536])
     def test_triples_memory_stays_flat_in_the_node_count(self, m):
         d = first_derivs(_mixed_filter(80, 16), m)
-        factors = np.vstack([d.conj(), d])
-        acc = quadrature._Triples(16, 2)
-        assert peak_mib(lambda: (acc.add(d, factors), acc.means()))[0] < 1
+        block = np.vstack([d.conj(), d])
+        assert peak_mib(lambda: quadrature._grid_means([block], 16, third=("dc", "d")))[0] < 1
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_one_row_step_matches_full_metric_difference(self, n):

@@ -146,7 +146,6 @@ def _load_validated(args, path: str) -> filters.ValidatedFilter:
 def _cmd_validate(args) -> dict:
     f = _load_validated(args, args.input)
     return {
-        "command": "validate",
         "valid": True,
         "dimension": f.dimension,
         "signature": list(f.signature),
@@ -160,7 +159,6 @@ def _cmd_cepstrum(args) -> dict:
     f = _load_validated(args, args.input)
     series = filters.cepstrum(f, args.trunc)
     return {
-        "command": "cepstrum",
         "truncation": series.truncation,
         "phi0": serialization.complex_to_json(series.phi0),
         "coeffs": [serialization.complex_to_json(c) for c in series.coeffs],
@@ -180,7 +178,6 @@ def _cmd_tensors(args) -> dict:
     curv = closed_form.alpha_ricci(point, args.alpha)  # with g^{i jbar}
     labels = point.labels
     return {
-        "command": "tensors",
         "alpha": args.alpha,
         "labels": list(labels),
         "potential": {"value": potential.value},
@@ -216,7 +213,7 @@ def _cmd_divergence(args) -> dict:
     f2 = _load_validated(args, args.input2)
     cfg = quadrature.QuadratureConfig(nodes=args.nodes)
     result = quadrature.divergence(f1, f2, args.alpha, cfg, tol=args.tol)
-    return {"command": "divergence", **dataclasses.asdict(result)}
+    return dataclasses.asdict(result)
 
 
 def _cmd_check_prior(args) -> dict:
@@ -225,7 +222,7 @@ def _cmd_check_prior(args) -> dict:
     shape = _parse_model_shape(args.model)
     psi = priors.BUILTINS[args.psi](n=shape[0] + shape[1])
     report = priors.check_superharmonic(psi, shape, args.samples, args.seed, args.eps_stab)
-    head = {"command": "check-prior", "psi": report.psi, "model": args.model}  # psi, model lead
+    head = {"psi": report.psi, "model": args.model}  # psi, model lead
     return {**head, **dataclasses.asdict(report)}
 
 
@@ -262,7 +259,6 @@ def _cmd_oracle_compare(args) -> dict:
     f = _load_validated(args, args.input)
     residuals = oracle_compare(f, quadrature.QuadratureConfig(nodes=args.nodes))
     return {
-        "command": "oracle-compare",
         "nodes": args.nodes,
         "tol": args.tol,
         "residuals": residuals,
@@ -277,7 +273,6 @@ def _cmd_duality_check(args) -> dict:
     cfg = quadrature.QuadratureConfig(nodes=args.nodes)
     report = quadrature.duality_check(f, 0.0, cfg)  # alpha is not read
     return {
-        "command": "duality-check",
         **dataclasses.asdict(report),
         "tol": args.tol,
         "passed": _passed([report.duality_residual, report.reciprocal_residual], args.tol),
@@ -293,7 +288,6 @@ def _cmd_invariance_check(args) -> dict:
     reflection = legs["outer_reflection"] or {}
     residuals = [legs["z_power_sdf_residual"], legs["blaschke_sdf_residual"], *reflection.values()]
     return {
-        "command": "invariance-check",
         **legs,
         "max_metric_residual": report.max_metric_residual,
         "tol": args.tol,
@@ -318,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--tol must be finite and > 0, got {args.tol!r}")
             if not math.isfinite(getattr(args, "alpha", 0.0)):
                 raise ValueError(f"--alpha must be finite, got {args.alpha!r}")
-            report = args.run(args)
+            report = {"command": args.command, **args.run(args)}
             if caught:
                 report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
             # rendered here, so a value JSON cannot hold (inf, nan) is an input error

@@ -38,8 +38,8 @@ does not depend on the block size.  The last four grids of up to
 ``_CACHED_NODES`` nodes are cached, no larger one.  The duality check
 samples its 4n Wirtinger-stepped rows (log h separates per root, so a step
 moves one row) in the same pass as the filter, and compares the two sides
-of the identity only in the two rows of the full index that each
-derivative moves: no (2n)^3 array is formed.
+of the identity once per derivative, in the row of d_i that it moves (row
+n+i is its conjugate): no (2n)^3 array is formed.
 
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
@@ -500,19 +500,6 @@ class DualityReport:
     reciprocal_residual: float
 
 
-def _full_second(second: np.ndarray) -> np.ndarray:
-    """<dd_a D_c> over the full index D = [d; conj(d)], the holomorphic then the
-    anti-holomorphic coordinates.
-
-    Each block is one of ``second`` = [<dd_i conj(d_k)> | <dd_i d_k>] or a conjugate.
-    """
-    n = len(second)
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[:n, :n], out[:n, n:] = second[:, n:], second[:, :n]
-    np.conjugate(second, out=out[n:])
-    return out
-
-
 def _row_sums(r: np.ndarray) -> np.ndarray:
     """Row sums of r r and of r conj(r), formed in one temporary."""
     prod = r * r
@@ -522,18 +509,22 @@ def _row_sums(r: np.ndarray) -> np.ndarray:
 
 
 def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfig):
-    """<dd_a D_b>, the moved rows of d_mu <D_a D_b> and the swap residual of ``rec``, in one pass.
+    """<dd_i E_b>, the two Wirtinger derivatives of <d_i E_b> and the swap residual, in one pass.
 
-    D = [d; conj(d)] is the full index.  d_mu <D_a D_b> is a central
-    Wirtinger difference in xi_i or conj(xi_i), i = mu mod n.  log h
-    separates per root, so moving xi_i by +-h or +-ih changes row i of d
-    alone, and d_mu <D_a D_b> is zero outside rows and columns i and n+i;
-    being symmetric, it is returned as those two rows, a (2n, 2, 2n) array.
-    Each of the four steps goes through :func:`cepgeo.filters.validate` as
-    one filter with every root moved (its rules are per root), and its
-    error, code kept, names the step.  The 4n moved rows r are sampled root
-    by root, then by step, in the same blocks as f: one product per block
-    takes <r D_b> with <dd_i D_b>.  The swap residual is the largest
+    E = [conj(d); d] is the sample's row order, the full index D = [d; conj(d)]
+    with its halves swapped.  d_mu <D_a D_b> is a central Wirtinger
+    difference in xi_i or conj(xi_i), i = mu mod n.  log h separates per
+    root, so moving xi_i by +-h or +-ih changes row i of d alone, and
+    d_mu <D_a D_b> is zero outside rows and columns i and n+i.  Row n+i of
+    each derivative is row i of the other conjugated, column halves
+    swapped (g_{a+n,b+n} = conj(g_{ab})), so each is returned in the row of
+    d_i alone: ``hol`` = d_i <d_i E_b> and ``anti`` = d_(n+i) <d_i E_b>, in
+    xi_i and conj(xi_i), each (n, 2n) like <dd_i E_b>.  Each of the four
+    steps goes through :func:`cepgeo.filters.validate` as one filter with
+    every root moved (its rules are per root), and its error, code kept,
+    names the step.  The 4n moved rows r are sampled root by root, then by
+    step, in the same blocks as f: one product per block takes <r E_b>
+    with <dd_i E_b>.  The swap residual is the largest
     |d log h_rec + d log h_f| on the grid, the reciprocal's roots permuted
     back (a NaN kept): 0.0 unless ``rec`` breaks the pole/zero swap.
     """
@@ -557,16 +548,12 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
         mismatch = np.abs(block[2 * n : 3 * n] + block[n : 2 * n][perm])
         swap = np.maximum(swap, np.max(mismatch, initial=0.0))  # unlike max(), keeps a NaN
     m = cfg.nodes
-    # u[i, step, b] = <r D_b>, with <r r> at b = i and <r conj(r)> at b = n+i
-    u = np.roll(second[: 4 * n], n, axis=1).reshape(n, 4, 2 * n) / m
+    # u[i, step, b] = <r E_b>, with <r conj(r)> at b = i and <r r> at b = n+i
+    u = second[: 4 * n].reshape(n, 4, 2 * n) / m
     i = np.arange(n)
-    u[i, :, i], u[i, :, n + i] = diag.reshape(2, n, 4) / m
+    u[i, :, n + i], u[i, :, i] = diag.reshape(2, n, 4) / m
     dx, dy = (u[:, 0] - u[:, 1]) / (2.0 * h), (u[:, 2] - u[:, 3]) / (2.0 * h)
-    hol, anti = 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-    # row n+i, the twin <conj(r) D_b> = conj(<r D_(b+n mod 2n)>)
-    twins = np.roll(np.concatenate([anti, hol]).conj(), n, axis=1)
-    rows = np.stack([np.concatenate([hol, anti]), twins], axis=1)
-    return _full_second(second[4 * n :] / m), rows, float(swap)
+    return second[4 * n :] / m, 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy), float(swap)
 
 
 def duality_check(
@@ -585,19 +572,19 @@ def duality_check(
     difference of the quadrature metric (see :func:`_duality_pass`), so
     the residual is finite-difference limited.  Gamma^(0)_{mu nu,rho} =
     delta_{mu nu} <dd_mu D_rho> is zero outside row mu, so both sides are
-    compared in the two rows i and n+i (i = mu mod n) that the left side
-    moves, one of which is mu; by symmetry the columns add nothing.  The
-    reciprocal residual checks the swap behind the reciprocal-system
-    duality, that 1/h has f's roots with the roles of poles and zeros
-    exchanged.  A filter with no roots has residuals of 0.
+    compared in the row of d_i (i = mu mod n) that the left side moves,
+    row n+i being the other derivative's row i conjugated; by symmetry the
+    columns add nothing.  The reciprocal residual checks the swap behind
+    the reciprocal-system duality, that 1/h has f's roots with the roles of
+    poles and zeros exchanged.  A filter with no roots has residuals of 0.
     """
     n = f.dimension
     # the Blaschke factors leave the coordinates alone, so the reciprocal leg takes the root part
     rec = reciprocal(validate(replace(f.to_spec(), blaschke_points=()), f.eps_stab))
-    second, diff, swap = _duality_pass(f, rec, cfg)
-    mu = np.arange(2 * n)
-    nu = np.stack([mu % n, mu % n + n], axis=1)  # the two rows held for each mu
-    diff[nu == mu[:, None]] -= second  # delta_{mu nu} <dd_mu D_rho>, in row nu = mu
-    diff[mu[:, None], [0, 1], mu[:, None]] -= second[mu[:, None], nu]  # delta_{mu rho} <dd_mu D_nu>
-    worst = np.max(np.abs(diff), initial=0.0)
+    second, hol, anti, swap = _duality_pass(f, rec, cfg)
+    i = np.arange(n)
+    hol -= second  # delta_{mu nu} <dd_mu E_rho>, mu = nu = i
+    hol[i, n + i] -= second[i, n + i]  # delta_{mu rho} <dd_i d_i>, rho = mu = i
+    anti[i, i] -= second[i, i].conj()  # delta_{mu rho} <conj(dd_i) d_i>, rho = mu = n+i
+    worst = np.max(np.abs([hol, anti]), initial=0.0)
     return DualityReport(duality_residual=float(worst), reciprocal_residual=swap)

@@ -26,7 +26,7 @@ from cepgeo.serialization import (
     tensor_to_document,
 )
 
-from conftest import input_error, parse_tensor_document, readme_cli_argvs
+from conftest import _readme_block, input_error, parse_tensor_document, readme_cli_argvs
 
 GAIN_UNIT = math.sqrt(2.0 * math.pi)
 
@@ -855,6 +855,13 @@ def test_readme_cli_examples_run(capsys, tmp_path):
         assert argv[0] == "cepgeo"
         assert main(argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_library_example_runs():
+    # the documented python block runs as written, and its two metrics agree
+    scope = {}
+    exec(_readme_block("## Library", "python"), scope)
+    assert np.max(np.abs(scope["g"] - scope["g_oracle"])) <= 1e-12
 
 
 def test_readme_lists_every_error_code():

@@ -731,6 +731,20 @@ class TestOneSignatureScalar:
         m = ModelPoint(tuple(xi), ((-1,) if pole else (1,)) * n)
         assert ricci0(m).scalar <= -n
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        split=st.floats(0.0, 1.0),
+        radius=st.floats(0.05, 0.99),
+    )
+    def test_scalar_is_negative_at_mixed_signatures(self, seed, n, split, radius):
+        # S = -sum_ij u_i conj(u_j)/(1 - xi_i conj(xi_j))^3, a positive-definite kernel
+        poles = 1 + min(int(split * (n - 1)), n - 2)  # 1 to n - 1 poles, the rest zeros
+        row = sample_root_tuples(seed, 1, n, radius, 1e-3)[0]
+        m = ModelPoint(tuple(row), (-1,) * poles + (1,) * (n - poles))
+        assert alpha_ricci(m, 0.0).scalar < 0
+
 
 class TestAlphaRicci:
     @pytest.mark.parametrize("alpha", ALPHAS)

@@ -575,6 +575,11 @@ def _full_metric(f, z):
     return np.einsum("am,bm->ab", full, full) / z.size
 
 
+def _sample_order(n):
+    # full-index columns [d; conj(d)] taken in the sample's order [conj(d); d]
+    return np.r_[n : 2 * n, :n]
+
+
 def _full_metric_difference(f, i, step, z):
     """Central Wirtinger differences of the whole 2n x 2n metric in xi_i."""
     xi = f.coordinates[i]
@@ -600,9 +605,10 @@ class TestDualityParts:
         d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
-        second, _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
-        expected = np.einsum("am,bm->ab", full2, full) / z.size
-        assert second.shape == expected.shape
+        second, _, _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        # rows :n of the full-index reference, in the sample's column order [conj(d); d]
+        expected = np.einsum("am,bm->ab", full2, full)[:n, _sample_order(n)] / z.size
+        assert second.shape == expected.shape == (n, 2 * n)
         assert np.max(np.abs(second - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_triples_are_exactly_symmetric_in_first_two_indices(self):
@@ -646,23 +652,47 @@ class TestDualityParts:
         f = _mixed_filter(50 + n, n)
         z = circle_nodes(CFG.nodes)
         step = quadrature.DERIV_STEP
-        _, rows, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
-        assert rows.shape == (2 * n, 2, 2 * n)
+        _, hol, anti, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        assert hol.shape == anti.shape == (n, 2 * n)
         for i in range(n):
             still = np.ones(2 * n, dtype=bool)
             still[[i, n + i]] = False
-            for fast, slow in zip(rows[[i, n + i]], _full_metric_difference(f, i, step, z)):
-                # rows i and n+i, held for d_mu with mu = i and mu = n+i
-                assert np.max(np.abs(fast - slow[[i, n + i]])) <= 1e-9
+            for fast, slow in zip((hol, anti), _full_metric_difference(f, i, step, z)):
+                # row i, for d_mu with mu = i and mu = n+i, in the sample's column order
+                assert np.max(np.abs(fast[i] - slow[i, _sample_order(n)])) <= 1e-9
                 # only rows and columns i and n+i of the metric move
                 assert np.max(np.abs(slow[np.ix_(still, still)]), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_row_n_plus_i_is_the_other_derivative_conjugated(self, n):
+        # what lets the check compare row i alone: g_{a+n,b+n} = conj(g_{ab})
+        f = _mixed_filter(50 + n, n)
+        z = circle_nodes(CFG.nodes)
+        swap = _sample_order(n)  # the column halves exchanged
+        for i in range(n):
+            hol, anti = _full_metric_difference(f, i, quadrature.DERIV_STEP, z)
+            scale = max(np.max(np.abs(hol)), np.max(np.abs(anti)))
+            assert np.max(np.abs(hol[n + i] - anti[i, swap].conj())) <= 1e-12 * scale
+            assert np.max(np.abs(anti[n + i] - hol[i, swap].conj())) <= 1e-12 * scale
 
     def test_check_is_not_tautological(self, monkeypatch):
         f = _mixed_filter(60, 4)
         assert duality_check(f, 0.5, CFG).duality_residual < 1e-6
-        exact = quadrature._full_second
-        monkeypatch.setattr(quadrature, "_full_second", lambda second: 1.01 * exact(second))
-        assert duality_check(f, 0.5, CFG).duality_residual > 1e-4
+        exact = quadrature._duality_pass
+
+        def scaled(*args):
+            second, hol, anti, swap = exact(*args)
+            return 1.01 * second, hol, anti, swap
+
+        def without_anti_term(*args):
+            second, hol, anti, swap = exact(*args)
+            i = np.arange(len(second))
+            anti[i, i] += second[i, i].conj()  # undoes delta_{mu rho} <conj(dd_i) d_i>
+            return second, hol, anti, swap
+
+        for mutant in (scaled, without_anti_term):
+            monkeypatch.setattr(quadrature, "_duality_pass", mutant)
+            assert duality_check(f, 0.5, CFG).duality_residual > 1e-4
 
 
 MEMORY_ROUTINES = {

@@ -54,6 +54,8 @@ import numpy as np
 from .filters import ValidatedFilter, coordinate_labels
 
 DELTA_COINCIDE = 1e-8
+# relative error bound on a contracted scalar curvature, estimated as kappa * eps
+SCALAR_ERROR_BOUND = 1e-8
 # B_2k / (2k+1)!, k = 1..14, from the even Bernoulli numbers B_2k
 _LI2_COEFFS = tuple(
     b / math.factorial(2 * k + 1)
@@ -83,6 +85,10 @@ class CoincidentRootsWarning(UserWarning):
 
 class DeterminantUnderflowWarning(UserWarning):
     """det g at distinct coordinates is below the smallest normal double."""
+
+
+class ScalarCancellationWarning(UserWarning):
+    """A mixed-signature scalar curvature cancelled: its relative error may pass 1e-8."""
 
 
 @dataclass(frozen=True)
@@ -393,6 +399,15 @@ def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
     S^{(alpha)} = (1 + alpha c) (n(n-1)/2 - Re sum_{ij} 1/(1 - xi^i conj(xi^j))),
     which needs no inverse and is below -n at alpha = 0.  At a mixed
     signature the scalar is the contraction sum_{ij} g^{i jbar} R_{i jbar}.
+    Each of its terms is accurate, but same-type roots close together make
+    them large while S stays moderate, so the sum cancels.  Its relative
+    error is about kappa eps (0.39-3.2 times that against 50-digit mpmath), with
+
+        kappa |S| = sum |g^{i jbar} R^0_{i jbar}|
+                    + (|alpha|/2) sum |g^{i jbar} (c_i + c_j) R^0_{i jbar}|,
+
+    and a :class:`ScalarCancellationWarning` fires when kappa eps passes
+    ``SCALAR_ERROR_BOUND``.
     The inverse metric is formed either way, for the report, so exactly
     coincident coordinates raise :class:`CoincidentRootsError` even though
     the Ricci block is regular.
@@ -406,7 +421,19 @@ def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
         # + 0.0: a flat model (1 + alpha c = 0) reports 0.0, not -0.0
         scalar = (1.0 + alpha * c[0]) * (m.n * (m.n - 1) / 2 - float(np.sum(1.0 / a).real)) + 0.0
     else:
-        scalar = float(np.sum(ginv * ricci).real) + 0.5 * alpha * float(np.sum(ginv * corr).real)
+        terms, corr_terms = ginv * ricci, ginv * corr
+        # .sum() is np.sum's reduction without its Python dispatch, which pays for kappa's sums
+        scalar = float(terms.sum().real) + 0.5 * alpha * float(corr_terms.sum().real)
+        # kappa |S|, compared without dividing: with no terms (n = 0) S is an exact 0.0
+        size = float(np.abs(terms).sum() + 0.5 * abs(alpha) * np.abs(corr_terms).sum())
+        if size * sys.float_info.epsilon > SCALAR_ERROR_BOUND * abs(scalar):
+            error = size * sys.float_info.epsilon / abs(scalar) if scalar else math.inf
+            warnings.warn(
+                "the contracted scalar curvature cancelled; "
+                f"it may be off by about {error:.1e} relative",
+                ScalarCancellationWarning,
+                stacklevel=2,
+            )
     return CurvatureReport(
         alpha=float(alpha), ricci=ricci + 0.5 * alpha * corr, scalar=float(scalar), inverse=ginv
     )

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,20 @@ class TestTensorsCommand:
         assert [w.split(":")[0] for w in report["warnings"]] == ["DeterminantUnderflowWarning"]
         assert main(["tensors", path, "--strict"]) == 3
 
+    def test_cancelled_scalar_warns(self, capsys, tmp_path):
+        # two poles 1e-7 apart: the contracted scalar is off by 6.3e-4 (50-digit mpmath)
+        path = _roots_document(tmp_path, [0.5, 0.5 + 1e-7, -0.3 + 0.2j, 0.1 - 0.4j])
+        code, report = run_json(capsys, ["tensors", path])
+        assert code == 0
+        assert report["warnings"] == [
+            "ScalarCancellationWarning: the contracted scalar curvature cancelled; "
+            "it may be off by about 3.1e-03 relative"
+        ]
+        assert main(["tensors", path, "--strict", "--out", os.devnull]) == 3
+        # oracle-compare reads only the Ricci block, so it does not warn of the scalar
+        code, report = run_json(capsys, ["oracle-compare", path])
+        assert "warnings" not in report
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize(
         "roots, alpha",
@@ -397,18 +412,22 @@ def _child_env():
     return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=path_var)
 
 
-def _modules_after(argv):
-    """Every module a fresh process holds once ``main(argv)`` has written its report."""
-    code = (
-        "import json, os, sys; from cepgeo.cli import main; "
-        f"assert main({argv!r} + ['--out', os.devnull]) == 0; "
-        "print(json.dumps(sorted(sys.modules)))"
-    )
+def _child_json(code):
+    """What a fresh process running ``code`` prints, read as JSON."""
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def _modules_after(argv):
+    """Every module a fresh process holds once ``main(argv)`` has written its report."""
+    return _child_json(
+        "import json, os, sys; from cepgeo.cli import main; "
+        f"assert main({argv!r} + ['--out', os.devnull]) == 0; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
 
 
 CHECK_PRIOR_ARGV = (
@@ -883,18 +902,83 @@ def test_readme_lists_every_error_code():
     assert (codes | {"INVALID_INPUT"}) - documented == set()
 
 
-def test_console_entry_point_runs(tmp_path):
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(AR1_DOC))
-    result = subprocess.run(
-        [sys.executable, "-m", "cepgeo", "validate", str(path)],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=120,
+# every subcommand, an input error (exit 2) and a warning under --strict (exit 3);
+# "{f}" is an n = 4 filter, "{a}" the all-pass filter, "{c}" an n = 4 filter
+# with two poles 1e-7 apart and "{o}" a pole outside the disk
+COLD_ARGV = {
+    "validate": ("validate", "{f}"),
+    "cepstrum": ("cepstrum", "{f}"),
+    "tensors": ("tensors", "{f}", "--alpha", "0.5"),
+    "divergence": ("divergence", "{a}", "{f}"),
+    "check-prior": CHECK_PRIOR_ARGV,
+    "oracle-compare": ("oracle-compare", "{f}"),
+    "duality-check": ("duality-check", "{f}"),
+    "invariance-check": ("invariance-check", "{f}"),
+    "exit2": ("validate", "{o}"),
+    "exit3": ("tensors", "{c}", "--strict"),
+}
+
+
+@pytest.fixture(scope="module")
+def cold_argvs(tmp_path_factory):
+    """COLD_ARGV with its files written."""
+    paths = {
+        key: _roots_document(tmp_path_factory.mktemp(key), roots)
+        for key, roots in [
+            ("a", []),
+            ("c", [0.5, 0.5 + 1e-7, -0.3 + 0.2j, 0.1 - 0.4j]),
+            ("o", [1.5, 0.2]),
+        ]
+    }
+    paths["f"] = _spiral_document(tmp_path_factory.mktemp("f"), 4)
+    return {name: [a.format(**paths) for a in argv] for name, argv in COLD_ARGV.items()}
+
+
+@pytest.fixture(scope="module")
+def cold_runs(cold_argvs):
+    """Exit code and stdout of each command run by ``python -m cepgeo``, two at a time."""
+
+    def run(argv):
+        cmd = [sys.executable, "-m", "cepgeo", *argv]
+        result = subprocess.run(cmd, capture_output=True, env=_child_env(), timeout=120)
+        return result.returncode, result.stdout
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(cold_argvs, pool.map(run, cold_argvs.values())))
+
+
+@pytest.mark.parametrize("name", list(COLD_ARGV))
+def test_cold_process_prints_the_in_process_report(capsys, cold_argvs, cold_runs, name):
+    code = main(cold_argvs[name])
+    assert code == {"exit2": 2, "exit3": 3}.get(name, 0)
+    assert cold_runs[name] == (code, capsys.readouterr().out.encode())
+
+
+# run in children: importing cepgeo.__main__ here would freeze this process's heap
+def test_entry_point_freezes_the_import_heap_and_collects_again():
+    enabled, frozen, same = _child_json(
+        "import gc, json, cepgeo.__main__, cepgeo.cli; "
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count(), "
+        "cepgeo.__main__.main is cepgeo.cli.main]))"
     )
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["valid"] is True
+    assert enabled is True and same is True
+    assert frozen > 5000  # numpy's and the CLI's import heap
+
+
+def test_cli_main_leaves_the_collector_alone(arma_path):
+    enabled, frozen = _child_json(
+        "import gc, json, os; from cepgeo import cli, closed_form, quadrature, priors; "
+        f"assert cli.main(['oracle-compare', {arma_path!r}, '--out', os.devnull]) == 0; "
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    )
+    assert (enabled, frozen) == (True, 0)
+
+
+def test_installed_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"cepgeo": "cepgeo.__main__:main"}
 
 
 @pytest.mark.parametrize("argv", list(NEVER_LOADED), ids=lambda argv: argv[0])

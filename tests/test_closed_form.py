@@ -14,6 +14,8 @@ from cepgeo.closed_form import (
     CoincidentRootsWarning,
     DeterminantUnderflowWarning,
     ModelPoint,
+    SCALAR_ERROR_BOUND,
+    ScalarCancellationWarning,
     alpha_connection,
     alpha_ricci,
     cauchy_inverse,
@@ -697,18 +699,19 @@ ONE_SIGNATURE = {
 
 
 @functools.lru_cache(maxsize=None)
-def mp_one_signature_terms(name):
+def mp_scalar_terms_50(m):
+    """:func:`mp_scalar_terms` at 50 digits, once per point."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        return mp_scalar_terms(mp, ONE_SIGNATURE[name])
+        return mp_scalar_terms(mp, m)
 
 
 class TestOneSignatureScalar:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("name", sorted(ONE_SIGNATURE))
     def test_matches_mpmath_contraction(self, name, alpha):
-        scalar, corr = mp_one_signature_terms(name)
         m = ONE_SIGNATURE[name]
+        scalar, corr = mp_scalar_terms_50(m)
         got = alpha_ricci(m, alpha).scalar
         if 1.0 + alpha * m.signature[0] == 0.0:  # the MA model is flat at alpha = -1
             assert got == 0.0 and str(got) == "0.0"
@@ -746,28 +749,71 @@ class TestOneSignatureScalar:
         assert alpha_ricci(m, 0.0).scalar < 0
 
 
+def spiral_point(n):
+    """n roots on a spiral from radius 0.3 to 0.9, the first half poles (as in the CLI tests)."""
+    return ModelPoint(
+        tuple((0.3 + 0.6 * k / n) * cmath.exp(2.4j * k) for k in range(n)), mixed_signature(n)
+    )
+
+
+ARMA22_ZEROS = (-0.3 + 0.2j, 0.1 - 0.4j)
+# mixed-signature points and whether their scalar warns; against 50-digit mpmath
+# the alpha = 0 scalar is off by 6.3e-4 (kappa eps 3.1e-3) with the poles 1e-7
+# apart, 6.2e-10 (3.1e-9) with them 1e-4 apart, 1.3e-12 (9.0e-12) on the n = 32
+# spiral and 3.5e-16 (1.6e-15) on the n = 8 spiral
+CANCELLING = {
+    "arma22-1e-7": (ModelPoint((0.5, 0.5 + 1e-7, *ARMA22_ZEROS), (-1, -1, 1, 1)), True),
+    "arma22-1e-4": (ModelPoint((0.5, 0.5 + 1e-4, *ARMA22_ZEROS), (-1, -1, 1, 1)), False),
+    "spiral32": (spiral_point(32), False),
+    "spiral8": (spiral_point(8), False),
+}
+
+
 class TestAlphaRicci:
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.filterwarnings("ignore::cepgeo.closed_form.CoincidentRootsWarning")
     def test_is_r0_plus_the_separate_correction_bitwise(self, alpha):
         # R^0 and the correction -(c_i + c_j) / a^2 as two formulas of their own;
-        # the scalar is the contraction at a mixed signature, the closed form at one
-        uniform = 0
+        # the scalar is the contraction at a mixed signature, the closed form at one,
+        # and the contraction warns where kappa eps passes the bound
+        uniform = cancelled = 0
         for m in edge_points():
             xi, c = np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float)
             a2 = (1.0 - np.outer(xi, xi.conj())) ** 2
             r0 = hermitian_from_upper(-1.0 / a2)
             corr = hermitian_from_upper(-(c[:, None] + c[None, :]) / a2)
-            report = alpha_ricci(m, alpha)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = alpha_ricci(m, alpha)
+            raised = {w.category for w in caught} - {CoincidentRootsWarning}
             assert np.array_equal(report.ricci, r0 + 0.5 * alpha * corr), (m.n, m.params[:2])
             if len(set(m.signature)) == 1:
                 uniform += 1
                 assert report.scalar == one_signature_scalar(m, alpha) + 0.0
+                assert raised == set()
             else:
-                scalar = float(np.sum(report.inverse * r0).real)
-                corr_scalar = float(np.sum(report.inverse * corr).real)
+                terms, corr_terms = report.inverse * r0, report.inverse * corr
+                scalar = float(np.sum(terms).real)
+                corr_scalar = float(np.sum(corr_terms).real)
                 assert report.scalar == scalar + 0.5 * alpha * corr_scalar
+                size = np.sum(np.abs(terms)) + 0.5 * abs(alpha) * np.sum(np.abs(corr_terms))
+                warns = size * sys.float_info.epsilon > SCALAR_ERROR_BOUND * abs(report.scalar)
+                cancelled += warns
+                assert raised == ({ScalarCancellationWarning} if warns else set()), m.n
         assert uniform == 3  # the three points at n = 1
+        assert cancelled > 0  # the near-coincident pairs
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("name", sorted(CANCELLING))
+    def test_scalar_warns_where_it_misses_mpmath(self, name, alpha):
+        m, warns = CANCELLING[name]
+        scalar, corr = mp_scalar_terms_50(m)
+        ref = float(scalar + alpha / 2 * corr)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = alpha_ricci(m, alpha).scalar
+        assert [w.category for w in caught] == ([ScalarCancellationWarning] if warns else [])
+        # a silent scalar is within the bound; a flagged one here is far outside it
+        assert (abs(got - ref) > SCALAR_ERROR_BOUND * abs(ref)) == warns
 
     def test_ar1_analytic_values(self):
         # T^1_{11} = 2 conj(xi)/(1-|xi|^2) gives d_1bar T^1_11 = 2/(1-|xi|^2)^2,

@@ -9,14 +9,22 @@ generation, which no collection visits (the few hundred unreachable objects
 are kept, not freed), and the collector is on again before ``main`` runs:
 cycles that a run makes are still collected.  :func:`cepgeo.cli.main`
 changes no collector state, so a caller that imports it keeps its own.
+
+``cepgeo.cli`` imports no numpy itself.  numpy is imported here, inside the
+paused window, for every subcommand but those in
+:data:`cepgeo.cli.NUMPY_FREE_COMMANDS`, which run no numpy code and skip
+its import altogether.  The subcommand is always ``argv[1]``: every option
+belongs to a subcommand's parser.
 """
 
 import gc
 import sys
 
 gc.disable()
-from .cli import main  # noqa: E402
+from .cli import NUMPY_FREE_COMMANDS, main  # noqa: E402
 
+if not NUMPY_FREE_COMMANDS.intersection(sys.argv[1:2]):  # imported now, it is frozen too
+    import numpy  # noqa: E402, F401
 gc.freeze()
 gc.enable()
 

@@ -8,8 +8,9 @@ checks into an error.  An ``--out`` that cannot be written exits 2 too,
 with the JSON error report on stdout.
 
 A cold start imports only what every subcommand needs (argparse,
-:mod:`~cepgeo.filters`, :mod:`~cepgeo.serialization`); each command imports
-the modules it runs.  ``validate`` and ``cepstrum`` load nothing more,
+:mod:`~cepgeo.filters`, :mod:`~cepgeo.serialization`, but not numpy); each
+command imports the modules it runs.  ``validate`` loads nothing more, not
+even numpy (``NUMPY_FREE_COMMANDS`` names it), ``cepstrum`` loads numpy,
 ``tensors`` loads :mod:`~cepgeo.closed_form`, ``check-prior`` loads
 :mod:`~cepgeo.priors` (with ``closed_form`` and ``sampling``), and the four
 quadrature commands load :mod:`~cepgeo.quadrature`; ``oracle-compare`` and
@@ -26,11 +27,11 @@ import sys
 import warnings
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import filters, serialization
 
 if TYPE_CHECKING:  # for annotations; each command imports the modules it runs
+    import numpy as np
+
     from .quadrature import QuadratureConfig
 
 HOL = False
@@ -39,6 +40,8 @@ BAR = True
 # building the parser imports neither module; a test keeps them equal
 _NODES_DEFAULT = 4096
 _PSI_CHOICES = ("psi1", "psi2", "psi3")
+# the subcommands that run no numpy code, so the entry point does not import it for them
+NUMPY_FREE_COMMANDS = frozenset({"validate"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,16 +231,22 @@ def _cmd_check_prior(args) -> dict:
 
 def _passed(residuals, tol: float) -> bool:
     """Whether every residual is below ``tol``; np.max, unlike max(), keeps a NaN."""
+    import numpy as np
+
     return bool(np.max(list(residuals)) < tol)
 
 
 def _relative_residual(closed: np.ndarray, numeric: np.ndarray) -> float:
+    import numpy as np
+
     scale = float(np.max(np.abs(numeric), initial=0.0))
     return float(np.max(np.abs(closed - numeric), initial=0.0) / (scale or 1.0))
 
 
 def oracle_compare(f: filters.ValidatedFilter, cfg: QuadratureConfig) -> dict[str, float]:
     """Max-norm relative residuals of each closed form against one quadrature sample."""
+    import numpy as np
+
     from . import closed_form, quadrature
 
     point = closed_form.ModelPoint.from_filter(f)

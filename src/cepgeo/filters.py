@@ -22,8 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # for annotations; numpy is imported where it runs
+    import numpy as np
 
 EPS_STAB_DEFAULT = 1e-6
 TRUNCATION_DEFAULT = 256
@@ -245,6 +247,8 @@ def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedF
 
 def transfer_values(f: FilterSpec, z: np.ndarray) -> np.ndarray:
     """Vectorised transfer-function evaluation at an array of points."""
+    import numpy as np
+
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0.0) and (f.poles or f.zeros or f.z_power < 0):
         raise EvalAtPole("transfer function is singular at z = 0")
@@ -292,6 +296,8 @@ def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSer
     """
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
+    import numpy as np
+
     r = np.arange(1, trunc + 1, dtype=float)
     phi = np.zeros(trunc, dtype=complex)
     for p in f.poles:

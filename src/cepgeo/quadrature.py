@@ -45,9 +45,10 @@ Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
 odd-node rules (Trefethen & Weideman, SIAM Review 56(3), 2014), so each
 m-node result is checked against that mean at no extra cost.  Disagreement
-beyond 1e-9 (``divergence`` takes its own ``tol``) attaches a
-:class:`QuadratureUnconvergedWarning` to the run and marks the result, but
-does not abort (roots near the circle legitimately converge slowly).
+beyond 1e-9 (``divergence`` takes its own ``tol``) times max(1, the largest
+|entry| of the result) attaches a :class:`QuadratureUnconvergedWarning` to
+the run and marks the result, but does not abort (roots near the circle
+legitimately converge slowly).
 """
 
 from __future__ import annotations
@@ -209,13 +210,17 @@ def _checked(even, odd, tol: float, what: str):
     """The m-node ``even`` blocks, checked against the 2m-node rule.
 
     Returns them with the largest change under grid doubling and whether
-    that change is within ``tol``.
+    each block's change is within ``tol * max(1, scale)``, its scale the
+    block's largest |entry|: rounding alone moves a large result by more
+    than an absolute ``tol``.  A NaN change is never converged.
     """
-    residual = max(
-        (float(np.max(np.abs(e - (e + o) / 2))) for e, o in zip(even, odd) if np.size(e)),
-        default=0.0,
-    )
-    converged = residual <= tol
+    changes = [
+        (float(np.max(np.abs(e - (e + o) / 2))), float(np.max(np.abs(e))))
+        for e, o in zip(even, odd)
+        if np.size(e)
+    ]
+    residual = max((change for change, _ in changes), default=0.0)
+    converged = all(change <= tol * max(1.0, scale) for change, scale in changes)
     if not converged:
         warnings.warn(
             f"{what}: doubling the grid changed the result by {residual:.3g} (> {tol:.3g})",

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .filters import FilterSpec
+
+if TYPE_CHECKING:  # for annotations; numpy is imported where it runs
+    import numpy as np
 
 BAR = "̄"
 
@@ -114,18 +117,60 @@ def tensor_to_document(
     Each block is kept as a C-ordered complex copy plus 0.0, which turns a
     negative zero into 0.0, so a vanishing part is written as 0.0.
     """
+    import numpy as np
+
     blocks = [(np.add(array, 0.0, dtype=complex, order="C"), tuple(bars)) for array, bars in blocks]
     if any(array.ndim != len(bars) or not bars for array, bars in blocks):
         raise ValueError("bar pattern length must match tensor rank, which must be at least 1")
     return TensorDocument(list(labels), alpha, blocks)
 
 
+class NonFiniteValue(ValueError):
+    """A float JSON cannot hold (inf or nan): the standard library's error, and where it sits.
+
+    ``keys`` lead from the report down to the value, outermost first (a list
+    item by its index, a tensor entry's part as ``entries``, index, ``re`` or
+    ``im``); the message names them as a JSON Pointer (RFC 6901).
+    """
+
+    code = "NON_FINITE_VALUE"
+
+    def __init__(self, value: float, keys: tuple = ()):
+        self.value, self.keys = value, keys
+        pointer = "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in keys)
+        super().__init__(
+            f"Out of range float values are not JSON compliant: {value!r} (at {pointer or '/'!r})"
+        )
+
+
+def _keyed(key: Any, func, *args):
+    """``func(*args)``, with ``key`` put in front of the keys of a :class:`NonFiniteValue`."""
+    try:
+        return func(*args)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(exc.value, (key, *exc.keys)) from None
+
+
 def _rounded(x: Any) -> float:
-    """``fmt_float``, refusing inf and nan with the standard library's error."""
+    """``fmt_float``, refusing inf and nan with :class:`NonFiniteValue`."""
     x = fmt_float(x)
     if x - x != 0.0:  # inf or nan
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        raise NonFiniteValue(x)
     return x
+
+
+def _python_number(obj: Any) -> Any:
+    """A numpy floating or integer scalar as a Python float or int; anything else as it is.
+
+    numpy is read from ``sys.modules``, never imported: no numpy scalar
+    exists before numpy has been imported.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.floating):
+        return float(obj)
+    if np is not None and isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
 def _entry_float(x: float) -> str:
@@ -142,11 +187,16 @@ def _entry_float(x: float) -> str:
 def _distinct(blocks: list[tuple[np.ndarray, tuple[bool, ...]]], fmt) -> tuple[np.ndarray, ...]:
     """``fmt`` of each distinct float bit pattern (-0.0 apart from 0.0), and each part's index.
 
-    The first inf or nan in entry order raises.
+    The first inf or nan in entry order raises, keyed by its entry and part.
     """
+    import numpy as np
+
     values = np.concatenate([np.empty(0), *(a.ravel().view(np.float64) for a, _ in blocks)])
     if values.size:
-        _rounded(values[np.isfinite(values).argmin()])
+        first = int(np.isfinite(values).argmin())
+        if not math.isfinite(values[first]):
+            where = ("entries", first // 2, ("re", "im")[first % 2])
+            raise NonFiniteValue(float(values[first]), where)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     return np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object), inverse
 
@@ -182,7 +232,7 @@ def _write(obj: Any, out: list[str], nl: str) -> None:
         inner = nl + "  "
         for sep, key, value in (("{", "labels", obj.labels), (",", "alpha", obj.alpha)):
             out.append(f'{sep}{inner}"{key}": ')
-            _write(value, out, inner)
+            _keyed(key, _write, value, out, inner)
         out.append(f',{inner}"entries": ')
         _write_entries(obj.blocks, out, inner)
         out.append(nl + "}")
@@ -193,32 +243,32 @@ def _write(obj: Any, out: list[str], nl: str) -> None:
             return
         inner = nl + "  "
         sep = ("{" if is_dict else "[") + inner
-        for item in obj.items() if is_dict else obj:
-            if is_dict:
-                key, item = item
-                out.append(sep + _quote(key) + ": ")
-            else:
-                out.append(sep)
-            _write(item, out, inner)
+        for key, item in obj.items() if is_dict else enumerate(obj):
+            out.append(sep + _quote(key) + ": " if is_dict else sep)
+            _keyed(key, _write, item, out, inner)
             sep = "," + inner
         out.append(nl + ("}" if is_dict else "]"))
     elif obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(repr(_rounded(obj)))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
     elif isinstance(obj, str):
         out.append(_quote(obj))
     else:
-        raise TypeError(f"unserialisable value of type {type(obj)!r}")
+        number = _python_number(obj)
+        if number is obj:
+            raise TypeError(f"unserialisable value of type {type(obj)!r}")
+        _write(number, out, nl)
 
 
 def dumps_report(report: dict[str, Any]) -> str:
     """Deterministic JSON text: fixed key order, 12-significant-digit floats.
 
-    The first non-finite float raises ValueError; the first value JSON has no
-    type for, or key that is not a string, raises TypeError.
+    The first non-finite float raises :class:`NonFiniteValue`, a ValueError;
+    the first value JSON has no type for, or key that is not a string, raises
+    TypeError.
     """
     out: list[str] = []
     _write(report, out, "\n")
@@ -228,13 +278,15 @@ def dumps_report(report: dict[str, Any]) -> str:
 def _plain(obj: Any) -> Any:
     """What ``json.loads(dumps_report(obj))`` gives, without the text."""
     if isinstance(obj, dict):  # _quote refuses a key that is not a string, as the writer does
-        return {_quote(key) and key: _plain(value) for key, value in obj.items()}
+        return {_quote(key) and key: _keyed(key, _plain, value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(item) for item in obj]
-    if isinstance(obj, (float, np.floating)):
+        return [_keyed(i, _plain, item) for i, item in enumerate(obj)]
+    if not isinstance(obj, (float, int)):
+        obj = _python_number(obj)
+    if isinstance(obj, float):
         return _rounded(obj)
     _write(obj, [], "")  # refuses a value JSON has no type for, as the writer does
-    return int(obj) if isinstance(obj, np.integer) else obj
+    return obj
 
 
 def _indices(doc: TensorDocument):
@@ -270,7 +322,7 @@ def render_table(report: dict[str, Any]) -> str:
         elif isinstance(value, dict) and set(value) != {"re", "im"}:
             lines.extend([prefix] if prefix else [])
             for k, v in value.items():
-                emit(f"{'  ' if prefix else ''}{_quote(k) and k}", v)
+                _keyed(k, emit, f"{'  ' if prefix else ''}{_quote(k) and k}", v)
         elif (
             isinstance(value, (list, tuple)) and value and isinstance(value[0], dict)
         ) and "idx" in value[0]:

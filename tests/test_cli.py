@@ -314,6 +314,26 @@ class TestDivergenceCommand:
         assert report["value"] == zero["value"] == pytest.approx(0.147622907997, rel=1e-11)
         assert report["converged"] is True
 
+    def test_exact_large_value_is_converged_under_strict(self, capsys, tmp_path):
+        # the same roots, so the log-ratio is constant and the value exact;
+        # the grid doubling moves it by one ulp, 2^-11 at 3.3e12
+        poles = [{"re": 0.11116909275259879, "im": -0.4434926446978287}]
+        poles.append({"re": 0.4991337740771772, "im": -0.0311357561434481})
+        paths = []
+        for gain in (0.13522522678922877, 123644.82404924255):
+            paths.append(tmp_path / f"{gain}.json")
+            paths[-1].write_text(json.dumps({"gain": gain, "poles": poles}))
+        argv = ["divergence", *map(str, paths), "--alpha", "0.5", "--strict"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report == {
+            "command": "divergence",
+            "alpha": 0.5,
+            "value": 3344232292010.0,
+            "residual": 0.00048828125,
+            "converged": True,
+        }
+
 
 # sha256 of whole reports: a change of kernel must not move one digit.
 # Recorded with numpy 2.4 on x86-64 with AVX2 and FMA.
@@ -433,9 +453,10 @@ def _modules_after(argv):
 CHECK_PRIOR_ARGV = (
     "check-prior", "--psi", "psi2", "--model", "ar:1,ma:1", "--samples", "200", "--seed", "1"
 )
-# the cepgeo modules a cold start of each subcommand never imports; "{f}" is a filter file
+# the cepgeo modules, and numpy, that a cold start of each subcommand never
+# imports; "{f}" is a filter file
 NEVER_LOADED = {
-    ("validate", "{f}"): {"closed_form", "quadrature", "priors", "sampling"},
+    ("validate", "{f}"): {"numpy", "closed_form", "quadrature", "priors", "sampling"},
     ("cepstrum", "{f}"): {"closed_form", "quadrature", "priors", "sampling"},
     ("tensors", "{f}"): {"quadrature", "priors", "sampling"},
     CHECK_PRIOR_ARGV: {"quadrature"},
@@ -784,24 +805,43 @@ class TestOtherChecks:
         assert report["tail_bound"] > 0.0
 
     @pytest.mark.parametrize(
-        "doc",
+        "argv, doc, message",
         [
             # sigma^2 / 2 pi overflows, so phi0 is inf
-            {"gain": 1e200, "poles": [{"re": 0.3, "im": 0.0}]},
+            (
+                ["cepstrum", "{f}"],
+                {"gain": 1e200, "poles": [{"re": 0.3, "im": 0.0}]},
+                "inf (at '/phi0/re')",
+            ),
             # beta_r = (1/r) b^-r overflows at a Blaschke point this small
-            {"gain": GAIN_UNIT, "blaschke": [{"re": 1e-200, "im": 0.0}]},
+            (
+                ["cepstrum", "{f}"],
+                {"gain": GAIN_UNIT, "blaschke": [{"re": 1e-200, "im": 0.0}]},
+                "nan (at '/blaschke_coeffs/1/re')",
+            ),
+            # a valid gain of 1e80 overflows |h|^2, so even D(f || f) is nan
+            (["divergence", "{f}", "{f}"], dict(AR1_DOC, gain=1e80), "nan (at '/value')"),
+            # alpha times the Ricci correction overflows: a finite --alpha, a non-finite entry
+            (
+                ["tensors", "{f}", "--alpha", "1e308"],
+                dict(AR1_DOC, poles=[{"re": 0.5, "im": 0.1}], zeros=[{"re": -0.3, "im": 0.2}]),
+                "inf (at '/ricci/entries/0/re')",
+            ),
         ],
-        ids=["huge-gain", "tiny-blaschke-point"],
+        ids=["huge-gain", "tiny-blaschke-point", "divergence-huge-gain", "tensors-huge-alpha"],
     )
-    def test_non_finite_report_value_exits_2(self, capsys, tmp_path, doc):
+    def test_non_finite_report_value_exits_2(self, capsys, tmp_path, argv, doc, message):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
         for fmt in ("json", "table"):
-            # the error itself is always reported as JSON
-            code, report = run_json(capsys, ["cepstrum", str(path), "--format", fmt])
+            # the error itself is always reported as JSON, naming where the value sits
+            argv_fmt = [a.format(f=path) for a in argv] + ["--format", fmt]
+            code, report = run_json(capsys, argv_fmt)
             assert code == 2, fmt
-            assert report["error"]["code"] == "INVALID_INPUT"
-            assert "JSON" in report["error"]["message"]
+            assert report["error"] == {
+                "code": "NON_FINITE_VALUE",
+                "message": "Out of range float values are not JSON compliant: " + message,
+            }
 
     @pytest.mark.parametrize(
         "argv",
@@ -985,8 +1025,48 @@ def test_installed_script_is_the_entry_point():
 def test_each_subcommand_imports_only_the_modules_it_runs(arma_path, argv):
     modules = _modules_after([a.format(f=arma_path) for a in argv])
     loaded = {m.removeprefix("cepgeo.") for m in modules if m.startswith("cepgeo.")}
-    every = {m.name for m in pkgutil.iter_modules(cepgeo.__path__)} - {"__main__"}
+    loaded |= {"numpy"} & set(modules)
+    every = {m.name for m in pkgutil.iter_modules(cepgeo.__path__)} - {"__main__"} | {"numpy"}
     assert loaded == every - NEVER_LOADED[argv]
+
+
+def test_numpy_free_commands_are_those_whose_handlers_load_no_numpy():
+    usage = cli._build_parser().format_usage()
+    subcommands = set(re.search(r"\{([\w,-]+)\}", usage).group(1).split(","))
+    assert {argv[0] for argv in NEVER_LOADED} == subcommands  # every handler is pinned
+    free = {argv[0] for argv, never in NEVER_LOADED.items() if "numpy" in never}
+    assert cli.NUMPY_FREE_COMMANDS == free == {"validate"}
+
+
+def test_cold_validate_never_imports_numpy(cold_argvs):
+    # -X importtime writes one stderr line per module imported, its name last
+    def imported(argv):
+        cmd = [sys.executable, "-X", "importtime", "-m", "cepgeo", *argv]
+        result = subprocess.run(cmd, capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert result.returncode == 0, result.stderr
+        return {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+
+    validate = imported(cold_argvs["validate"])
+    assert "cepgeo.cli" in validate and "numpy" not in validate
+    assert "numpy" in imported(cold_argvs["cepstrum"])  # the check sees numpy where it loads
+
+
+def test_entry_point_freezes_numpy_for_every_subcommand_but_validate():
+    # the entry point reads only argv[1], and main does not run on import
+    def entry_point_state(command):
+        return _child_json(
+            f"import gc, json, sys; sys.argv = ['cepgeo', {command!r}]; import cepgeo.__main__; "
+            "print(json.dumps([gc.get_freeze_count(), 'numpy' in sys.modules]))"
+        )
+
+    commands = [argv[0] for argv in NEVER_LOADED]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        states = dict(zip(commands, pool.map(entry_point_state, commands)))
+    frozen_without_numpy, numpy_loaded = states.pop("validate")
+    assert not numpy_loaded
+    for command, (frozen, numpy_loaded) in states.items():
+        # numpy's import heap is about 16k objects: frozen before main, not built after it
+        assert numpy_loaded and frozen > frozen_without_numpy + 10_000, command
 
 
 def test_parser_constants_track_the_library(capsys):

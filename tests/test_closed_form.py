@@ -746,7 +746,12 @@ class TestOneSignatureScalar:
         poles = 1 + min(int(split * (n - 1)), n - 2)  # 1 to n - 1 poles, the rest zeros
         row = sample_root_tuples(seed, 1, n, radius, 1e-3)[0]
         m = ModelPoint(tuple(row), (-1,) * poles + (1,) * (n - poles))
-        assert alpha_ricci(m, 0.0).scalar < 0
+        # roots 1e-3 apart can cancel for real: at seed 3506956682, n = 15, one
+        # pole, radius 0.5, S is off by 5.6e-8 against 50-digit mpmath and warns
+        # (kappa eps 1.2e-7); the sign, which is what is asserted, holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalarCancellationWarning)
+            assert alpha_ricci(m, 0.0).scalar < 0
 
 
 def spiral_point(n):

@@ -406,6 +406,32 @@ class TestDivergence:
         assert abs(d2 - d3) < 1e-10
 
 
+class TestConvergenceFlag:
+    """The doubling change is held to ``tol * max(1, scale)``: rounding alone flags nothing."""
+
+    def test_same_roots_divergence_converges_at_any_gain_ratio(self):
+        # log(S2/S1) is constant, so every grid gives the exact value; at gains
+        # this far apart the values pass 1e10, where one ulp is far above 1e-9
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            radii, turns = 0.9 * np.sqrt(rng.uniform(size=2)), rng.uniform(size=2)
+            poles = tuple(radii * np.exp(2j * np.pi * turns))
+            small, large = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(5, 12)
+            f1, f2 = make_filter(poles=poles, gain=small), make_filter(poles=poles, gain=large)
+            for alpha in (0.5, 1.0):
+                result = divergence(f1, f2, alpha)  # a warning fails the test
+                assert result.converged and result.value > 1e10, (poles, small, large, alpha)
+
+    def test_near_circle_oracle_warns_only_while_truncated(self):
+        f = make_filter(poles=(0.999,), zeros=(-0.3 + 0.2j,))
+        # 0.999^131072 < e^-131: the doubling change, 5.5e-9 at most, is rounding
+        assert oracle_compare(f, QuadratureConfig(nodes=131072))["max"] < 1e-12
+        with pytest.warns(QuadratureUnconvergedWarning) as caught:
+            oracle_compare(f, QuadratureConfig(nodes=4096))  # 0.999^4096 is 1.7e-2
+        legs = [str(w.message).split(":")[0] for w in caught]
+        assert legs == ["metric", "connection", "t_tensor"]
+
+
 class TestCepstrumFFT:
     def test_matches_power_sum_route(self, arma11):
         coeffs = cepstrum_fft(arma11, 16)

@@ -1,8 +1,8 @@
-"""Rational transfer-function models: validation, evaluation, cepstrum.
+"""Rational transfer-function models: validation, cepstrum, reflections.
 
 A filter is described by a positive gain ``sigma``, pole and zero locations
 in the complex plane, optional Blaschke (all-pass) points, and an integer
-power of ``z``.  The transfer function evaluated at ``z`` is
+power of ``z``.  The transfer function is
 
     h(z) = (sigma^2 / 2 pi) * z^R * prod_j (1 - zeta_j / z)
                                   / prod_i (1 - p_i / z)
@@ -33,7 +33,7 @@ GAIN_TERM_UNIT = math.sqrt(2.0 * math.pi)  # sigma for which sigma^2/(2 pi) == 1
 
 
 class FilterError(ValueError):
-    """Base class for filter validation and evaluation failures."""
+    """Base class for filter validation failures."""
 
     code = "FILTER_ERROR"
 
@@ -82,10 +82,6 @@ class NonPositiveGain(FilterError):
 
     def __init__(self, gain: float):
         super().__init__(f"gain must be positive, got {gain!r}")
-
-
-class EvalAtPole(FilterError):
-    code = "EVAL_AT_POLE"
 
 
 def coordinate_labels(signature) -> tuple[str, ...]:
@@ -243,35 +239,6 @@ def validate(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> ValidatedF
         eps_stab=eps_stab,
         has_exact_cancellation=cancellation,
     )
-
-
-def transfer_values(f: FilterSpec, z: np.ndarray) -> np.ndarray:
-    """Vectorised transfer-function evaluation at an array of points."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0.0) and (f.poles or f.zeros or f.z_power < 0):
-        raise EvalAtPole("transfer function is singular at z = 0")
-    h = np.full(z.shape, f.gain_term, dtype=complex)
-    if f.z_power:
-        h = h * z**f.z_power
-    for zt in f.zeros:
-        h = h * (1.0 - zt / z)
-    for p in f.poles:
-        den = 1.0 - p / z
-        if np.any(den == 0.0):
-            raise EvalAtPole(f"evaluation point coincides with pole {p!r}")
-        h = h / den
-    for zs in f.blaschke_points:
-        if zs == 0.0:
-            h = h * z
-        else:
-            den = 1.0 - np.conj(zs) * z
-            if np.any(den == 0.0):
-                raise EvalAtPole(f"evaluation point coincides with Blaschke pole 1/conj({zs!r})")
-            # |zs|/zs as a phase: exact modulus even for subnormal zs
-            h = h * cmath.exp(-1j * cmath.phase(zs)) * (zs - z) / den
-    return h
 
 
 def _series_tail_bound(n_roots: int, rho: float, trunc: int) -> float:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -69,7 +70,6 @@ from .filters import (
     outer_factor,
     reciprocal,
     reflect_zero_out,
-    transfer_values,
     validate,
 )
 
@@ -388,8 +388,30 @@ def oracle_tensors(
     return (*[_checked([e], [o], _TOL, what)[0][0] for e, o, what in halves], even[3])
 
 
-def _spectral_grid(f, z: np.ndarray) -> np.ndarray:
-    return np.abs(transfer_values(f, z)) ** 2
+def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
+    """log S = ln|h|^2 at the nodes ``z``, a sum of the log-moduli of h's factors.
+
+    ln|h| takes 2 ln sigma - ln 2 pi for the gain term (sigma^2/2 pi itself
+    overflows at sigma near 1.3e154), +ln|z - zeta| per zero, -ln|z - p| per
+    pole and ln|z_s - z| - ln|1 - conj(z_s) z| per Blaschke point (the phase
+    |z_s|/z_s has modulus 1).  log S is twice that plus (R + #poles - #zeros)
+    ln|z|^2, since 1 - xi/z is (z - xi)/z and b(z, 0) is z; that term comes
+    last, so a huge R rounds the sum once.  No division and no product of
+    factors, so no filter that ``validate`` accepts overflows it.
+    """
+    log_h = np.full(z.shape, 2.0 * math.log(f.gain) - math.log(2.0 * math.pi))
+    for zt in f.zeros:
+        log_h += np.log(np.abs(z - zt))
+    for p in f.poles:
+        log_h -= np.log(np.abs(z - p))
+    for zs in f.blaschke_points:
+        if zs != 0.0:
+            log_h += np.log(np.abs(zs - z)) - np.log(np.abs(1.0 - zs.conjugate() * z))
+    log_s = np.multiply(log_h, 2.0, out=log_h)
+    power = f.z_power + len(f.poles) - len(f.zeros) + f.blaschke_points.count(0)
+    if power:  # |z|^2 is about 1: x^2 + y^2 reads it more finely than the rounded |z|
+        log_s += power * np.log(np.square(z.real) + np.square(z.imag))
+    return log_s
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -424,7 +446,7 @@ def divergence(
     m, sums = cfg.nodes, []
     for start in range(0, 2 * m, _SPECTRAL_BLOCK):
         z = _nodes(2 * m, start, start + _SPECTRAL_BLOCK)
-        ell = np.log(_spectral_grid(f2, z)) - np.log(_spectral_grid(f1, z))
+        ell = _log_sdf(f2, z) - _log_sdf(f1, z)
         terms = ell * ell * _phi(alpha * ell)
         sums.append((np.sum(terms[::2]), np.sum(terms[1::2])))
     even, odd = ([math.fsum(half) / m] for half in zip(*sums))
@@ -470,22 +492,26 @@ def invariance_suite(
     (its sdf residual) and recovers it through
     :func:`cepgeo.filters.outer_factor` (its metric residual, the only
     metrics formed).  A zero whose round trip rounds into the margin band,
-    as one at |zeta| = 1 - eps_stab can, is passed over for the next; the
-    leg is None when no zero qualifies.  No leg sees a factor that
-    :func:`transfer_values` leaves out, since both have modulus 1 on the circle.
+    as one at |zeta| = 1 - eps_stab can, is passed over for the next, and so
+    is one whose twin would leave the normal floats (a zero below about
+    2.2e-308, whose 1/conj(zeta) overflows, or a gain sigma sqrt|zeta| that
+    underflows); the leg is None when no zero qualifies.  Each sdf residual
+    is max |expm1(log S' - log S)|, read off :func:`_log_sdf`.
     """
     spec = f.to_spec()
     z = circle_nodes(1024)
-    s = _spectral_grid(f, z)
+    log_s = _log_sdf(f, z)
 
     def sdf_residual(other: FilterSpec) -> float:
-        return float(np.max(np.abs(s - _spectral_grid(other, z)) / s))
+        return float(np.max(np.abs(np.expm1(_log_sdf(other, z) - log_s))))
 
     shifted = replace(spec, z_power=spec.z_power + _Z_POWER_SHIFT)
     with_point = replace(spec, blaschke_points=(*spec.blaschke_points, _BLASCHKE_POINT))
     reflection = None
-    nonzero = [j for j, zt in enumerate(f.zeros) if zt != 0.0]
-    for j in sorted(nonzero, key=lambda j: -abs(f.zeros[j])):
+    # zeros whose twin keeps its zero 1/conj(zeta) and its gain sigma sqrt|zeta| normal
+    tiny = sys.float_info.min
+    normal = [j for j, zt in enumerate(f.zeros) if min(abs(zt), f.gain * abs(zt) ** 0.5) >= tiny]
+    for j in sorted(normal, key=lambda j: -abs(f.zeros[j])):
         twin = reflect_zero_out(f, j)  # same S, no longer minimum phase
         try:
             recovered = outer_factor(twin, f.eps_stab)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -110,6 +111,31 @@ def peak_mib(fn):
         return tracemalloc.get_traced_memory()[1] / 2**20, result
     finally:
         tracemalloc.stop()
+
+
+def transfer_values(f, z):
+    """h at an array of points, its factors multiplied out in complex arithmetic.
+
+    The test suite's evaluator of the transfer function: the library forms
+    only log|h|^2 on the circle, from the log-moduli of the factors, and
+    this checks it, the unimodular factors off the circle and their winding
+    on it.
+    """
+    z = np.asarray(z, dtype=complex)
+    h = np.full(z.shape, f.gain_term, dtype=complex)
+    if f.z_power:
+        h = h * z**f.z_power
+    for zt in f.zeros:
+        h = h * (1.0 - zt / z)
+    for p in f.poles:
+        h = h / (1.0 - p / z)
+    for zs in f.blaschke_points:
+        if zs == 0.0:
+            h = h * z
+        else:
+            # |zs|/zs as a phase: exact modulus even for subnormal zs
+            h = h * cmath.exp(-1j * cmath.phase(zs)) * (zs - z) / (1.0 - np.conj(zs) * z)
+    return h
 
 
 def cepstrum_fft(f, trunc):

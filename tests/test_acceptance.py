@@ -16,7 +16,7 @@ import pytest
 
 from cepgeo.cli import oracle_compare
 from cepgeo.closed_form import ModelPoint, alpha_ricci, connection0, kahler_potential, metric, ricci0, t_tensor
-from cepgeo.filters import FilterSpec, reciprocal, transfer_values, validate
+from cepgeo.filters import FilterSpec, reciprocal, validate
 from cepgeo.priors import check_superharmonic, laplace_beltrami, prior_psi1, prior_psi2, prior_psi3
 from cepgeo.quadrature import (
     QuadratureConfig,
@@ -27,7 +27,7 @@ from cepgeo.quadrature import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, make_filter
+from conftest import GAIN, arma_from_roots, make_filter, transfer_values
 
 CFG = QuadratureConfig(nodes=4096)
 

@@ -316,7 +316,8 @@ class TestDivergenceCommand:
 
     def test_exact_large_value_is_converged_under_strict(self, capsys, tmp_path):
         # the same roots, so the log-ratio is constant and the value exact;
-        # the grid doubling moves it by one ulp, 2^-11 at 3.3e12
+        # with the gain read as 4 ln sigma the even and odd means agree
+        # (they were one ulp apart, 2^-11 at 3.3e12, when S was |h|^2)
         poles = [{"re": 0.11116909275259879, "im": -0.4434926446978287}]
         poles.append({"re": 0.4991337740771772, "im": -0.0311357561434481})
         paths = []
@@ -330,7 +331,7 @@ class TestDivergenceCommand:
             "command": "divergence",
             "alpha": 0.5,
             "value": 3344232292010.0,
-            "residual": 0.00048828125,
+            "residual": 0.0,
             "converged": True,
         }
 
@@ -381,10 +382,14 @@ ORACLE_DIGESTS = {
 # z_power and blaschke metric legs left the report (every value that stayed
 # kept its bits), and n = 16 again when the metric's sample blocks were sized
 # as if every root carried d^2 log h (its reflection metric_residual moved
-# 3.5527136788e-15 -> 3.10862446895e-15, rounding)
+# 3.5527136788e-15 -> 3.10862446895e-15, rounding); both again when S came
+# to be read as a sum of log-moduli: only the three sdf residuals moved, each
+# down (n = 4: z_power 1.97e-15 -> 1.11e-15, blaschke 1.14e-15 -> 8.88e-16,
+# reflection 2.57e-15 -> 1.33e-15; n = 16: 2.35e-15 -> 1.11e-15,
+# 1.16e-15 -> 8.88e-16, 5.16e-15 -> 3.11e-15)
 INVARIANCE_DIGESTS = {
-    4: "55fcb06585edc1add18bc711af2c5d6d3eea98be2edf14b473ccddbd66f99a20",
-    16: "438baaaebde1020efe56c2eb70828899fe9f75aa879db28980f1ba0c2d29e5ef",
+    4: "9d805939d3cf60246bb5f3a04ce99fbf36a6deb979e7541405515181907902b1",
+    16: "d99e5346081760da267c1a72e896323f08e1f64c5fdd7e4da9d20e500f4b3ee1",
 }
 
 
@@ -819,8 +824,6 @@ class TestOtherChecks:
                 {"gain": GAIN_UNIT, "blaschke": [{"re": 1e-200, "im": 0.0}]},
                 "nan (at '/blaschke_coeffs/1/re')",
             ),
-            # a valid gain of 1e80 overflows |h|^2, so even D(f || f) is nan
-            (["divergence", "{f}", "{f}"], dict(AR1_DOC, gain=1e80), "nan (at '/value')"),
             # alpha times the Ricci correction overflows: a finite --alpha, a non-finite entry
             (
                 ["tensors", "{f}", "--alpha", "1e308"],
@@ -828,7 +831,7 @@ class TestOtherChecks:
                 "inf (at '/ricci/entries/0/re')",
             ),
         ],
-        ids=["huge-gain", "tiny-blaschke-point", "divergence-huge-gain", "tensors-huge-alpha"],
+        ids=["huge-gain", "tiny-blaschke-point", "tensors-huge-alpha"],
     )
     def test_non_finite_report_value_exits_2(self, capsys, tmp_path, argv, doc, message):
         path = tmp_path / "f.json"
@@ -842,6 +845,29 @@ class TestOtherChecks:
                 "code": "NON_FINITE_VALUE",
                 "message": "Out of range float values are not JSON compliant: " + message,
             }
+
+    @pytest.mark.parametrize("command", ["divergence", "invariance-check"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(AR1_DOC, gain=1e80),
+            dict(AR1_DOC, gain=1e-300),
+            dict(AR1_DOC, z_power=10**20),
+            dict(AR1_DOC, gain=1e300, blaschke=[{"re": 0.3, "im": -0.4}]),
+        ],
+        ids=["gain-1e80", "gain-1e-300", "z-power-1e20", "gain-1e300-blaschke"],
+    )
+    def test_extreme_valid_filters_give_finite_reports(self, capsys, tmp_path, command, doc):
+        # log S is a sum of log-moduli, so |h|^2 never overflows; these printed nan before
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), *([str(path)] if command == "divergence" else [])]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        if command == "divergence":
+            assert (report["value"], report["residual"], report["converged"]) == (0.0, 0.0, True)
+        else:
+            assert report["passed"] is True
 
     @pytest.mark.parametrize(
         "argv",

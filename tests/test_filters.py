@@ -18,11 +18,10 @@ from cepgeo.filters import (
     outer_factor,
     reciprocal,
     reflect_zero_out,
-    transfer_values,
     validate,
 )
 
-from conftest import GAIN, input_error, make_filter
+from conftest import GAIN, input_error, make_filter, transfer_values
 
 GRID = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
 
@@ -314,21 +313,6 @@ ARMA11_DOC = {"gain": GAIN, "poles": [{"re": 0.5, "im": 0.0}], "zeros": [{"re": 
             "truncation must be >= 1, got 0",
         ),
         (
-            lambda: transfer_values(make_filter(poles=(0.5,)), np.array([1.0, 0.0])),
-            "EVAL_AT_POLE",
-            "transfer function is singular at z = 0",
-        ),
-        (
-            lambda: transfer_values(make_filter(poles=(0.5,)), np.array([1.0, 0.5])),
-            "EVAL_AT_POLE",
-            "evaluation point coincides with pole (0.5+0j)",
-        ),
-        (
-            lambda: transfer_values(make_filter(blaschke=(0.5,)), np.array([1.0, 2.0])),
-            "EVAL_AT_POLE",
-            "evaluation point coincides with Blaschke pole 1/conj((0.5+0j))",
-        ),
-        (
             lambda: reflect_zero_out(make_filter(zeros=(0.0, 0.3)), 0),
             "INVALID_INPUT",
             "cannot reflect a zero at the origin",
@@ -338,9 +322,6 @@ ARMA11_DOC = {"gain": GAIN, "poles": [{"re": 0.5, "im": 0.0}], "zeros": [{"re": 
         "blaschke-on-circle",
         "infinite-gain",
         "trunc-0",
-        "eval-at-0",
-        "eval-at-pole",
-        "eval-at-blaschke-pole",
         "reflect-origin",
     ],
 )

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import math
 import pickle
 import warnings
 from dataclasses import replace
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cepgeo import quadrature
 from cepgeo.cli import oracle_compare
@@ -26,7 +29,6 @@ from cepgeo.filters import (
     outer_factor,
     reciprocal,
     reflect_zero_out,
-    transfer_values,
     validate,
 )
 from cepgeo.quadrature import (
@@ -46,6 +48,8 @@ from cepgeo.sampling import sample_root_tuples
 from conftest import GAIN, arma_from_roots, cepstrum_fft, make_filter, peak_mib
 
 CFG = QuadratureConfig(nodes=2048)
+# the unpatched density, for the tests that patch quadrature._log_sdf
+LOG_SDF = quadrature._log_sdf
 LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 
 
@@ -432,6 +436,105 @@ class TestConvergenceFlag:
         assert legs == ["metric", "connection", "t_tensor"]
 
 
+def _log_moduli(f, z):
+    """Each log-modulus term of log S at the nodes z, one row per term, as _log_sdf sums them."""
+
+    def log_sq(w):
+        return np.log(np.abs(w) ** 2)
+
+    power = f.z_power + len(f.poles) - len(f.zeros) + sum(zs == 0 for zs in f.blaschke_points)
+    rows = [power * log_sq(z)]
+    rows += [log_sq(z - zt) for zt in f.zeros] + [-log_sq(z - p) for p in f.poles]
+    for zs in f.blaschke_points:
+        if zs != 0:
+            rows += [log_sq(zs - z), -log_sq(1.0 - np.conj(zs) * z)]
+    return np.array(rows)
+
+
+def _mp_log_sdf(mp, f, z):
+    """ln|h(z)|^2 at 50 digits, h multiplied out at the float node z taken exactly."""
+    with mp.workdps(50):
+        z = mp.mpc(z)
+        h = mp.mpf(f.gain) ** 2 / (2 * mp.pi) * z**f.z_power
+        for zt in f.zeros:
+            h *= 1 - mp.mpc(zt) / z
+        for p in f.poles:
+            h /= 1 - mp.mpc(p) / z
+        for zs in map(mp.mpc, f.blaschke_points):
+            h *= z if zs == 0 else abs(zs) / zs * (zs - z) / (1 - mp.conj(zs) * z)
+        return float(mp.log(abs(h) ** 2))
+
+
+MARGIN = 1.0 - EPS_STAB_DEFAULT
+LOG_SDF_EDGES = {
+    "root-at-margin": dict(gain=GAIN, poles=(MARGIN,), zeros=(-MARGIN * 1j,)),
+    "gain-1e300": dict(gain=1e300, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,)),
+    "gain-1e-300": dict(gain=1e-300, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,)),
+    "blaschke-0.99": dict(gain=GAIN, poles=(0.5,), blaschke_points=(0.99 * np.exp(0.3j),)),
+    "z-power-7": dict(gain=GAIN, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), z_power=7),
+}
+
+
+@st.composite
+def schema_filters(draw):
+    """Filters that validate accepts: any gain exponent, a huge z power, roots out to the margin."""
+    polar = st.tuples(st.floats(0.0, MARGIN), st.floats(0.0, 1.0))
+    root = polar.map(lambda rt: rt[0] * np.exp(2j * np.pi * rt[1])).filter(
+        lambda x: abs(x) <= MARGIN  # r e^{i theta} can round past r
+    )
+    xi = draw(st.lists(st.tuples(root, st.booleans()), max_size=3))
+    points = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=1))
+    return FilterSpec(
+        gain=10.0 ** draw(st.floats(-300.0, 300.0)),
+        poles=tuple(x for x, pole in xi if pole),
+        zeros=tuple(x for x, pole in xi if not pole),
+        blaschke_points=tuple(r * np.exp(2.4j) for r in points),
+        z_power=draw(st.integers(-(10**20), 10**20)),
+    )
+
+
+class TestLogDensity:
+    """log S sums the log-moduli of h's factors: no filter that validate accepts overflows it."""
+
+    @pytest.mark.parametrize("name", sorted(LOG_SDF_EDGES))
+    def test_matches_mpmath_on_the_invariance_nodes(self, name):
+        mp = pytest.importorskip("mpmath")
+        f = validate(FilterSpec(**LOG_SDF_EDGES[name]))
+        z = circle_nodes(1024)
+        got = quadrature._log_sdf(f, z)
+        ref = np.array([_mp_log_sdf(mp, f, zk) for zk in z])
+        terms = np.sum(np.abs(_log_moduli(f, z)), axis=0)
+        bound = 8 * np.finfo(float).eps * (abs(4.0 * math.log(f.gain)) + terms + 1.0)
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=schema_filters(), other_gain=st.floats(-300.0, 300.0))
+    def test_every_valid_filter_gives_finite_reports(self, spec, other_gain):
+        cfg = QuadratureConfig(nodes=256)
+        f = validate(spec)
+        g = validate(replace(spec, gain=10.0**other_gain))
+        log_ratio = math.log(g.gain) - math.log(f.gain)
+        assume(abs(log_ratio) >= 1.0)
+        with warnings.catch_warnings():  # roots at the margin converge slowly
+            warnings.simplefilter("ignore", QuadratureUnconvergedWarning)
+            for alpha in (-1.0, 0.0, 0.5):
+                same = divergence(f, f, alpha, cfg)
+                assert (same.value, same.converged) == (0.0, True)
+            # the same roots: log(S2/S1) is 4 ln(sigma2/sigma1) at every node
+            assert divergence(f, g, 0.0, cfg).value == pytest.approx(
+                8.0 * log_ratio**2, rel=1e-12
+            )
+            report = invariance_suite(f, cfg)
+        assert report.z_power_sdf_residual < 1e-10  # a NaN fails too
+        assert report.blaschke_sdf_residual < 1e-10
+        if report.outer_reflection is not None:
+            # the twin's zero 1/conj(zeta) rounds, which moves S by up to about
+            # 2 eps/(1 - |zeta|) at a node beside it: 1.76e-10 at |zeta| = 1 - 1e-6
+            rounding = 4.0 * np.finfo(float).eps / (1.0 - max(map(abs, f.zeros)))
+            assert report.outer_reflection.sdf_residual < 1e-10 + rounding
+            assert math.isfinite(report.outer_reflection.metric_residual)
+
+
 class TestCepstrumFFT:
     def test_matches_power_sum_route(self, arma11):
         coeffs = cepstrum_fft(arma11, 16)
@@ -498,17 +601,17 @@ class TestInvarianceSuite:
         "leg, patch",
         [
             # z^R as (1.01 z)^R
-            ("z_power_sdf_residual", lambda f, z: transfer_values(f, z) * 1.01**f.z_power),
+            ("z_power_sdf_residual", lambda f, z: LOG_SDF(f, z) + 2.0 * f.z_power * np.log(1.01)),
             (
                 "blaschke_sdf_residual",
-                lambda f, z: transfer_values(f, z)
-                * np.prod([1.0 - np.conj(b) * z for b in f.blaschke_points], axis=0),
+                lambda f, z: LOG_SDF(f, z)
+                + sum(np.log(np.abs(1.0 - np.conj(b) * z) ** 2) for b in f.blaschke_points),
             ),
         ],
         ids=["z_power", "blaschke"],
     )
     def test_a_factor_not_unimodular_fails_its_sdf_leg(self, monkeypatch, arma11, leg, patch):
-        monkeypatch.setattr(quadrature, "transfer_values", patch)
+        monkeypatch.setattr(quadrature, "_log_sdf", patch)
         report = invariance_suite(arma11, CFG)
         (other,) = {"z_power_sdf_residual", "blaschke_sdf_residual"} - {leg}
         assert getattr(report, leg) > 1e-3
@@ -545,12 +648,12 @@ class TestInvarianceSuite:
     )
     def test_each_leg_keeps_a_nan(self, monkeypatch, arma11, leg, faulty):
         def values(f, z):
-            h = transfer_values(f, z)
+            log_s = LOG_SDF(f, z)
             if faulty(f):  # a NaN in S at one node of this leg's filter
-                h[3] = np.nan
-            return h
+                log_s[3] = np.nan
+            return log_s
 
-        monkeypatch.setattr(quadrature, "transfer_values", values)
+        monkeypatch.setattr(quadrature, "_log_sdf", values)
         report = invariance_suite(arma11, CFG)
         head, _, field = leg.partition(".")
         value = getattr(report, head)

@@ -19,7 +19,6 @@ share across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -128,9 +127,9 @@ class FilterSpec:
         object.__setattr__(self, "z_power", int(self.z_power))
 
     @property
-    def gain_term(self) -> float:
-        """Prefactor sigma^2/(2 pi) of the transfer function."""
-        return self.gain * self.gain / (2.0 * math.pi)
+    def log_gain_term(self) -> float:
+        """ln(sigma^2/(2 pi)), the constant term of log h, finite for every finite sigma > 0."""
+        return 2.0 * math.log(self.gain) - math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSer
     rho = max(moduli, default=0.0)
     tail = _series_tail_bound(len(moduli), rho, trunc)
     return CepstrumSeries(
-        phi0=complex(cmath.log(f.gain_term)),
+        phi0=complex(f.log_gain_term),
         coeffs=phi,
         blaschke_coeffs=beta,
         truncation=trunc,
@@ -301,8 +300,8 @@ def outer_factor(spec: FilterSpec, eps_stab: float = EPS_STAB_DEFAULT) -> Valida
     """
     _check_zero_band(spec.zeros, eps_stab)
     zeros = tuple(1.0 / zt.conjugate() if abs(zt) > 1.0 else zt for zt in spec.zeros)
-    gain_term_factor = math.prod(abs(zt) for zt in spec.zeros if abs(zt) > 1.0)
-    reflected = replace(spec, zeros=zeros, gain=spec.gain * math.sqrt(gain_term_factor))
+    term_factor = math.prod(abs(zt) for zt in spec.zeros if abs(zt) > 1.0)
+    reflected = replace(spec, zeros=zeros, gain=spec.gain * math.sqrt(term_factor))
     return validate(reflected, eps_stab)
 
 

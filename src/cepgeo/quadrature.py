@@ -219,7 +219,7 @@ def _checked(even, odd, tol: float, what: str):
         for e, o in zip(even, odd)
         if np.size(e)
     ]
-    residual = max((change for change, _ in changes), default=0.0)
+    residual = float(np.max([change for change, _ in changes], initial=0.0))  # keeps a NaN
     converged = all(change <= tol * max(1.0, scale) for change, scale in changes)
     if not converged:
         warnings.warn(
@@ -389,17 +389,16 @@ def oracle_tensors(
 
 
 def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
-    """log S = ln|h|^2 at the nodes ``z``, a sum of the log-moduli of h's factors.
+    """log S = ln|h|^2 at the circle nodes ``z``, a sum of the log-moduli of h's factors.
 
-    ln|h| takes 2 ln sigma - ln 2 pi for the gain term (sigma^2/2 pi itself
-    overflows at sigma near 1.3e154), +ln|z - zeta| per zero, -ln|z - p| per
-    pole and ln|z_s - z| - ln|1 - conj(z_s) z| per Blaschke point (the phase
-    |z_s|/z_s has modulus 1).  log S is twice that plus (R + #poles - #zeros)
-    ln|z|^2, since 1 - xi/z is (z - xi)/z and b(z, 0) is z; that term comes
-    last, so a huge R rounds the sum once.  No division and no product of
-    factors, so no filter that ``validate`` accepts overflows it.
+    ln|h| takes ``f.log_gain_term`` for the gain term, +ln|z - zeta| per
+    zero, -ln|z - p| per pole and ln|z_s - z| - ln|1 - conj(z_s) z| per
+    Blaschke point (the phase |z_s|/z_s has modulus 1).  1 - xi/z is
+    (z - xi)/z, and z^R and b(z, 0) = z have modulus 1 on the circle, so no
+    power of z reaches log S.  No division and no product of factors, so no
+    filter that ``validate`` accepts overflows it.
     """
-    log_h = np.full(z.shape, 2.0 * math.log(f.gain) - math.log(2.0 * math.pi))
+    log_h = np.full(z.shape, f.log_gain_term)
     for zt in f.zeros:
         log_h += np.log(np.abs(z - zt))
     for p in f.poles:
@@ -407,11 +406,7 @@ def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
     for zs in f.blaschke_points:
         if zs != 0.0:
             log_h += np.log(np.abs(zs - z)) - np.log(np.abs(1.0 - zs.conjugate() * z))
-    log_s = np.multiply(log_h, 2.0, out=log_h)
-    power = f.z_power + len(f.poles) - len(f.zeros) + f.blaschke_points.count(0)
-    if power:  # |z|^2 is about 1: x^2 + y^2 reads it more finely than the rounded |z|
-        log_s += power * np.log(np.square(z.real) + np.square(z.imag))
-    return log_s
+    return np.multiply(log_h, 2.0, out=log_h)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -485,7 +480,8 @@ def invariance_suite(
 
     The z_power and blaschke legs compare S on 1024 circle nodes with S
     after multiplying by z^5 and after appending a Blaschke point at 0.4, so
-    they test that the factors are unimodular on the circle.  They have no
+    they test that the factors are unimodular on the circle (:func:`_log_sdf`
+    holds no power of z, so the z_power leg reads 0.0).  They have no
     metric leg: :func:`metric_numeric` reads only the coordinates and
     signature, which the factors leave alone.  The outer-reflection leg
     reflects the largest nonzero zero out of the disk with gain compensation

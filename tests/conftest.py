@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cepgeo import filters
 from cepgeo.cli import main
@@ -19,6 +20,8 @@ from cepgeo.serialization import BAR
 # sigma for which the transfer-function prefactor sigma^2/(2 pi) is exactly 1,
 # i.e. the zeroth cepstrum coefficient vanishes
 GAIN = filters.GAIN_TERM_UNIT
+# the largest root modulus that validate accepts by default
+MARGIN = 1.0 - filters.EPS_STAB_DEFAULT
 
 
 def make_filter(poles=(), zeros=(), blaschke=(), z_power=0, gain=GAIN):
@@ -30,6 +33,33 @@ def make_filter(poles=(), zeros=(), blaschke=(), z_power=0, gain=GAIN):
             blaschke_points=tuple(blaschke),
             z_power=z_power,
         )
+    )
+
+
+def _moduli(top):
+    """Moduli in [0, top], and log-uniform ones down to about 1e-300."""
+    return st.one_of(st.floats(0.0, top), st.floats(-300.0, 0.0).map(lambda e: top * 10.0**e))
+
+
+@st.composite
+def schema_filters(draw):
+    """Filters that validate accepts, drawn over the whole schema.
+
+    Gain 10^U(-300, 300), |z_power| <= 1e20, up to three roots from about
+    1e-300 out to the margin, and at most one Blaschke point.
+    """
+    polar = st.tuples(_moduli(MARGIN), st.floats(0.0, 1.0))
+    root = polar.map(lambda rt: rt[0] * np.exp(2j * np.pi * rt[1])).filter(
+        lambda x: abs(x) <= MARGIN  # r e^{i theta} can round past r
+    )
+    xi = draw(st.lists(st.tuples(root, st.booleans()), max_size=3))
+    points = draw(st.lists(_moduli(1.0).filter(lambda r: r < 1.0), max_size=1))
+    return FilterSpec(
+        gain=10.0 ** draw(st.floats(-300.0, 300.0)),
+        poles=tuple(x for x, pole in xi if pole),
+        zeros=tuple(x for x, pole in xi if not pole),
+        blaschke_points=tuple(r * np.exp(2.4j) for r in points),
+        z_power=draw(st.integers(-(10**20), 10**20)),
     )
 
 
@@ -113,6 +143,11 @@ def peak_mib(fn):
         tracemalloc.stop()
 
 
+def gain_term(f):
+    """The transfer function's prefactor sigma^2/(2 pi), formed here, not read from the library."""
+    return f.gain * f.gain / (2.0 * math.pi)
+
+
 def transfer_values(f, z):
     """h at an array of points, its factors multiplied out in complex arithmetic.
 
@@ -122,7 +157,7 @@ def transfer_values(f, z):
     on it.
     """
     z = np.asarray(z, dtype=complex)
-    h = np.full(z.shape, f.gain_term, dtype=complex)
+    h = np.full(z.shape, gain_term(f), dtype=complex)
     if f.z_power:
         h = h * z**f.z_power
     for zt in f.zeros:
@@ -152,7 +187,7 @@ def cepstrum_fft(f, trunc):
     if trunc >= NODES_DEFAULT // 2:
         raise ValueError("truncation must be below half the node count")
     z = circle_nodes(NODES_DEFAULT)
-    logh = np.full(NODES_DEFAULT, math.log(f.gain_term), dtype=complex)
+    logh = np.full(NODES_DEFAULT, math.log(gain_term(f)), dtype=complex)
     for zt in f.zeros:
         logh += np.log(1.0 - zt / z)
     for p in f.poles:

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import cepgeo
 from cepgeo import cli, closed_form, priors, quadrature
 from cepgeo.cli import BAR, HOL, main, oracle_compare
-from cepgeo.filters import FilterSpec, reciprocal, validate
+from cepgeo.filters import FilterSpec, _RootViolation, reciprocal, validate
 from cepgeo.sampling import sample_root_tuples
 from cepgeo.serialization import (
     complex_from_json,
@@ -27,7 +28,13 @@ from cepgeo.serialization import (
     tensor_to_document,
 )
 
-from conftest import _readme_block, input_error, parse_tensor_document, readme_cli_argvs
+from conftest import (
+    _readme_block,
+    input_error,
+    parse_tensor_document,
+    readme_cli_argvs,
+    schema_filters,
+)
 
 GAIN_UNIT = math.sqrt(2.0 * math.pi)
 
@@ -386,10 +393,12 @@ ORACLE_DIGESTS = {
 # to be read as a sum of log-moduli: only the three sdf residuals moved, each
 # down (n = 4: z_power 1.97e-15 -> 1.11e-15, blaschke 1.14e-15 -> 8.88e-16,
 # reflection 2.57e-15 -> 1.33e-15; n = 16: 2.35e-15 -> 1.11e-15,
-# 1.16e-15 -> 8.88e-16, 5.16e-15 -> 3.11e-15)
+# 1.16e-15 -> 8.88e-16, 5.16e-15 -> 3.11e-15); both again when log S lost its
+# ln|z|^2 term, which is 0 on the circle: only the z_power sdf residual moved,
+# 1.11022302463e-15 -> 0.0 in both
 INVARIANCE_DIGESTS = {
-    4: "9d805939d3cf60246bb5f3a04ce99fbf36a6deb979e7541405515181907902b1",
-    16: "d99e5346081760da267c1a72e896323f08e1f64c5fdd7e4da9d20e500f4b3ee1",
+    4: "c952baea5b218cb3ca786e13e679ed2d0dc9130903f845f54a4ebdb55adf9e4b",
+    16: "dfcaeae7c7e087dfe825846c4575fd4a759dac1bac82e1eaf436513f26dfa63f",
 }
 
 
@@ -812,12 +821,6 @@ class TestOtherChecks:
     @pytest.mark.parametrize(
         "argv, doc, message",
         [
-            # sigma^2 / 2 pi overflows, so phi0 is inf
-            (
-                ["cepstrum", "{f}"],
-                {"gain": 1e200, "poles": [{"re": 0.3, "im": 0.0}]},
-                "inf (at '/phi0/re')",
-            ),
             # beta_r = (1/r) b^-r overflows at a Blaschke point this small
             (
                 ["cepstrum", "{f}"],
@@ -831,7 +834,7 @@ class TestOtherChecks:
                 "inf (at '/ricci/entries/0/re')",
             ),
         ],
-        ids=["huge-gain", "tiny-blaschke-point", "tensors-huge-alpha"],
+        ids=["tiny-blaschke-point", "tensors-huge-alpha"],
     )
     def test_non_finite_report_value_exits_2(self, capsys, tmp_path, argv, doc, message):
         path = tmp_path / "f.json"
@@ -929,6 +932,77 @@ class TestOtherChecks:
         assert re.fullmatch(r"phi0 = \S+ \+ \S+i", lines[2])
         assert lines[3] == "coeffs = [0.5 + 0i, 0.125 + 0i]"
         assert lines[4] == "blaschke_coeffs = [0 + 0i, 0 + 0i]"
+
+
+NODES_256 = ("--nodes", "256")
+# every run over the filter schema; "{f}" and "{g}" are filter files
+SCHEMA_RUNS = {
+    "cepstrum": ["cepstrum", "{f}"],
+    "tensors": ["tensors", "{f}"],
+    "tensors-huge-alpha": ["tensors", "{f}", "--alpha=1e308"],
+    **{
+        f"divergence-f-f-{alpha}": ["divergence", "{f}", "{f}", f"--alpha={alpha}", *NODES_256]
+        for alpha in ("-1", "0", "0.5")
+    },
+    "divergence-f-g": ["divergence", "{f}", "{g}", "--alpha=0.5", *NODES_256],
+    "oracle-compare": ["oracle-compare", "{f}", *NODES_256],
+    "duality-check": ["duality-check", "{f}", *NODES_256],
+    "invariance-check": ["invariance-check", "{f}", *NODES_256],
+}
+# where a run may meet NON_FINITE_VALUE: the true value passes the double range there
+TRUE_OVERFLOWS = {
+    "tensors-huge-alpha": ("/connection/", "/ricci/", "/scalar_curvature"),
+    "cepstrum": ("/blaschke_coeffs/",),  # beta_r ~ z_s^-r beside a tiny Blaschke point
+    "divergence-f-g": ("/value",),  # (S2/S1)^alpha at gains far apart
+}
+ROOT_VIOLATIONS = {cls.code for cls in _RootViolation.__subclasses__()}
+
+
+def _schema_document(spec):
+    """The filter file of ``spec``, every float exact (complex_to_json rounds to 12 digits)."""
+
+    def exact(roots):
+        return [{"re": x.real, "im": x.imag} for x in roots]
+
+    return {
+        "gain": spec.gain,
+        "poles": exact(spec.poles),
+        "zeros": exact(spec.zeros),
+        "blaschke": exact(spec.blaschke_points),
+        "z_power": spec.z_power,
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=schema_filters(), other=schema_filters())
+def test_every_valid_filter_gives_a_finite_report_or_a_named_error(tmp_path_factory, spec, other):
+    # each command on a filter validate accepts: a finite report, or a named error
+    # where the true value leaves the doubles, the roots coincide or a step leaves the margin
+    folder = tmp_path_factory.mktemp("schema")
+    paths = {}
+    for key, filt in (("f", spec), ("g", other)):
+        validate(filt)  # the strategy draws only filters that validate accepts
+        paths[key] = folder / f"{key}.json"
+        paths[key].write_text(json.dumps(_schema_document(filt)))
+    out = folder / "report.json"
+    for name, argv in SCHEMA_RUNS.items():
+        code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+        report = json.loads(out.read_text())
+        if code == 0:
+            assert "error" not in report, name
+            if name.startswith("divergence-f-f"):
+                assert (report["value"], report["converged"]) == (0.0, True), name
+            continue
+        assert code == 2, name
+        error = report["error"]
+        if error["code"] == "NON_FINITE_VALUE":
+            pointer = re.search(r"\(at '([^']*)'\)", error["message"]).group(1)
+            assert pointer.startswith(TRUE_OVERFLOWS.get(name, ())), (name, error)
+        elif error["code"] == "COINCIDENT_ROOTS":
+            assert argv[0] in ("tensors", "oracle-compare"), (name, error)
+        else:
+            assert argv[0] == "duality-check" and error["code"] in ROOT_VIOLATIONS, (name, error)
+            assert "after the duality check's step" in error["message"], (name, error)
 
 
 def test_readme_cli_examples_run(capsys, tmp_path):

@@ -21,7 +21,7 @@ from cepgeo.filters import (
     validate,
 )
 
-from conftest import GAIN, input_error, make_filter, transfer_values
+from conftest import GAIN, gain_term, input_error, make_filter, transfer_values
 
 GRID = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
 
@@ -185,6 +185,19 @@ class TestCepstrum:
         f = make_filter(gain=2.0, poles=(0.1,))
         assert cepstrum(f, 2).phi0 == pytest.approx(math.log(4.0 / (2 * math.pi)))
 
+    @pytest.mark.parametrize("gain", [1e-300, 1e-161, 1e-157, 1e200, 1e300])
+    def test_phi0_matches_mpmath_at_every_gain(self, gain):
+        # sigma^2/(2 pi) leaves the doubles at these gains, ln(sigma^2/(2 pi)) does not
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = float(mp.log(mp.mpf(gain) ** 2 / (2 * mp.pi)))
+        phi0 = cepstrum(make_filter(gain=gain, poles=(0.1,)), 2).phi0
+        assert phi0.imag == 0.0
+        assert phi0.real == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_phi0_is_zero_at_unit_gain_term(self):
+        assert cepstrum(make_filter(gain=GAIN, poles=(0.1,)), 2).phi0 == 0.0
+
     def test_blaschke_coefficients(self):
         zs = 0.4 + 0.1j
         f = make_filter(blaschke=(zs,))
@@ -225,7 +238,7 @@ class TestOuterFactor:
         spec = FilterSpec(gain=1.0, zeros=(2.0,))
         f = outer_factor(spec)
         assert f.zeros == (0.5,)
-        assert f.gain_term == pytest.approx(2.0 * spec.gain_term)
+        assert gain_term(f) == pytest.approx(2.0 * gain_term(spec))
         s_before = sdf(spec)
         s_after = sdf(f)
         assert np.max(np.abs(s_before - s_after) / s_before) < 1e-10
@@ -234,7 +247,7 @@ class TestOuterFactor:
         spec = FilterSpec(gain=1.0, zeros=(-1.25,))
         f = outer_factor(spec)
         assert f.zeros[0] == pytest.approx(-0.8)
-        assert f.gain_term == pytest.approx(1.25 * spec.gain_term)
+        assert gain_term(f) == pytest.approx(1.25 * gain_term(spec))
 
     def test_minimum_phase_fixed_point(self, arma11):
         f = outer_factor(arma11.to_spec())
@@ -251,7 +264,7 @@ class TestReciprocal:
         r = reciprocal(arma11)
         assert r.poles == (0.3,)
         assert r.zeros == (0.5,)
-        assert r.gain_term == pytest.approx(1.0 / arma11.gain_term)
+        assert gain_term(r) == pytest.approx(1.0 / gain_term(arma11))
         z = np.exp(1j * GRID)
         assert np.allclose(
             transfer_values(r, z) * transfer_values(arma11, z), 1.0, atol=1e-12

@@ -45,7 +45,15 @@ from cepgeo.quadrature import (
 )
 from cepgeo.sampling import sample_root_tuples
 
-from conftest import GAIN, arma_from_roots, cepstrum_fft, make_filter, peak_mib
+from conftest import (
+    GAIN,
+    MARGIN,
+    arma_from_roots,
+    cepstrum_fft,
+    make_filter,
+    peak_mib,
+    schema_filters,
+)
 
 CFG = QuadratureConfig(nodes=2048)
 # the unpatched density, for the tests that patch quadrature._log_sdf
@@ -400,6 +408,13 @@ class TestDivergence:
             ref = mp.fsum(terms) / m
         assert abs(got - ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5])
+    def test_z_power_does_not_reach_the_density(self, alpha):
+        # z^R has modulus 1 on the circle, however large R is
+        f, g = make_filter(poles=(0.5,)), make_filter(poles=(0.5,), z_power=10**20)
+        result = divergence(f, g, alpha, CFG)
+        assert (result.value, result.residual, result.converged) == (0.0, 0.0, True)
+
     def test_multiplication_rule(self):
         allpass = make_filter()
         f = arma_from_roots(sample_root_tuples(12, 1, 4, 0.9, 0.0)[0], 2)
@@ -426,6 +441,14 @@ class TestConvergenceFlag:
                 result = divergence(f1, f2, alpha)  # a warning fails the test
                 assert result.converged and result.value > 1e10, (poles, small, large, alpha)
 
+    def test_a_nan_change_is_the_residual(self):
+        # a NaN block after a finite one stays the residual, and is never converged
+        with pytest.warns(QuadratureUnconvergedWarning, match="by nan"):
+            _, residual, converged = quadrature._checked(
+                [1.0, np.nan], [1.0 + 1e-12, 0.0], 1e-9, "leg"
+            )
+        assert math.isnan(residual) and not converged
+
     def test_near_circle_oracle_warns_only_while_truncated(self):
         f = make_filter(poles=(0.999,), zeros=(-0.3 + 0.2j,))
         # 0.999^131072 < e^-131: the doubling change, 5.5e-9 at most, is rounding
@@ -442,9 +465,7 @@ def _log_moduli(f, z):
     def log_sq(w):
         return np.log(np.abs(w) ** 2)
 
-    power = f.z_power + len(f.poles) - len(f.zeros) + sum(zs == 0 for zs in f.blaschke_points)
-    rows = [power * log_sq(z)]
-    rows += [log_sq(z - zt) for zt in f.zeros] + [-log_sq(z - p) for p in f.poles]
+    rows = [log_sq(z - zt) for zt in f.zeros] + [-log_sq(z - p) for p in f.poles]
     for zs in f.blaschke_points:
         if zs != 0:
             rows += [log_sq(zs - z), -log_sq(1.0 - np.conj(zs) * z)]
@@ -465,7 +486,6 @@ def _mp_log_sdf(mp, f, z):
         return float(mp.log(abs(h) ** 2))
 
 
-MARGIN = 1.0 - EPS_STAB_DEFAULT
 LOG_SDF_EDGES = {
     "root-at-margin": dict(gain=GAIN, poles=(MARGIN,), zeros=(-MARGIN * 1j,)),
     "gain-1e300": dict(gain=1e300, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,)),
@@ -473,24 +493,6 @@ LOG_SDF_EDGES = {
     "blaschke-0.99": dict(gain=GAIN, poles=(0.5,), blaschke_points=(0.99 * np.exp(0.3j),)),
     "z-power-7": dict(gain=GAIN, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), z_power=7),
 }
-
-
-@st.composite
-def schema_filters(draw):
-    """Filters that validate accepts: any gain exponent, a huge z power, roots out to the margin."""
-    polar = st.tuples(st.floats(0.0, MARGIN), st.floats(0.0, 1.0))
-    root = polar.map(lambda rt: rt[0] * np.exp(2j * np.pi * rt[1])).filter(
-        lambda x: abs(x) <= MARGIN  # r e^{i theta} can round past r
-    )
-    xi = draw(st.lists(st.tuples(root, st.booleans()), max_size=3))
-    points = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=1))
-    return FilterSpec(
-        gain=10.0 ** draw(st.floats(-300.0, 300.0)),
-        poles=tuple(x for x, pole in xi if pole),
-        zeros=tuple(x for x, pole in xi if not pole),
-        blaschke_points=tuple(r * np.exp(2.4j) for r in points),
-        z_power=draw(st.integers(-(10**20), 10**20)),
-    )
 
 
 class TestLogDensity:

@@ -169,18 +169,14 @@ class ValidatedFilter(FilterSpec):
 
 @dataclass(frozen=True)
 class CepstrumSeries:
-    """Truncated series coefficients of the logarithmic transfer function.
+    """Truncated complex cepstrum of the minimum-phase part of the filter.
 
-    ``coeffs[r-1]`` holds the coefficient of ``z^{-r}`` (the complex
-    cepstrum), ``blaschke_coeffs[r-1]`` the constant-in-parameters
-    coefficient of ``z^{+r}`` contributed by Blaschke factors, and
-    ``tail_bound`` a closed-form upper bound on the discarded
-    ``sum_{r>N} |phi_r|^2``.
+    ``coeffs[r-1]`` holds the coefficient of ``z^{-r}`` and ``tail_bound`` a
+    closed-form upper bound on the discarded ``sum_{r>N} |phi_r|^2``.
     """
 
     phi0: complex
     coeffs: np.ndarray
-    blaschke_coeffs: np.ndarray
     truncation: int
     tail_bound: float
 
@@ -249,16 +245,16 @@ def _series_tail_bound(n_roots: int, rho: float, trunc: int) -> float:
 
 
 def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSeries:
-    """Complex-cepstrum coefficients of log h up to order ``trunc``.
+    """Complex cepstrum of the minimum-phase part of log h up to order ``trunc``.
 
     Coefficients come from the closed-form root power sums,
 
         phi_r = (sum_i p_i^r - sum_j zeta_j^r) / r,
 
     not from an FFT of sampled log h; the FFT route, ``cepstrum_fft`` in the
-    tests' ``conftest.py``, checks it independently.  Blaschke points
-    contribute the parameter-independent ``beta_r`` on the anticausal side; a
-    Blaschke point at the origin is a pure z factor and adds nothing.
+    tests' ``conftest.py``, checks it independently.  The unimodular factors,
+    z^R and the Blaschke factors, are left out: they do not depend on the
+    coordinates, and the Kahler potential is sum_{r >= 1} |phi_r|^2.
     """
     if trunc < 1:
         raise ValueError(f"truncation must be >= 1, got {trunc}")
@@ -272,20 +268,11 @@ def cepstrum(f: ValidatedFilter, trunc: int = TRUNCATION_DEFAULT) -> CepstrumSer
         phi -= np.power(zt, r)
     phi /= r
 
-    beta = np.zeros(trunc, dtype=complex)
-    for zs in f.blaschke_points:
-        if zs != 0.0:
-            beta += (abs(zs) ** (2.0 * r) - 1.0) / np.power(zs, r) / r
-
     moduli = [abs(x) for x in f.poles + f.zeros]
     rho = max(moduli, default=0.0)
     tail = _series_tail_bound(len(moduli), rho, trunc)
     return CepstrumSeries(
-        phi0=complex(f.log_gain_term),
-        coeffs=phi,
-        blaschke_coeffs=beta,
-        truncation=trunc,
-        tail_bound=tail,
+        phi0=complex(f.log_gain_term), coeffs=phi, truncation=trunc, tail_bound=tail
     )
 
 

@@ -81,8 +81,7 @@ NODES_DEFAULT = 4096
 DERIV_STEP = 1e-5
 # largest change under grid doubling that the tensor routines accept
 _TOL = 1e-9
-# the unimodular factors that invariance_suite appends
-_Z_POWER_SHIFT = 5
+# the unimodular factor that invariance_suite appends
 _BLASCHKE_POINT = 0.4 + 0j
 
 # Bytes of each sample block, all rows: up to n = 10 a 4096-node grid half is
@@ -291,7 +290,8 @@ def metric_numeric(
     """Metric by quadrature: mixed_{ij} = mean over nodes of d_i log h conj(d_j log h).
 
     The pure block uses the same average without conjugation and vanishes on
-    the constant-gain submanifold.
+    the constant-gain submanifold.  No routine of the package calls it: only
+    the benchmark and the tests do.
     """
     from .closed_form import HermitianMetric
 
@@ -453,46 +453,52 @@ def divergence(
 
 @dataclass(frozen=True)
 class TransformResiduals:
-    """Residuals for one geometry-preserving transformation."""
+    """Residuals of the outer-factor round trip, and the rounding floor of its sdf leg."""
 
-    metric_residual: float
+    coordinate_residual: float
     sdf_residual: float
+    sdf_floor: float
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Spectral-density residuals under unimodular factors, and both residuals of a reflection."""
+    """Spectral-density residual under a Blaschke factor, and the residuals of a reflection."""
 
-    z_power_sdf_residual: float
     blaschke_sdf_residual: float
     outer_reflection: TransformResiduals | None
 
     @property
     def max_metric_residual(self) -> float:
-        """The reflection leg's metric residual (a NaN kept), 0.0 without that leg."""
-        return self.outer_reflection.metric_residual if self.outer_reflection else 0.0
+        """The reflection's coordinate residual (a NaN kept), 0.0 without that leg.
+
+        Public only because the benchmark reads it.
+        """
+        return self.outer_reflection.coordinate_residual if self.outer_reflection else 0.0
 
 
 def invariance_suite(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> InvarianceReport:
-    """Residuals of the spectral density, and of the metric, under unimodular factors.
+    """Residuals of the spectral density and of the coordinates under unimodular factors.
 
-    The z_power and blaschke legs compare S on 1024 circle nodes with S
-    after multiplying by z^5 and after appending a Blaschke point at 0.4, so
-    they test that the factors are unimodular on the circle (:func:`_log_sdf`
-    holds no power of z, so the z_power leg reads 0.0).  They have no
-    metric leg: :func:`metric_numeric` reads only the coordinates and
-    signature, which the factors leave alone.  The outer-reflection leg
+    No quadrature runs: the geometry is a function of the coordinates alone.
+    The blaschke leg compares S on 1024 circle nodes with S after appending
+    a Blaschke point at 0.4, which leaves the coordinates alone, so it tests
+    that the factor is unimodular on the circle.  The outer-reflection leg
     reflects the largest nonzero zero out of the disk with gain compensation
     (its sdf residual) and recovers it through
-    :func:`cepgeo.filters.outer_factor` (its metric residual, the only
-    metrics formed).  A zero whose round trip rounds into the margin band,
-    as one at |zeta| = 1 - eps_stab can, is passed over for the next, and so
-    is one whose twin would leave the normal floats (a zero below about
-    2.2e-308, whose 1/conj(zeta) overflows, or a gain sigma sqrt|zeta| that
-    underflows); the leg is None when no zero qualifies.  Each sdf residual
-    is max |expm1(log S' - log S)|, read off :func:`_log_sdf`.
+    :func:`cepgeo.filters.outer_factor`, which keeps root order and
+    signature (its coordinate residual, the largest |xi_back - xi|, a NaN
+    kept).  The twin's rounded 1/conj(zeta) moves S by up to about
+    2 eps/(1 - |zeta|) beside zeta, so the leg states ``sdf_floor`` =
+    4 eps/(1 - |zeta|).  A zero whose round trip rounds into the margin
+    band, as one at |zeta| = 1 - eps_stab can, is passed over for the next,
+    and so is one whose twin would leave the normal floats (a zero below
+    about 2.2e-308, whose 1/conj(zeta) overflows, or a gain sigma sqrt|zeta|
+    that underflows); the leg is None when no zero qualifies.  Each sdf
+    residual is max |expm1(log S' - log S)|, read off :func:`_log_sdf`.
+    ``cfg`` is not read, and stays in the signature only because the
+    benchmark passes one.
     """
     spec = f.to_spec()
     z = circle_nodes(1024)
@@ -501,7 +507,6 @@ def invariance_suite(
     def sdf_residual(other: FilterSpec) -> float:
         return float(np.max(np.abs(np.expm1(_log_sdf(other, z) - log_s))))
 
-    shifted = replace(spec, z_power=spec.z_power + _Z_POWER_SHIFT)
     with_point = replace(spec, blaschke_points=(*spec.blaschke_points, _BLASCHKE_POINT))
     reflection = None
     # zeros whose twin keeps its zero 1/conj(zeta) and its gain sigma sqrt|zeta| normal
@@ -513,10 +518,11 @@ def invariance_suite(
             recovered = outer_factor(twin, f.eps_stab)
         except ZeroOnCircle:  # the round trip rounded into the margin band
             continue
-        g, g_back = metric_numeric(f, cfg).mixed, metric_numeric(recovered, cfg).mixed
-        reflection = TransformResiduals(float(np.max(np.abs(g - g_back))), sdf_residual(twin))
+        moved = np.abs(np.subtract(recovered.coordinates, f.coordinates))
+        floor = 4.0 * sys.float_info.epsilon / (1.0 - abs(f.zeros[j]))
+        reflection = TransformResiduals(float(np.max(moved)), sdf_residual(twin), floor)
         break
-    return InvarianceReport(sdf_residual(shifted), sdf_residual(with_point), reflection)
+    return InvarianceReport(sdf_residual(with_point), reflection)
 
 
 @dataclass(frozen=True)

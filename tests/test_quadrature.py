@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import math
 import pickle
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cepgeo import quadrature
+from cepgeo import closed_form, quadrature
 from cepgeo.cli import oracle_compare
 from cepgeo.closed_form import (
     ModelPoint,
@@ -526,15 +527,14 @@ class TestLogDensity:
             assert divergence(f, g, 0.0, cfg).value == pytest.approx(
                 8.0 * log_ratio**2, rel=1e-12
             )
-            report = invariance_suite(f, cfg)
-        assert report.z_power_sdf_residual < 1e-10  # a NaN fails too
-        assert report.blaschke_sdf_residual < 1e-10
-        if report.outer_reflection is not None:
+        report = invariance_suite(f)
+        assert report.blaschke_sdf_residual < 1e-10  # a NaN fails too
+        if (leg := report.outer_reflection) is not None:
             # the twin's zero 1/conj(zeta) rounds, which moves S by up to about
             # 2 eps/(1 - |zeta|) at a node beside it: 1.76e-10 at |zeta| = 1 - 1e-6
-            rounding = 4.0 * np.finfo(float).eps / (1.0 - max(map(abs, f.zeros)))
-            assert report.outer_reflection.sdf_residual < 1e-10 + rounding
-            assert math.isfinite(report.outer_reflection.metric_residual)
+            assert leg.sdf_floor <= 4.0 * np.finfo(float).eps / (1.0 - max(map(abs, f.zeros)))
+            assert leg.sdf_residual < 1e-10 + leg.sdf_floor
+            assert leg.coordinate_residual < 1e-10
 
 
 class TestCepstrumFFT:
@@ -554,12 +554,11 @@ class TestInvarianceSuite:
     def test_all_legs_within_tolerance(self, arma11):
         report = invariance_suite(arma11, CFG)
         assert report.outer_reflection is not None
-        assert report.outer_reflection.metric_residual < 1e-10
-        assert report.max_metric_residual == report.outer_reflection.metric_residual
+        assert report.outer_reflection.coordinate_residual < 1e-10
+        assert report.max_metric_residual == report.outer_reflection.coordinate_residual
 
     def test_sdf_preserved_by_each_transformation(self, arma11):
         report = invariance_suite(arma11, CFG)
-        assert report.z_power_sdf_residual < 1e-10
         assert report.blaschke_sdf_residual < 1e-10
         assert report.outer_reflection.sdf_residual < 1e-10
 
@@ -568,56 +567,49 @@ class TestInvarianceSuite:
         assert report.outer_reflection is None
         assert report.max_metric_residual == 0.0
 
-    @pytest.mark.parametrize("zeros, calls", [((), 0), ((0.0,), 0), ((0.3, -0.2j), 2)])
-    def test_metric_formed_only_for_the_reflection(self, monkeypatch, zeros, calls):
-        seen = []
-        counted = lambda *a: seen.append(a) or metric_numeric(*a)  # noqa: E731
-        monkeypatch.setattr(quadrature, "metric_numeric", counted)
-        invariance_suite(make_filter(poles=(0.5,), zeros=zeros), CFG)
-        assert len(seen) == calls
+    @pytest.mark.parametrize("zeros", [(), (0.0,), (0.3, -0.2j)])
+    def test_no_quadrature_and_no_closed_form(self, monkeypatch, zeros):
+        f = make_filter(poles=(0.5,), zeros=zeros, blaschke=(0.2j,), z_power=3)
+        expected = invariance_suite(f, CFG)
+
+        def stub(*args, **kwargs):
+            raise AssertionError("invariance_suite ran a quadrature or a closed form")
+
+        monkeypatch.setattr(quadrature, "metric_numeric", stub)
+        for name, value in vars(closed_form).items():
+            if inspect.isfunction(value) and value.__module__ == closed_form.__name__:
+                monkeypatch.setattr(closed_form, name, stub)
+        assert invariance_suite(f, CFG) == expected
 
     def test_zero_on_the_margin_at_every_angle(self):
         # at |zeta| = 1 - eps_stab, 1/conj(zeta) or zeta reflected back can
         # round into the margin band; such a zero is not the one reflected
-        limit, cfg = 1.0 - EPS_STAB_DEFAULT, QuadratureConfig(nodes=64)
+        limit = 1.0 - EPS_STAB_DEFAULT
         turns = np.exp(2j * np.pi * np.arange(400) / 400)
         refused = 0
-        with warnings.catch_warnings():  # the metric converges slowly this near the circle
-            warnings.simplefilter("ignore", QuadratureUnconvergedWarning)
-            for zt in limit * turns:
-                if abs(zt) > limit:
-                    continue
-                f = make_filter(zeros=(zt,))
-                try:
-                    outer_factor(reflect_zero_out(f, 0))
-                except ZeroOnCircle:
-                    refused += 1
-                    assert invariance_suite(f, cfg).outer_reflection is None
-                    both = invariance_suite(make_filter(zeros=(zt, 0.5)), cfg)
-                    assert both.outer_reflection is not None  # 0.5 is reflected instead
-                else:
-                    assert invariance_suite(f, cfg).outer_reflection is not None
+        for zt in limit * turns:
+            if abs(zt) > limit:
+                continue
+            f = make_filter(zeros=(zt,))
+            try:
+                outer_factor(reflect_zero_out(f, 0))
+            except ZeroOnCircle:
+                refused += 1
+                assert invariance_suite(f).outer_reflection is None
+                both = invariance_suite(make_filter(zeros=(zt, 0.5)))
+                assert both.outer_reflection is not None  # 0.5 is reflected instead
+            else:
+                assert invariance_suite(f).outer_reflection is not None
         assert refused > 0
 
-    @pytest.mark.parametrize(
-        "leg, patch",
-        [
-            # z^R as (1.01 z)^R
-            ("z_power_sdf_residual", lambda f, z: LOG_SDF(f, z) + 2.0 * f.z_power * np.log(1.01)),
-            (
-                "blaschke_sdf_residual",
-                lambda f, z: LOG_SDF(f, z)
-                + sum(np.log(np.abs(1.0 - np.conj(b) * z) ** 2) for b in f.blaschke_points),
-            ),
-        ],
-        ids=["z_power", "blaschke"],
-    )
-    def test_a_factor_not_unimodular_fails_its_sdf_leg(self, monkeypatch, arma11, leg, patch):
+    def test_a_factor_not_unimodular_fails_its_sdf_leg(self, monkeypatch, arma11):
+        def patch(f, z):  # b(z, z_s) without its denominator
+            terms = [np.log(np.abs(1.0 - np.conj(b) * z) ** 2) for b in f.blaschke_points]
+            return LOG_SDF(f, z) + sum(terms)
+
         monkeypatch.setattr(quadrature, "_log_sdf", patch)
         report = invariance_suite(arma11, CFG)
-        (other,) = {"z_power_sdf_residual", "blaschke_sdf_residual"} - {leg}
-        assert getattr(report, leg) > 1e-3
-        assert getattr(report, other) < 1e-10
+        assert report.blaschke_sdf_residual > 1e-3
         assert report.outer_reflection.sdf_residual < 1e-10
 
     def test_reflection_without_gain_compensation_fails_the_sdf_leg(self, monkeypatch, arma11):
@@ -626,9 +618,9 @@ class TestInvarianceSuite:
         )
         report = invariance_suite(arma11, CFG)
         assert report.outer_reflection.sdf_residual > 1e-3
-        assert report.outer_reflection.metric_residual < 1e-10  # the metric does not see the gain
+        assert report.outer_reflection.coordinate_residual == 0.0  # the gain is no coordinate
 
-    def test_recovery_to_one_over_zeta_fails_the_metric_leg(self, monkeypatch):
+    def test_recovery_to_one_over_zeta_fails_the_coordinate_leg(self, monkeypatch):
         def unconjugated(spec, eps_stab):
             # 1/zeta in place of 1/conj(zeta), the conjugate of each recovered zero
             zeros = [zt.conjugate() if abs(zt) > 1.0 else zt for zt in spec.zeros]
@@ -636,17 +628,17 @@ class TestInvarianceSuite:
 
         monkeypatch.setattr(quadrature, "outer_factor", unconjugated)
         report = invariance_suite(make_filter(poles=(0.5,), zeros=(0.3 + 0.4j,)), CFG)
-        assert report.outer_reflection.metric_residual > 1e-3
+        # |conj(zeta) - zeta| = 2 |Im zeta|
+        assert report.outer_reflection.coordinate_residual == pytest.approx(0.8, rel=1e-12)
         assert report.outer_reflection.sdf_residual < 1e-10  # the twin itself is right
 
     @pytest.mark.parametrize(
         "leg, faulty",
         [
-            ("z_power_sdf_residual", lambda f: f.z_power),
             ("blaschke_sdf_residual", lambda f: f.blaschke_points),
             ("outer_reflection.sdf_residual", lambda f: any(abs(zt) > 1.0 for zt in f.zeros)),
         ],
-        ids=["z_power", "blaschke", "outer_reflection-sdf"],
+        ids=["blaschke", "outer_reflection-sdf"],
     )
     def test_each_leg_keeps_a_nan(self, monkeypatch, arma11, leg, faulty):
         def values(f, z):
@@ -661,17 +653,15 @@ class TestInvarianceSuite:
         value = getattr(report, head)
         assert np.isnan(getattr(value, field) if field else value)
 
-    def test_reflection_metric_leg_keeps_a_nan(self, monkeypatch, arma11):
-        calls = []
+    def test_reflection_coordinate_leg_keeps_a_nan(self, monkeypatch, arma11):
+        def recovered(spec, eps_stab):
+            # the pole moved by 1, then a NaN zero: max() would return the 1.0
+            back = outer_factor(spec, eps_stab)
+            return replace(back, poles=(back.poles[0] + 1.0,), zeros=(np.nan,))
 
-        def metric(f, cfg):
-            calls.append(f)
-            g = metric_numeric(f, cfg)
-            return replace(g, mixed=np.full_like(g.mixed, np.nan)) if len(calls) == 2 else g
-
-        monkeypatch.setattr(quadrature, "metric_numeric", metric)
+        monkeypatch.setattr(quadrature, "outer_factor", recovered)
         report = invariance_suite(arma11, CFG)
-        assert np.isnan(report.outer_reflection.metric_residual)
+        assert np.isnan(report.outer_reflection.coordinate_residual)
         assert np.isnan(report.max_metric_residual)
 
 
@@ -919,7 +909,8 @@ class TestGridCache:
     def test_default_grids_stay_cached(self):
         f = _mixed_filter(83, 4)
         duality_check(f, 0.5, QuadratureConfig())
-        invariance_suite(f, QuadratureConfig())
+        invariance_suite(f)
+        divergence(make_filter(), f, 0.0, QuadratureConfig())  # the doubled grid
         misses = quadrature._grid.cache_info().misses
         for m in (1024, 4096, 8192):
             circle_nodes(m)

@@ -5,7 +5,9 @@ One binary, subcommand style; reports go to stdout as deterministic JSON
 codes: 0 success, 2 validation or input error (a size too large to
 allocate included), 3 when ``--strict`` turns warnings or failed tolerance
 checks into an error.  An ``--out`` that cannot be written exits 2 too,
-with the JSON error report on stdout.
+with the JSON error report on stdout.  A checking command's ``passed``
+reads every residual it reports, and ``invariance-check`` with no zero to
+reflect checks nothing and passes.
 
 A cold start imports only what every subcommand needs (argparse,
 :mod:`~cepgeo.filters`, :mod:`~cepgeo.serialization`, but not numpy); each
@@ -294,11 +296,11 @@ def _cmd_invariance_check(args) -> dict:
 
     f = _load_validated(args, args.input)
     report = quadrature.invariance_suite(f)
-    residuals, bounds = [report.blaschke_sdf_residual], [args.tol]
+    passed = True  # with no leg, nothing was checked
     if leg := report.outer_reflection:  # the sdf leg passes at its rounding floor
-        residuals += [leg.coordinate_residual, leg.sdf_residual]
-        bounds += [args.tol, args.tol + leg.sdf_floor]
-    return {**dataclasses.asdict(report), "tol": args.tol, "passed": _passed(residuals, bounds)}
+        residuals = [leg.coordinate_residual, leg.sdf_residual]
+        passed = _passed(residuals, [args.tol, args.tol + leg.sdf_floor])
+    return {**dataclasses.asdict(report), "tol": args.tol, "passed": passed}
 
 
 def _emit(args, text: str) -> None:

@@ -10,8 +10,8 @@ power of ``z``.  The transfer function is
 
 with the Blaschke factor ``b(z, z_s) = (|z_s|/z_s) (z_s - z)/(1 - conj(z_s) z)``
 (and ``b(z, 0) = z``).  The spectral density is ``S(w) = |h(e^{iw})|^2``;
-Blaschke factors and ``z^R`` are unimodular on the circle and leave it
-unchanged.
+Blaschke factors and ``z^R`` have modulus 1 on the circle, so S, the
+cepstrum and the geometry are those of the minimum-phase part.
 
 Everything here is a pure function of immutable inputs; values are safe to
 share across threads.

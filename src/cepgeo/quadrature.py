@@ -41,6 +41,10 @@ moves one row) in the same pass as the filter, and compares the two sides
 of the identity once per derivative, in the row of d_i that it moves (row
 n+i is its conjugate): no (2n)^3 array is formed.
 
+:func:`divergence` and :func:`invariance_suite` read log S from
+:func:`_log_sdf`, a sum of the log-moduli of the gain, zeros and poles:
+z^R and the Blaschke factors have modulus 1 on the circle.
+
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
 odd-node rules (Trefethen & Weideman, SIAM Review 56(3), 2014), so each
@@ -81,8 +85,6 @@ NODES_DEFAULT = 4096
 DERIV_STEP = 1e-5
 # largest change under grid doubling that the tensor routines accept
 _TOL = 1e-9
-# the unimodular factor that invariance_suite appends
-_BLASCHKE_POINT = 0.4 + 0j
 
 # Bytes of each sample block, all rows: up to n = 10 a 4096-node grid half is
 # one block of conj(d), d and dd, which makes the BLAS calls of a whole-half
@@ -392,20 +394,16 @@ def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
     """log S = ln|h|^2 at the circle nodes ``z``, a sum of the log-moduli of h's factors.
 
     ln|h| takes ``f.log_gain_term`` for the gain term, +ln|z - zeta| per
-    zero, -ln|z - p| per pole and ln|z_s - z| - ln|1 - conj(z_s) z| per
-    Blaschke point (the phase |z_s|/z_s has modulus 1).  1 - xi/z is
-    (z - xi)/z, and z^R and b(z, 0) = z have modulus 1 on the circle, so no
-    power of z reaches log S.  No division and no product of factors, so no
-    filter that ``validate`` accepts overflows it.
+    zero and -ln|z - p| per pole: 1 - xi/z is (z - xi)/z, and z^R and every
+    Blaschke factor have modulus 1 on the circle, so neither reaches log S.
+    No division and no product of factors, so no filter that ``validate``
+    accepts overflows it.
     """
     log_h = np.full(z.shape, f.log_gain_term)
     for zt in f.zeros:
         log_h += np.log(np.abs(z - zt))
     for p in f.poles:
         log_h -= np.log(np.abs(z - p))
-    for zs in f.blaschke_points:
-        if zs != 0.0:
-            log_h += np.log(np.abs(zs - z)) - np.log(np.abs(1.0 - zs.conjugate() * z))
     return np.multiply(log_h, 2.0, out=log_h)
 
 
@@ -462,9 +460,8 @@ class TransformResiduals:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Spectral-density residual under a Blaschke factor, and the residuals of a reflection."""
+    """The residuals of a zero's reflection out of the disk and back, None without one."""
 
-    blaschke_sdf_residual: float
     outer_reflection: TransformResiduals | None
 
     @property
@@ -479,14 +476,12 @@ class InvarianceReport:
 def invariance_suite(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
 ) -> InvarianceReport:
-    """Residuals of the spectral density and of the coordinates under unimodular factors.
+    """Residuals of the spectral density and of the coordinates under a zero's reflection.
 
     No quadrature runs: the geometry is a function of the coordinates alone.
-    The blaschke leg compares S on 1024 circle nodes with S after appending
-    a Blaschke point at 0.4, which leaves the coordinates alone, so it tests
-    that the factor is unimodular on the circle.  The outer-reflection leg
-    reflects the largest nonzero zero out of the disk with gain compensation
-    (its sdf residual) and recovers it through
+    z^R and the Blaschke factors never reach log S (see :func:`_log_sdf`),
+    so the one leg reflects the largest nonzero zero out of the disk with
+    gain compensation (its sdf residual) and recovers it through
     :func:`cepgeo.filters.outer_factor`, which keeps root order and
     signature (its coordinate residual, the largest |xi_back - xi|, a NaN
     kept).  The twin's rounded 1/conj(zeta) moves S by up to about
@@ -495,20 +490,11 @@ def invariance_suite(
     band, as one at |zeta| = 1 - eps_stab can, is passed over for the next,
     and so is one whose twin would leave the normal floats (a zero below
     about 2.2e-308, whose 1/conj(zeta) overflows, or a gain sigma sqrt|zeta|
-    that underflows); the leg is None when no zero qualifies.  Each sdf
-    residual is max |expm1(log S' - log S)|, read off :func:`_log_sdf`.
-    ``cfg`` is not read, and stays in the signature only because the
-    benchmark passes one.
+    that underflows); the leg is None when no zero qualifies.  The sdf
+    residual is max |expm1(log S' - log S)| on 1024 circle nodes, read off
+    :func:`_log_sdf`.  ``cfg`` is not read, and stays in the signature only
+    because the benchmark passes one.
     """
-    spec = f.to_spec()
-    z = circle_nodes(1024)
-    log_s = _log_sdf(f, z)
-
-    def sdf_residual(other: FilterSpec) -> float:
-        return float(np.max(np.abs(np.expm1(_log_sdf(other, z) - log_s))))
-
-    with_point = replace(spec, blaschke_points=(*spec.blaschke_points, _BLASCHKE_POINT))
-    reflection = None
     # zeros whose twin keeps its zero 1/conj(zeta) and its gain sigma sqrt|zeta| normal
     tiny = sys.float_info.min
     normal = [j for j, zt in enumerate(f.zeros) if min(abs(zt), f.gain * abs(zt) ** 0.5) >= tiny]
@@ -519,10 +505,11 @@ def invariance_suite(
         except ZeroOnCircle:  # the round trip rounded into the margin band
             continue
         moved = np.abs(np.subtract(recovered.coordinates, f.coordinates))
+        z = circle_nodes(1024)
+        sdf = float(np.max(np.abs(np.expm1(_log_sdf(twin, z) - _log_sdf(f, z)))))
         floor = 4.0 * sys.float_info.epsilon / (1.0 - abs(f.zeros[j]))
-        reflection = TransformResiduals(float(np.max(moved)), sdf_residual(twin), floor)
-        break
-    return InvarianceReport(sdf_residual(with_point), reflection)
+        return InvarianceReport(TransformResiduals(float(np.max(moved)), sdf, floor))
+    return InvarianceReport(None)
 
 
 @dataclass(frozen=True)

@@ -114,17 +114,17 @@ def test_criterion_4_potential_is_zero_alpha_divergence():
 
 
 def test_criterion_5_unimodular_invariance():
-    """Residuals of S under each factor, and of the reflection's coordinates, below 1e-10."""
+    """Residuals of S and of the coordinates under a zero's reflection, below 1e-10."""
     rows = sample_root_tuples(53, 50, 4, 0.9, 0.0)
     coords, sdf = [], []
     for row in rows:
-        rep = invariance_suite(arma_from_roots(row, 2), CFG)
-        assert rep.outer_reflection is not None
-        coords.append(rep.outer_reflection.coordinate_residual)
-        sdf += [rep.blaschke_sdf_residual, rep.outer_reflection.sdf_residual]
+        leg = invariance_suite(arma_from_roots(row, 2), CFG).outer_reflection
+        assert leg is not None
+        coords.append(leg.coordinate_residual)
+        sdf.append(leg.sdf_residual)
     worst_coord, worst_sdf = np.max(coords), np.max(sdf)  # np.max, unlike max(), keeps a NaN
     ok = bool(worst_coord < 1e-10 and worst_sdf < 1e-10)
-    detail = f"worst sdf residual {worst_sdf:.3e} over 50 filters x 2 transforms"
+    detail = f"worst reflection sdf residual {worst_sdf:.3e} over 50 filters"
     report(5, ok, f"{detail}, worst reflection coordinate residual {worst_coord:.3e}")
     assert ok
 

@@ -9,7 +9,9 @@ without naming them).  API that only tests call belongs in the tests.
 Every private top-level ``def`` and ``class`` must be referenced from the
 package itself, so a helper cannot outlive its last caller.  Every
 top-level assignment, public or private (dunders aside), must be read there
-too, so a constant cannot outlive its last reader.
+too, so a constant cannot outlive its last reader.  No module imports or
+reads another module's private name, so the oracle cannot borrow a
+closed-form helper by the back door.
 """
 
 import ast
@@ -126,3 +128,24 @@ def test_no_environment_knobs(path):
         and node.attr in ("environ", "getenv")
     ]
     assert reads == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_reads_another_modules_private_names(path):
+    stems = {p.stem for p in MODULES}
+    borrowed = [
+        ast.unparse(node)
+        for node in ast.walk(TREES[path])
+        if (isinstance(node, ast.ImportFrom) and any(_private(a.name) for a in node.names))
+        or (
+            isinstance(node, ast.Attribute)
+            and _private(node.attr)
+            # a module read by name, as ``filters._x`` or ``cepgeo.filters._x``
+            and (getattr(node.value, "id", None) or getattr(node.value, "attr", None)) in stems
+        )
+    ]
+    assert borrowed == []

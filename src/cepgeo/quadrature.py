@@ -42,8 +42,10 @@ of the identity once per derivative, in the row of d_i that it moves (row
 n+i is its conjugate): no (2n)^3 array is formed.
 
 :func:`divergence` and :func:`invariance_suite` read log S from
-:func:`_log_sdf`, a sum of the log-moduli of the gain, zeros and poles:
-z^R and the Blaschke factors have modulus 1 on the circle.
+:func:`_log_sdf`: the log gain term plus one logarithm of |prod (z - xi)|
+per group of same-kind roots, each group cut where its product could leave
+[2^-1000, 2^1000] on the circle (:func:`_root_groups`).  z^R and the
+Blaschke factors have modulus 1 on the circle.
 
 Integrands are sampled once on 2m nodes.  The even nodes are bitwise the
 m-node grid, and the 2m-node trapezoid rule is the mean of the even-node and
@@ -102,6 +104,8 @@ _QR_BLOCK_BYTES = 1 << 17
 _SPECTRAL_BLOCK = 2 * NODES_DEFAULT
 # Taylor coefficients 1/(k+2)! of _phi, k = 10 down to 0
 _PHI_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(10, -1, -1)]
+# On the circle each group product of |z - r| in _log_sdf lies in [1/_GROUP_BOUND, _GROUP_BOUND]
+_GROUP_BOUND = 2.0**1000
 # The user address space of a 64-bit process
 _ADDRESS_BYTES = 1 << 47
 # Nodes of the largest cached grid, 256 KiB: the four that the cache holds take
@@ -390,20 +394,58 @@ def oracle_tensors(
     return (*[_checked([e], [o], _TOL, what)[0][0] for e, o, what in halves], even[3])
 
 
-def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
-    """log S = ln|h|^2 at the circle nodes ``z``, a sum of the log-moduli of h's factors.
+def _root_groups(roots) -> list:
+    """Runs of consecutive roots whose product of |z - r| stays in [2^-1000, 2^1000] on |z| = 1.
 
-    ln|h| takes ``f.log_gain_term`` for the gain term, +ln|z - zeta| per
-    zero and -ln|z - p| per pole: 1 - xi/z is (z - xi)/z, and z^R and every
-    Blaschke factor have modulus 1 on the circle, so neither reaches log S.
-    No division and no product of factors, so no filter that ``validate``
-    accepts overflows it.
+    For |z| = 1, |1 - |r|| <= |z - r| <= 1 + |r|, so a run is cut where the
+    product of either bound would leave that range.  It lies at least 2^22
+    inside the normal floats, room for the ulp by which a float node is off
+    the circle unless roots crowd within an ulp of one node.  A root that
+    ``validate`` accepts has |r| <= 1 - 2^-53, so every run of them but the
+    last holds 18 or more; a reflected zero that alone passes 2^1000, as an
+    ``invariance_suite`` twin's of up to 4.5e307 does, is a run of its own.
     """
-    log_h = np.full(z.shape, f.log_gain_term)
-    for zt in f.zeros:
-        log_h += np.log(np.abs(z - zt))
-    for p in f.poles:
-        log_h -= np.log(np.abs(z - p))
+    if len(roots) == 1:  # nothing to multiply
+        return [roots]
+    groups, top, bottom = [], math.inf, 0.0
+    for r in roots:
+        modulus = abs(r)
+        up, down = 1.0 + modulus, abs(1.0 - modulus)
+        if top * up <= _GROUP_BOUND and bottom * down >= 1.0 / _GROUP_BOUND:
+            groups[-1].append(r)
+            top, bottom = top * up, bottom * down
+        else:
+            groups.append([r])
+            top, bottom = up, down
+    return groups
+
+
+def _log_sdf(f: FilterSpec, z: np.ndarray) -> np.ndarray:
+    """log S = ln|h|^2 at the circle nodes ``z``, one logarithm per group of roots.
+
+    ln|h| takes ``f.log_gain_term`` for the gain term, +ln|prod (z - zeta)|
+    per group of zeros and -ln|prod (z - p)| per group of poles, the groups
+    those of :func:`_root_groups`: 1 - xi/z is (z - xi)/z, and z^R and every
+    Blaschke factor have modulus 1 on the circle, so neither reaches log S.
+    A product of k complex factors is off by at most about k sqrt(5) u
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Lemma 3.5), which its one logarithm keeps as an absolute error.  No
+    group product overflows or underflows and no division is made, so no
+    filter that ``validate`` accepts overflows log S.
+    """
+    log_h = prod = factor = log_mod = None
+    for roots, add in ((f.zeros, np.add), (f.poles, np.subtract)):
+        for first, *rest in _root_groups(roots):
+            prod = np.subtract(z, first, prod)
+            for r in rest:
+                factor = np.subtract(z, r, factor)
+                prod *= factor
+            log_mod = np.abs(prod, log_mod)
+            np.log(log_mod, log_mod)
+            # the first group's sum with the gain term forms log_h
+            log_h = add(f.log_gain_term if log_h is None else log_h, log_mod, log_h)
+    if log_h is None:  # no roots
+        return np.full(z.shape, 2.0 * f.log_gain_term)
     return np.multiply(log_h, 2.0, out=log_h)
 
 

@@ -152,9 +152,9 @@ def transfer_values(f, z):
     """h at an array of points, its factors multiplied out in complex arithmetic.
 
     The test suite's evaluator of the transfer function: the library forms
-    only log|h|^2 on the circle, from the log-moduli of the factors, and
-    this checks it, the unimodular factors off the circle and their winding
-    on it.
+    only log|h|^2 on the circle, from logarithms of bounded products of its
+    factors, and this checks it, the unimodular factors off the circle and
+    their winding on it.
     """
     z = np.asarray(z, dtype=complex)
     h = np.full(z.shape, gain_term(f), dtype=complex)

@@ -408,9 +408,11 @@ ORACLE_DIGESTS = {
 # residual became its coordinate residual (1.11022302463e-16 in both) and its
 # sdf_floor was added: the blaschke and reflection sdf residuals kept their bits;
 # both again when the blaschke leg left the report: its key was the only
-# change, the reflection's three values kept their bits
+# change, the reflection's three values kept their bits; n = 4 again when log S
+# came to take one logarithm per group of roots: only its sdf residual moved,
+# 1.33226762955e-15 -> 1.55431223448e-15 (n = 16 kept every byte)
 INVARIANCE_DIGESTS = {
-    4: "526e8ac10f86af17e1607b313c3de170120c84dfb8788123c81088f4480ae3bc",
+    4: "dff111a8ce91a775887d10675f71f6d1825e80969129e419a33368c93d15192c",
     16: "3cf84f63c79da1fe778470b8687d4f254ba06f9ad3f3fde5be5f29c76554f6be",
 }
 
@@ -910,7 +912,7 @@ class TestOtherChecks:
         ids=["gain-1e80", "gain-1e-300", "z-power-1e20", "gain-1e300-blaschke"],
     )
     def test_extreme_valid_filters_give_finite_reports(self, capsys, tmp_path, command, doc):
-        # log S is a sum of log-moduli, so |h|^2 never overflows; these printed nan before
+        # log S sums the logs of bounded root products, never |h|^2; these printed nan before
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
         argv = [command, str(path), *([str(path)] if command == "divergence" else [])]

@@ -461,10 +461,14 @@ class TestConvergenceFlag:
 
 
 def _log_moduli(f, z):
-    """Each log-modulus term of log S at the nodes z, one row per term, as _log_sdf sums them."""
+    """Each log-modulus term of log S at the nodes z, one row per root, in real arithmetic.
+
+    They scale the mpmath bound on _log_sdf, which forms none of them: it
+    multiplies each group of same-kind roots before one logarithm.
+    """
 
     def log_sq(w):
-        return np.log(np.abs(w) ** 2)
+        return 2.0 * np.log(np.abs(w))  # |w|^2 would overflow beside a twin's zero at 4.3e307
 
     return np.array([log_sq(z - zt) for zt in f.zeros] + [-log_sq(z - p) for p in f.poles])
 
@@ -489,28 +493,79 @@ def _mp_log_sdf(mp, f, z):
         return float(mp.log(abs(h) ** 2))
 
 
+# the smallest margin that check_eps_stab accepts: 1 - eps_stab is 1 - 2^-53
+EPS_STAB_LEAST = math.nextafter(2.0**-54, 1.0)
+
+
+def _ring(n, radius, poles):
+    """A filter of n roots at ``radius``, the first ``poles`` of them poles, off the node angles."""
+    roots = tuple(radius * np.exp(2j * np.pi * (np.arange(n) + 0.37) / n))
+    return validate(FilterSpec(GAIN, poles=roots[:poles], zeros=roots[poles:]), EPS_STAB_LEAST)
+
+
+# indices of the 1024-node grid on whose angles the least-margin zeros sit
+LEAST_ANGLES = [5] * 24 + list(range(125, 1024, 120))
 LOG_SDF_EDGES = {
-    "root-at-margin": dict(gain=GAIN, poles=(MARGIN,), zeros=(-MARGIN * 1j,)),
-    "gain-1e300": dict(gain=1e300, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,)),
-    "gain-1e-300": dict(gain=1e-300, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,)),
-    "blaschke-0.99": dict(gain=GAIN, poles=(0.5,), blaschke_points=(0.99 * np.exp(0.3j),)),
-    "z-power-7": dict(gain=GAIN, poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), z_power=7),
+    "root-at-margin": make_filter(poles=(MARGIN,), zeros=(-MARGIN * 1j,)),
+    "gain-1e300": make_filter(poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), gain=1e300),
+    "gain-1e-300": make_filter(poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), gain=1e-300),
+    "blaschke-0.99": make_filter(poles=(0.5,), blaschke=(0.99 * np.exp(0.3j),)),
+    "z-power-7": make_filter(poles=(0.5 + 0.2j,), zeros=(-0.3 + 0.4j,), z_power=7),
+    # many roots: each same-kind group is one product before its logarithm
+    **{
+        f"{n}-roots-radius-{radius:.10g}": _ring(n, radius, poles)
+        for n, poles in ((16, 8), (32, 32))
+        for radius in (0.9, 0.999, 1.0 - 1e-7)
+    },
+    # 32 zeros 2^-53 inside the circle on node angles, 24 of them on node 5's:
+    # the groups are cut at 18 roots, where the product of the gaps reaches
+    # 2^-954, and one product of all 24 at node 5 would underflow to 0
+    "32-zeros-at-the-least-margin": validate(
+        FilterSpec(GAIN, zeros=tuple((1.0 - EPS_STAB_LEAST) * circle_nodes(1024)[LEAST_ANGLES])),
+        EPS_STAB_LEAST,
+    ),
+    # the invariance_suite twin whose zero 1/conj(2.3e-308), 4.3e307, is a group of its own
+    "twin-of-zero-2.3e-308": reflect_zero_out(
+        make_filter(poles=(0.5 + 0.2j, -0.7), zeros=(2.3e-308, 2.3e-308j)), 0
+    ),
 }
 
 
+def _edge_nodes(f, m=1024):
+    """Indices of the m-node grid where an edge is checked against mpmath.
+
+    Every node for a filter of at most two roots; else every 16th node and
+    the three nodes nearest each root's angle, where its factor is smallest.
+    """
+    roots = np.array(f.poles + f.zeros)
+    if roots.size <= 2:
+        return np.arange(m)
+    angles = np.angle(roots) * m / (2 * np.pi)
+    nearest = np.round(angles).astype(int)[:, None] + np.arange(-1, 2)
+    return np.union1d(np.arange(0, m, 16), nearest % m)
+
+
 class TestLogDensity:
-    """log S sums the log-moduli of h's factors: no filter that validate accepts overflows it."""
+    """log S takes one logarithm per bounded group of roots: no valid filter overflows it."""
 
     @pytest.mark.parametrize("name", sorted(LOG_SDF_EDGES))
     def test_matches_mpmath_on_the_invariance_nodes(self, name):
         mp = pytest.importorskip("mpmath")
-        f = validate(FilterSpec(**LOG_SDF_EDGES[name]))
-        z = circle_nodes(1024)
+        f = LOG_SDF_EDGES[name]
+        z = circle_nodes(1024)[_edge_nodes(f)]
         got = quadrature._log_sdf(f, z)
         ref = np.array([_mp_log_sdf(mp, f, zk) for zk in z])
         terms = np.sum(np.abs(_log_moduli(f, z)), axis=0)
         bound = 8 * np.finfo(float).eps * (abs(4.0 * math.log(f.gain)) + terms + 1.0)
         assert np.all(np.abs(got - ref) <= bound)
+
+    def test_groups_keep_their_products_in_range(self):
+        # runs of 18 at the least margin, and a twin's reflected zero alone
+        margin = LOG_SDF_EDGES["32-zeros-at-the-least-margin"].zeros
+        assert [len(g) for g in quadrature._root_groups(margin)] == [18, 14]
+        twin = LOG_SDF_EDGES["twin-of-zero-2.3e-308"].zeros
+        assert quadrature._root_groups(twin) == [[twin[0]], [twin[1]]]
+        assert [len(g) for g in quadrature._root_groups(_ring(32, 0.9, 32).poles)] == [32]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=schema_filters(), other_gain=st.floats(-300.0, 300.0))

@@ -308,9 +308,9 @@ def metric_determinant(m: ModelPoint) -> float:
     without that warning means two coordinates coincide exactly.
     """
     pairs = list(itertools.combinations(m.params, 2))
-    # Python complex abs and a sequential product over the pair differences:
-    # numpy's vectorised abs rounds some last bits differently
-    num = math.prod([abs(q - p) ** 2 for p, q in pairs])
+    # Python complex abs (numpy's vectorised abs rounds some last bits differently),
+    # squared as d * d, correctly rounded where d ** 2 (libm pow) is an ulp off at times
+    num = math.prod([d * d for d in map(abs, [q - p for p, q in pairs])])
     det = float(num / complex(np.prod(_arrays(m)[2])).real)
     if det < sys.float_info.min and all(p != q for p, q in pairs):
         warnings.warn(

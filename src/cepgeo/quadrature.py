@@ -39,7 +39,8 @@ does not depend on the block size.  The last four grids of up to
 samples its 4n Wirtinger-stepped rows (log h separates per root, so a step
 moves one row) in the same pass as the filter, and compares the two sides
 of the identity once per derivative, in the row of d_i that it moves (row
-n+i is its conjugate): no (2n)^3 array is formed.
+n+i is its conjugate): no (2n)^3 array is formed.  Its reciprocal leg
+compares coordinates, as :func:`invariance_suite` does.
 
 :func:`divergence` and :func:`invariance_suite` read log S from
 :func:`_log_sdf`: the log gain term plus one logarithm of |prod (z - xi)|
@@ -556,7 +557,7 @@ def invariance_suite(
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Residuals of the alpha-duality identity and the reciprocal-filter swap."""
+    """Residuals of the alpha-duality identity on the grid and of the reciprocal's root swap."""
 
     duality_residual: float
     reciprocal_residual: float
@@ -570,8 +571,8 @@ def _row_sums(r: np.ndarray) -> np.ndarray:
     return np.stack([rr, np.sum(prod, axis=1)])
 
 
-def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfig):
-    """<dd_i E_b>, the two Wirtinger derivatives of <d_i E_b> and the swap residual, in one pass.
+def _duality_pass(f: ValidatedFilter, cfg: QuadratureConfig):
+    """<dd_i E_b> and the two Wirtinger derivatives of <d_i E_b>, in one pass.
 
     E = [conj(d); d] is the sample's row order, the full index D = [d; conj(d)]
     with its halves swapped.  d_mu <D_a D_b> is a central Wirtinger
@@ -585,10 +586,8 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
     steps goes through :func:`cepgeo.filters.validate` as one filter with
     every root moved (its rules are per root), and its error, code kept,
     names the step.  The 4n moved rows r are sampled root by root, then by
-    step, in the same blocks as f: one product per block takes <r E_b>
-    with <dd_i E_b>.  The swap residual is the largest
-    |d log h_rec + d log h_f| on the grid, the reciprocal's roots permuted
-    back (a NaN kept): 0.0 unless ``rec`` breaks the pole/zero swap.
+    step, in the same blocks as f, 7n rows in all: one product per block
+    takes <r E_b> with <dd_i E_b>.
     """
     n, h, p = f.dimension, DERIV_STEP, len(f.poles)
     moved = [[xi + s for xi in f.coordinates] for s in (h, -h, 1j * h, -1j * h)]
@@ -598,24 +597,20 @@ def _duality_pass(f: ValidatedFilter, rec: ValidatedFilter, cfg: QuadratureConfi
         except FilterError as exc:  # the code stays; the message says the step moved the root
             exc.args = (f"{exc} after the duality check's step xi -> xi {step}, h = {h:g}",)
             raise
-    # f's index of each of the reciprocal's coordinates (its zeros come first)
-    perm = np.array([*range(p, n), *range(p)], dtype=int)
-    roots = [*f.coordinates, *rec.coordinates, *np.transpose(moved).ravel()]
-    signs = [*f.signature, *rec.signature, *np.repeat(f.signature, 4)]
-    second, diag, swap = 0, 0, 0.0
+    roots = [*f.coordinates, *np.transpose(moved).ravel()]
+    signs = [*f.signature, *np.repeat(f.signature, 4)]
+    second, diag = 0, 0
     (blocks,) = _sample(roots, signs, ((cfg.nodes, 0, 1),), n, n)
-    for block in blocks:  # conj(d) and d of f, d of rec, r, dd of f
-        second = second + block[3 * n :] @ block[: 2 * n].T
-        diag = diag + _row_sums(block[3 * n : 7 * n])
-        mismatch = np.abs(block[2 * n : 3 * n] + block[n : 2 * n][perm])
-        swap = np.maximum(swap, np.max(mismatch, initial=0.0))  # unlike max(), keeps a NaN
+    for block in blocks:  # conj(d) and d of f, r, dd of f
+        second = second + block[2 * n :] @ block[: 2 * n].T
+        diag = diag + _row_sums(block[2 * n : 6 * n])
     m = cfg.nodes
     # u[i, step, b] = <r E_b>, with <r conj(r)> at b = i and <r r> at b = n+i
     u = second[: 4 * n].reshape(n, 4, 2 * n) / m
     i = np.arange(n)
     u[i, :, n + i], u[i, :, i] = diag.reshape(2, n, 4) / m
     dx, dy = (u[:, 0] - u[:, 1]) / (2.0 * h), (u[:, 2] - u[:, 3]) / (2.0 * h)
-    return second[4 * n :] / m, 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy), float(swap)
+    return second[4 * n :] / m, 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
 def duality_check(
@@ -636,14 +631,18 @@ def duality_check(
     delta_{mu nu} <dd_mu D_rho> is zero outside row mu, so both sides are
     compared in the row of d_i (i = mu mod n) that the left side moves,
     row n+i being the other derivative's row i conjugated; by symmetry the
-    columns add nothing.  The reciprocal residual checks the swap behind
-    the reciprocal-system duality, that 1/h has f's roots with the roles of
+    columns add nothing.  The reciprocal residual is the largest |xi' - xi|
+    between the reciprocal's poles and f's zeros and between its zeros and
+    f's poles (a NaN kept, inf if the counts differ): 1/h has f's roots with
     poles and zeros exchanged.  A filter with no roots has residuals of 0.
     """
     n = f.dimension
     # the Blaschke factors leave the coordinates alone, so the reciprocal leg takes the root part
     rec = reciprocal(validate(replace(f.to_spec(), blaschke_points=()), f.eps_stab))
-    second, hol, anti, swap = _duality_pass(f, rec, cfg)
+    swap = math.inf  # unless the root counts swap too; np.max, unlike max(), keeps a NaN
+    if (len(rec.poles), len(rec.zeros)) == (len(f.zeros), len(f.poles)):
+        swap = float(np.max(np.abs(np.subtract(rec.coordinates, f.zeros + f.poles)), initial=0.0))
+    second, hol, anti = _duality_pass(f, cfg)
     i = np.arange(n)
     hol -= second  # delta_{mu nu} <dd_mu E_rho>, mu = nu = i
     hol[i, n + i] -= second[i, n + i]  # delta_{mu rho} <dd_i d_i>, rho = mu = i

@@ -4,6 +4,7 @@ import math
 import re
 import shlex
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from cepgeo import filters
 from cepgeo.cli import main
 from cepgeo.closed_form import ModelPoint
-from cepgeo.filters import FilterSpec, validate
+from cepgeo.filters import FilterSpec, reciprocal, validate
 from cepgeo.quadrature import NODES_DEFAULT, circle_nodes
 from cepgeo.serialization import BAR
 
@@ -34,6 +35,21 @@ def make_filter(poles=(), zeros=(), blaschke=(), z_power=0, gain=GAIN):
             z_power=z_power,
         )
     )
+
+
+def broken_reciprocal(kind):
+    """``filters.reciprocal`` with one fault: a pole moved by 1e-3, a NaN zero or a pole too many."""
+
+    def reciprocal_of(f):
+        rec = reciprocal(f)
+        if kind == "nudged":
+            return replace(rec, poles=(rec.poles[0] + 1e-3, *rec.poles[1:]))
+        if kind == "nan":
+            return replace(rec, zeros=(complex(math.nan), *rec.zeros[1:]))
+        assert kind == "extra-pole", kind
+        return replace(rec, poles=(*rec.poles, 0.1))
+
+    return reciprocal_of
 
 
 def _moduli(top):

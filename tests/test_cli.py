@@ -30,6 +30,7 @@ from cepgeo.serialization import (
 
 from conftest import (
     _readme_block,
+    broken_reciprocal,
     input_error,
     parse_tensor_document,
     readme_cli_argvs,
@@ -723,6 +724,17 @@ class TestOtherChecks:
         assert report["reciprocal_residual"] > 1e-3
         assert report["duality_residual"] < 1e-6
         assert report["passed"] is False
+
+    @pytest.mark.parametrize("kind", ["nan", "extra-pole"])
+    def test_a_non_finite_swap_residual_fails(self, capsys, monkeypatch, arma_path, kind):
+        monkeypatch.setattr(quadrature, "reciprocal", broken_reciprocal(kind))
+        args = cli._build_parser().parse_args(["duality-check", arma_path])
+        assert args.run(args)["passed"] is False
+        # JSON cannot hold the residual, so the command exits 2 and says where it sits
+        code, report = run_json(capsys, ["duality-check", arma_path])
+        assert code == 2
+        assert report["error"]["code"] == "NON_FINITE_VALUE"
+        assert report["error"]["message"].endswith("(at '/reciprocal_residual')")
 
     def test_duality_check_on_empty_filter(self, capsys, empty_path):
         code, report = run_json(capsys, ["duality-check", empty_path])

@@ -1,8 +1,11 @@
 import cmath
 import dataclasses
 import functools
+import itertools
+import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,6 +466,33 @@ class TestDeterminant:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert metric_determinant(m) == 0.0
+
+    # each seed puts a pair whose libm-pow square abs(q - p) ** 2 is an ulp off
+    @pytest.mark.parametrize("n, seed", [(8, 54), (32, 6)])
+    def test_numerator_is_the_correctly_rounded_product(self, monkeypatch, n, seed):
+        # Gaussian-rational coordinates on a 2^-20 grid: every q - p is exact, so each
+        # factor must be its float modulus squared with one rounding, as Fraction gives it
+        scale, rng = 1 << 20, np.random.default_rng(seed)
+        params = []
+        while len(params) < n:
+            a, b = (int(v) for v in rng.integers(-(9 * scale) // 10, (9 * scale) // 10, 2))
+            if a * a + b * b < (9 * scale // 10) ** 2:
+                params.append(complex(a, b) / scale)
+        calls, prod = [], math.prod
+
+        def recorded(factors):
+            calls.append((factors, prod(factors)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(math, "prod", recorded)
+        metric_determinant(ModelPoint(tuple(params), mixed_signature(n)))
+        ((factors, num),) = calls
+        moduli = [abs(q - p) for p, q in itertools.combinations(params, 2)]
+        assert factors == [float(Fraction(d) ** 2) for d in moduli]
+        exact = Fraction(1)
+        for factor in factors:  # the sequential product, each step rounded once
+            exact = Fraction(float(exact * Fraction(factor)))
+        assert num == float(exact)
 
     @pytest.mark.parametrize("sep", [1e-4, 1e-6, 1e-8, 1e-10])
     def test_matches_mpmath_at_a_near_coincident_pair(self, sep):

@@ -50,6 +50,7 @@ from conftest import (
     GAIN,
     MARGIN,
     arma_from_roots,
+    broken_reciprocal,
     cepstrum_fft,
     make_filter,
     peak_mib,
@@ -729,6 +730,28 @@ class TestDualityCheck:
         f = arma_from_roots(sample_root_tuples(14, 1, 4, 0.9, 0.05)[0], 2)
         assert duality_check(f, 0.5, CFG).reciprocal_residual == 0.0
 
+    def test_the_sample_holds_the_roots_and_their_steps_only(self, monkeypatch):
+        # n roots and 4n Wirtinger-stepped ones: the reciprocal leg samples nothing
+        counts, sample = [], quadrature._sample
+
+        def logged_sample(roots, *args):
+            counts.append(len(roots))
+            return sample(roots, *args)
+
+        monkeypatch.setattr(quadrature, "_sample", logged_sample)
+        duality_check(_mixed_filter(60, 4), 0.5, CFG)
+        assert counts == [5 * 4]
+
+    @pytest.mark.parametrize(
+        "kind, expected", [("nudged", 1e-3), ("nan", math.nan), ("extra-pole", math.inf)]
+    )
+    def test_a_broken_reciprocal_fails_the_coordinate_leg(self, monkeypatch, kind, expected):
+        # the leg reads the fault: the move to rounding, a NaN kept, inf for a root too many
+        monkeypatch.setattr(quadrature, "reciprocal", broken_reciprocal(kind))
+        report = duality_check(_mixed_filter(60, 4), 0.5, CFG)
+        assert report.reciprocal_residual == pytest.approx(expected, rel=1e-12, nan_ok=True)
+        assert report.duality_residual < 1e-6
+
 
 def _mixed_filter(seed, n):
     # ceil(n/2) poles, the rest zeros
@@ -776,7 +799,7 @@ class TestDualityParts:
         d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
-        second, _, _, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        second, _, _ = quadrature._duality_pass(f, CFG)
         # rows :n of the full-index reference, in the sample's column order [conj(d); d]
         expected = np.einsum("am,bm->ab", full2, full)[:n, _sample_order(n)] / z.size
         assert second.shape == expected.shape == (n, 2 * n)
@@ -823,7 +846,7 @@ class TestDualityParts:
         f = _mixed_filter(50 + n, n)
         z = circle_nodes(CFG.nodes)
         step = quadrature.DERIV_STEP
-        _, hol, anti, _ = quadrature._duality_pass(f, reciprocal(f), CFG)
+        _, hol, anti = quadrature._duality_pass(f, CFG)
         assert hol.shape == anti.shape == (n, 2 * n)
         for i in range(n):
             still = np.ones(2 * n, dtype=bool)
@@ -852,14 +875,14 @@ class TestDualityParts:
         exact = quadrature._duality_pass
 
         def scaled(*args):
-            second, hol, anti, swap = exact(*args)
-            return 1.01 * second, hol, anti, swap
+            second, hol, anti = exact(*args)
+            return 1.01 * second, hol, anti
 
         def without_anti_term(*args):
-            second, hol, anti, swap = exact(*args)
+            second, hol, anti = exact(*args)
             i = np.arange(len(second))
             anti[i, i] += second[i, i].conj()  # undoes delta_{mu rho} <conj(dd_i) d_i>
-            return second, hol, anti, swap
+            return second, hol, anti
 
         for mutant in (scaled, without_anti_term):
             monkeypatch.setattr(quadrature, "_duality_pass", mutant)

@@ -31,10 +31,14 @@ part), and only :func:`metric_determinant` forms det g; the Li2 argument in
 
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
-the arrays it returns.  The blocks that vanish on the constant-gain
-manifold (the pure metric g_{ij}, Gamma_{ij,k} and T_{ijk}) are not
-allocated: each is a read-only, zero-strided view of one +0.0, so only the
-dense blocks cost memory and fresh pages.
+the arrays it returns.  T is one broadcast product of the factors
+c_i / (1 - xi^i conj(xi^k)) whose strict lower triangle is multiplied again
+with the operands swapped, so it is exactly symmetric in its first two
+indices; the mask of that triangle, cached by n, is the module's one cache.
+The blocks that vanish on the constant-gain manifold (the pure metric
+g_{ij}, Gamma_{ij,k} and T_{ijk}) are not allocated: each is a read-only,
+zero-strided view of one +0.0, so only the dense blocks cost memory and
+fresh pages.
 
 Index conventions: ``mixed`` arrays put the barred index last; the inverse
 metric ``B[i][j] = g^{i jbar}`` satisfies ``sum_j B[i][j] g[k][j] = delta_ik``
@@ -43,6 +47,7 @@ and contractions are ``sum_{ij} B[i][j] X[i][j]``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -196,11 +201,23 @@ def _arrays(m: ModelPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi, np.asarray(m.signature, dtype=float), factor_matrix(xi)
 
 
+@functools.lru_cache(maxsize=64)
+def _strict_lower(n: int) -> np.ndarray:
+    """The read-only mask i > j of an n x n block, cached by n alone."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _hermitize(x: np.ndarray) -> np.ndarray:
     # rebuilt from the upper triangle and the real diagonal, so conjugate-transpose
-    # symmetry is exact (fused complex multiplies are not bit-symmetric under conjugation)
-    upper = np.triu(x, 1)
-    return upper + upper.conj().T + np.diag(x.diagonal().real.astype(complex))
+    # symmetry is exact (fused complex multiplies are not bit-symmetric under conjugation);
+    # + 0.0 leaves no -0.0 in the block
+    n = len(x)
+    h = np.where(_strict_lower(n), x.conj().T, x)
+    h.reshape(-1)[:: n + 1] = x.diagonal().real
+    h += 0.0
+    return h
 
 
 def _li2(w: np.ndarray) -> np.ndarray:
@@ -218,9 +235,10 @@ def _li2(w: np.ndarray) -> np.ndarray:
     # log|1 - v| from log1p keeps u accurate relative to v as v -> 0
     u = -0.5 * np.log1p(x * (x - 2.0) + y * y) + 1j * np.arctan2(y, 1.0 - x)
     u2 = u * u
-    acc = 0.0
+    acc = np.zeros_like(u2)
     for b in reversed(_LI2_COEFFS):
-        acc = acc * u2 + b
+        acc *= u2
+        acc += b
     li2 = u - 0.25 * u2 + u * u2 * acc
     wr = w[reflect]
     li2[reflect] = np.pi**2 / 6 - np.log(wr) * np.log(1.0 - wr) - li2[reflect]
@@ -235,13 +253,14 @@ def kahler_potential(m: ModelPoint) -> KahlerPotential:
     """
     xi = np.asarray(m.params, dtype=complex)
     c = np.asarray(m.signature, dtype=float)
-    return KahlerPotential(float(np.sum(np.outer(c, c) * _li2(np.outer(xi, xi.conj())).real)))
+    li2 = _li2(xi[:, None] * xi.conj()[None, :])
+    return KahlerPotential(float(np.sum(c[:, None] * c * li2.real)))
 
 
 def metric(m: ModelPoint) -> HermitianMetric:
     """Closed-form metric: mixed block c_i c_j / (1 - xi^i conj(xi^j)), pure block 0."""
     _, c, a = _arrays(m)
-    mixed = _hermitize(np.outer(c, c) / a)
+    mixed = _hermitize(c[:, None] * c / a)
     return HermitianMetric(mixed=mixed, pure=_zeros(mixed.shape))
 
 
@@ -250,7 +269,7 @@ def inverse_metric(m: ModelPoint) -> np.ndarray:
 
     Satisfies ``sum_j B[i][j] mixed[k][j] = delta_ik``.
     """
-    return cauchy_inverse(np.asarray(m.params, dtype=complex), np.asarray(m.signature, dtype=float))
+    return _cauchy_inverse(*_arrays(m))
 
 
 def cauchy_inverse(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -269,20 +288,24 @@ def cauchy_inverse(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
     coincident coordinates, or any result that is not finite, raise
     :class:`CoincidentRootsError`.
     """
+    return _cauchy_inverse(xi, c, factor_matrix(xi))
+
+
+def _cauchy_inverse(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # a is factor_matrix(xi), passed in by a caller that already holds it.
     # Every product below has named operands: numpy reuses a large unnamed
     # right operand in place, which swaps the factors of a complex product
     # and, with fused multiply-adds, its rounding.
     n = xi.shape[-1]
-    a = factor_matrix(xi)
     row = a.prod(axis=-1)  # prod_k (1 - xi^i conj(xi^k))
     col = a.prod(axis=-2)  # prod_k (1 - xi^k conj(xi^j))
     diffs = xi[..., None, :] - xi[..., :, None]  # diffs[i][k] = xi^k - xi^i
-    diffs[..., range(n), range(n)] = 1.0
+    diffs.reshape(*diffs.shape[:-2], n * n)[..., :: n + 1] = 1.0  # the diagonal, as a view
     if np.abs(diffs).min(initial=np.inf) < DELTA_COINCIDE:
         warnings.warn(
             "coordinates nearly coincide; the metric is nearly singular",
             CoincidentRootsWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     p = diffs.prod(axis=-1)  # prod_{k != i} (xi^k - xi^i)
     pc = p.conj()
@@ -323,14 +346,14 @@ def metric_determinant(m: ModelPoint) -> float:
 
 
 def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Complex products need not commute bitwise: each pair i <= j is
-    # multiplied once and mirrored, so T is exactly symmetric in i, j.
+    # Complex products need not commute bitwise: one broadcast product forms
+    # u_i u_j, and its strict lower triangle (i > j) is multiplied again with
+    # the operands swapped, so every entry is u_min(i,j) u_max(i,j) and T is
+    # exactly symmetric in i, j, with no array beside T itself.
     n = len(xi)
     u = c[:, None] / a  # u[i][k] = c_i / (1 - xi^i conj(xi^k))
-    t = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        np.multiply(u[i], u[i:], out=t[i, i:])
-        t[i + 1 :, i] = t[i, i + 1 :]
+    t = u[:, None, :] * u[None, :, :]
+    np.multiply(u[None, :, :], u[:, None, :], out=t, where=_strict_lower(n)[:, :, None])
     np.multiply(-2.0 * c * xi.conj(), t, out=t)
     return t
 
@@ -356,13 +379,16 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
     """
     xi, c, a = _arrays(m)
+    n = m.n
     t = _t(xi, c, a)
-    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
+    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j; 0.0 - x,
+    # not -x, so the zeros off the diagonal are +0.0 at alpha = 0 too
     gamma_mixed = np.multiply(0.5 * alpha, t)
-    diag = np.arange(m.n)
-    on_diag = np.outer(c, c) * xi.conj() / a**2 - gamma_mixed[diag, diag]
+    diag = gamma_mixed.reshape(n * n, n)[:: n + 1]  # the i = j block, as a view
+    on_diag = c[:, None] * c * xi.conj() / a**2 - diag
     np.subtract(0.0, gamma_mixed, out=gamma_mixed)
-    gamma_mixed[diag, diag] = on_diag
+    diag[...] = on_diag
+    # scaled after conjugation: conj(gamma_cross) has other signed zeros
     gamma_cross_bar = np.conjugate(t.transpose(2, 0, 1), order="C")
     np.multiply(-0.5 * alpha, gamma_cross_bar, out=gamma_cross_bar)
     return ConnectionTensors(
@@ -408,15 +434,16 @@ def alpha_ricci(m: ModelPoint, alpha: float) -> CurvatureReport:
 
     and a :class:`ScalarCancellationWarning` fires when kappa eps passes
     ``SCALAR_ERROR_BOUND``.
-    The inverse metric is formed either way, for the report, so exactly
-    coincident coordinates raise :class:`CoincidentRootsError` even though
+    The inverse metric is formed either way, for the report, from the
+    factor matrix the Ricci block is read from, so exactly coincident
+    coordinates raise :class:`CoincidentRootsError` even though
     the Ricci block is regular.
     """
-    _, c, a = _arrays(m)
+    xi, c, a = _arrays(m)
     # rebuilt from its upper triangle, so R^0 and (c_i + c_j) R^0 are exactly Hermitian
     ricci = _hermitize(-1.0 / a**2)
     corr = (c[:, None] + c) * ricci
-    ginv = inverse_metric(m)
+    ginv = _cauchy_inverse(xi, c, a)
     if len(set(m.signature)) == 1:
         # + 0.0: a flat model (1 + alpha c = 0) reports 0.0, not -0.0
         scalar = (1.0 + alpha * c[0]) * (m.n * (m.n - 1) / 2 - float(np.sum(1.0 / a).real)) + 0.0

@@ -361,8 +361,13 @@ CHECK_PRIOR_DIGESTS = {
     ("psi1", "ar:1,ma:1", 3): "38d2cd23bea18d0fcfc7b1443024f1a5466a1fc9129ded5c65ad12c1171cc526",
 }
 # keyed by (n, --alpha); alpha 0.5 pins the alpha terms of the connection
-# and Ricci blocks, alpha 0 the 0.0 written for the -0.0 * T cross families
+# and Ricci blocks, alpha 0 the 0.0 written for the -0.0 * T cross families;
+# n = 1 and 7, recorded before T became one broadcast product, pin odd n
 TENSORS_DIGESTS = {
+    (1, None): "c6e93b8017ff7117d830bd5a1905cb2211c12a18ed6d1faa514984fc002755fd",
+    (1, "0.5"): "25b3220fff7930e9caa804f4448ce64f34f841624ad83b614c52a44fbbec1039",
+    (7, None): "6ea44fb3de5fc72ff1db1454f6a6ff0952198ac1b3213bc129fac2facccdd2f7",
+    (7, "0.5"): "e04c3a58c82b0d63656b139659565b4b63df0251d2f7f28e12515997913b7135",
     (4, None): "50db68e013152958af83f4d64db3e176a450a3456f63a54a19e70769216095b1",
     (8, None): "9723f00d1bf3f5f860f600a366d50717ae9486cdd9c83d055a4fff6e79ee315d",
     (16, None): "fe09b17a045dbf4b77c60f9fac819182a7c610c4ea0e6a18f13ff4273bb84e86",

@@ -550,10 +550,20 @@ class TestTTensor:
     def test_origin_vanishes(self):
         assert np.all(t_tensor(ModelPoint((0.0,), (-1,))).t_mixed == 0.0)
 
-    def test_symmetric_in_first_two_indices(self):
-        for m in random_points(13, 3):
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 33])
+    def test_symmetric_in_first_two_indices(self, n):
+        # compared as bytes, so a signed zero or a last bit counts; the cross
+        # families are one scale of T and one conjugate of gamma_cross
+        for m in random_points(13, 3, n=n, signature=mixed_signature(n)):
             t = t_tensor(m).t_mixed
-            assert np.array_equal(t, np.transpose(t, (1, 0, 2)))
+            assert t.tobytes() == np.ascontiguousarray(t.transpose(1, 0, 2)).tobytes()
+            for alpha in (0.5, -1.0):
+                conn = alpha_connection(m, alpha)
+                assert conn.t_mixed.tobytes() == t.tobytes()
+                cross = np.multiply(-0.5 * alpha, t.transpose(0, 2, 1))
+                assert conn.gamma_cross.tobytes() == cross.tobytes()
+                cross_bar = np.conjugate(conn.gamma_cross.transpose(1, 2, 0))
+                assert conn.gamma_cross_bar.tobytes() == cross_bar.tobytes()
 
 
 ALPHAS = [pytest.param(a, id=f"alpha{a:g}") for a in (0.0, 0.5, -1.0)]
@@ -643,6 +653,16 @@ class TestAlphaConnection:
 
 
 class TestRicci:
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 32])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-signature", "mixed"])
+    def test_inverse_is_inverse_metric_bitwise(self, n, mixed):
+        # alpha_ricci forms g^{i jbar} from the factor matrix it holds,
+        # inverse_metric from its own; both must give the same bytes
+        signature = mixed_signature(n) if mixed else (-1,) * n
+        for m in random_points(37, 2, n=n, signature=signature):
+            for alpha in (0.0, 0.5):
+                assert alpha_ricci(m, alpha).inverse.tobytes() == inverse_metric(m).tobytes()
+
     def test_origin(self):
         report = ricci0(ModelPoint((0.0,), (-1,)))
         assert report.ricci[0, 0] == pytest.approx(-1.0)

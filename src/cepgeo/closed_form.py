@@ -31,10 +31,13 @@ part), and only :func:`metric_determinant` forms det g; the Li2 argument in
 
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
-the arrays it returns.  T is one broadcast product of the factors
-c_i / (1 - xi^i conj(xi^k)) whose strict lower triangle is multiplied again
-with the operands swapped, so it is exactly symmetric in its first two
-indices; the mask of that triangle, cached by n, is the module's one cache.
+the arrays it returns.  An array is fixed in value, and to the bit up to the
+sign of a zero, which is left as the arithmetic gives it: a report turns
+-0.0 into 0.0 as it is written, and is fixed to the byte.  T is one
+broadcast product of the factors c_i / (1 - xi^i conj(xi^k)) whose strict
+lower triangle is multiplied again with the operands swapped, so it is
+exactly symmetric in its first two indices; the mask of that triangle,
+cached by n, is the module's one cache.
 The blocks that vanish on the constant-gain manifold (the pure metric
 g_{ij}, Gamma_{ij,k} and T_{ijk}) are not allocated: each is a read-only,
 zero-strided view of one +0.0, so only the dense blocks cost memory and
@@ -211,12 +214,10 @@ def _strict_lower(n: int) -> np.ndarray:
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
     # rebuilt from the upper triangle and the real diagonal, so conjugate-transpose
-    # symmetry is exact (fused complex multiplies are not bit-symmetric under conjugation);
-    # + 0.0 leaves no -0.0 in the block
+    # symmetry is exact (fused complex multiplies are not bit-symmetric under conjugation)
     n = len(x)
     h = np.where(_strict_lower(n), x.conj().T, x)
     h.reshape(-1)[:: n + 1] = x.diagonal().real
-    h += 0.0
     return h
 
 
@@ -374,29 +375,23 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     The purely mixed-pair components carry only the alpha term:
     Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar} and
     Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar}).
-    T is built once and each family is written from it into its own
-    C-ordered array, so the call holds no n^3 array beyond the four dense
-    ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
+    T is built once and each family is one expression of it, written into
+    its own C-ordered array, so the call holds no n^3 array beyond the four
+    dense ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
     """
     xi, c, a = _arrays(m)
     n = m.n
     t = _t(xi, c, a)
-    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j; 0.0 - x,
-    # not -x, so the zeros off the diagonal are +0.0 at alpha = 0 too
-    gamma_mixed = np.multiply(0.5 * alpha, t)
-    diag = gamma_mixed.reshape(n * n, n)[:: n + 1]  # the i = j block, as a view
-    on_diag = c[:, None] * c * xi.conj() / a**2 - diag
-    np.subtract(0.0, gamma_mixed, out=gamma_mixed)
-    diag[...] = on_diag
-    # scaled after conjugation: conj(gamma_cross) has other signed zeros
-    gamma_cross_bar = np.conjugate(t.transpose(2, 0, 1), order="C")
-    np.multiply(-0.5 * alpha, gamma_cross_bar, out=gamma_cross_bar)
+    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
+    gamma_mixed = np.multiply(-0.5 * alpha, t)
+    gamma_mixed.reshape(n * n, n)[:: n + 1] += c[:, None] * c * xi.conj() / a**2  # i = j, as a view
+    gamma_cross = np.multiply(-0.5 * alpha, t.transpose(0, 2, 1), order="C")
     return ConnectionTensors(
         alpha=float(alpha),
         gamma_mixed=gamma_mixed,
         gamma_pure=_zeros(t.shape),
-        gamma_cross=np.multiply(-0.5 * alpha, t.transpose(0, 2, 1), order="C"),
-        gamma_cross_bar=gamma_cross_bar,
+        gamma_cross=gamma_cross,
+        gamma_cross_bar=np.conjugate(gamma_cross.transpose(1, 2, 0), order="C"),
         t_mixed=t,
         t_pure=_zeros(t.shape),
     )

@@ -156,11 +156,6 @@ def _grid(m: int) -> np.ndarray:
     return grid
 
 
-def circle_nodes(m: int) -> np.ndarray:
-    """m-th roots of unity, the quadrature grid (a read-only array, shared while cached)."""
-    return _grid(m) if m <= _CACHED_NODES else _grid.__wrapped__(m)
-
-
 def _nodes(m: int, start: int, stop: int, step: int = 1) -> np.ndarray:
     """Nodes start, start + step, ... below ``stop`` of the m-node grid.
 
@@ -548,7 +543,7 @@ def invariance_suite(
         except ZeroOnCircle:  # the round trip rounded into the margin band
             continue
         moved = np.abs(np.subtract(recovered.coordinates, f.coordinates))
-        z = circle_nodes(1024)
+        z = _nodes(1024, 0, 1024)
         sdf = float(np.max(np.abs(np.expm1(_log_sdf(twin, z) - _log_sdf(f, z)))))
         floor = 4.0 * sys.float_info.epsilon / (1.0 - abs(f.zeros[j]))
         return InvarianceReport(TransformResiduals(float(np.max(moved)), sdf, floor))

@@ -15,7 +15,7 @@ from cepgeo import filters
 from cepgeo.cli import main
 from cepgeo.closed_form import ModelPoint
 from cepgeo.filters import FilterSpec, reciprocal, validate
-from cepgeo.quadrature import NODES_DEFAULT, circle_nodes
+from cepgeo.quadrature import NODES_DEFAULT, _nodes
 from cepgeo.serialization import BAR
 
 # sigma for which the transfer-function prefactor sigma^2/(2 pi) is exactly 1,
@@ -202,7 +202,7 @@ def cepstrum_fft(f, trunc):
         raise ValueError("FFT cepstrum requires z_power == 0 and no Blaschke points")
     if trunc >= NODES_DEFAULT // 2:
         raise ValueError("truncation must be below half the node count")
-    z = circle_nodes(NODES_DEFAULT)
+    z = _nodes(NODES_DEFAULT, 0, NODES_DEFAULT)
     logh = np.full(NODES_DEFAULT, math.log(gain_term(f)), dtype=complex)
     for zt in f.zeros:
         logh += np.log(1.0 - zt / z)

@@ -20,7 +20,7 @@ from cepgeo.filters import FilterSpec, reciprocal, validate
 from cepgeo.priors import check_superharmonic, laplace_beltrami, prior_psi1, prior_psi2, prior_psi3
 from cepgeo.quadrature import (
     QuadratureConfig,
-    circle_nodes,
+    _nodes,
     divergence,
     duality_check,
     invariance_suite,
@@ -169,7 +169,7 @@ def test_criterion_8_divergence_identities():
     """KL and squared-log forms, and the reciprocal multiplication rule, to 1e-10."""
     rows = sample_root_tuples(61, 40, 4, 0.9, 0.0)
     allpass = make_filter()
-    nodes = circle_nodes(CFG.nodes)
+    nodes = _nodes(CFG.nodes, 0, CFG.nodes)
     worst_kl = worst_sq = worst_mult = 0.0
     for i in range(20):
         f1 = arma_from_roots(rows[2 * i], 2)

@@ -363,6 +363,8 @@ CHECK_PRIOR_DIGESTS = {
 # keyed by (n, --alpha); alpha 0.5 pins the alpha terms of the connection
 # and Ricci blocks, alpha 0 the 0.0 written for the -0.0 * T cross families;
 # n = 1 and 7, recorded before T became one broadcast product, pin odd n
+# n = 2 and 8 at alpha -1 and 2 were recorded before each connection family
+# became one expression of T
 TENSORS_DIGESTS = {
     (1, None): "c6e93b8017ff7117d830bd5a1905cb2211c12a18ed6d1faa514984fc002755fd",
     (1, "0.5"): "25b3220fff7930e9caa804f4448ce64f34f841624ad83b614c52a44fbbec1039",
@@ -374,6 +376,10 @@ TENSORS_DIGESTS = {
     (32, None): "35b6026b0cb937cd1f23baf122d39ae1e4fce2f5036a6c64590b9bb17b344fd2",
     (8, "0.5"): "5bcc159987bc8d26c6bfc467c40bc1e05d3caf0db3f794255844cf936fdc75fb",
     (32, "0.5"): "7999cc60bf019737402492c1e0045d6e97e4e2f91fb64377479dbe82d6d6cbe2",
+    (2, "-1"): "7c21899a6120f6a1fe1219c90ea20476a798e77a5e560aa20b646c2057d23657",
+    (2, "2"): "0d3b861a04e15d334b41cbcc9e7ddc6ae77223809a0aaf4ac742cd67f285b6fc",
+    (8, "-1"): "96b3cd7a341022d2002e621cfe09a782e51a35b63af152adcacb57a733bbcc6f",
+    (8, "2"): "8d8b34838f520880f9d393cc328c414eff62d450853c4a9689db80ee6e0e4c8e",
 }
 # duality-check keyed by n; recorded again when the check came to compare
 # only the two moved rows of each derivative and lost --alpha: the reports

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cepgeo import closed_form
 from cepgeo.closed_form import (
     CoincidentRootsError,
     CoincidentRootsWarning,
@@ -652,6 +654,52 @@ class TestAlphaConnection:
         assert np.all(alpha_connection(m, 0.0).gamma_cross == 0.0)
 
 
+# one wrong expression per connection family, each as the fields it replaces,
+# with the tests that must catch it: a family written as a transpose of
+# another has no test of its own that could fail, since the test restates it
+CONNECTION_MUTANTS = {
+    "cross-bar-unconjugated": (
+        lambda conn: {"gamma_cross_bar": conn.gamma_cross.transpose(1, 2, 0).copy()},
+        {"oracle"},
+    ),
+    "cross-bar-transposed-201": (
+        lambda conn: {"gamma_cross_bar": np.conjugate(conn.gamma_cross.transpose(2, 0, 1))},
+        {"oracle"},
+    ),
+    "mixed-without-levi-civita": (
+        lambda conn: {"gamma_mixed": np.multiply(-0.5 * conn.alpha, conn.t_mixed)},
+        {"oracle", "levi-civita"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTION_MUTANTS))
+def test_each_connection_mutant_fails_a_family_test(monkeypatch, name):
+    import test_quadrature  # imported here, so its tests are not collected twice
+
+    edit, catchers = CONNECTION_MUTANTS[name]
+
+    def mutant(m, alpha):
+        conn = closed_form.alpha_connection(m, alpha)
+        return dataclasses.replace(conn, **edit(conn))
+
+    bitwise = TestAlphaConnection().test_is_the_levi_civita_diagonal_minus_half_alpha_t_bitwise
+    families = test_quadrature.TestConnectionFamiliesAtNonzeroAlpha()
+    checks = {
+        "levi-civita": lambda: bitwise(0.5),
+        "oracle": families.test_every_family_matches_closed_form,
+    }
+    monkeypatch.setattr(sys.modules[__name__], "alpha_connection", mutant)
+    monkeypatch.setattr(test_quadrature, "alpha_connection", mutant)
+    failed = set()
+    for check, run in checks.items():
+        try:
+            run()
+        except AssertionError:
+            failed.add(check)
+    assert failed == catchers
+
+
 class TestRicci:
     @pytest.mark.parametrize("n", [0, 1, 2, 8, 32])
     @pytest.mark.parametrize("mixed", [False, True], ids=["one-signature", "mixed"])
@@ -916,3 +964,61 @@ class TestAlphaRicci:
         with mp.workdps(30):
             ref = mp_alpha_ricci_correction(mp, m)
         assert max_relative(alpha_ricci_correction(m), ref) <= 1e-12
+
+
+def grid_draws(n):
+    """Three mixed-signature points at n: random in the 0.9 disk, real roots, a root at 0."""
+    rng = np.random.default_rng(4100 + n)
+    xi = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    real = 0.9 * (2.0 * rng.random(n) - 1.0)
+    signature = mixed_signature(n)
+    return [ModelPoint(tuple(p), signature) for p in (xi, real, np.r_[0.0, xi[1:]][:n])]
+
+
+CONNECTION_BLOCKS = (
+    "gamma_mixed", "gamma_pure", "gamma_cross", "gamma_cross_bar", "t_mixed", "t_pure"
+)
+
+
+def output_digest(n):
+    """sha256 over every closed-form output at the draws of n, each array plus 0.0."""
+    h = hashlib.sha256()
+    for m in grid_draws(n):
+        g = metric(m)
+        arrays = [g.mixed, g.pure]
+        for alpha in (0.0, 0.5, -1.0, 1.0, 2.0):
+            conn = alpha_connection(m, alpha)
+            arrays += [getattr(conn, name) for name in CONNECTION_BLOCKS]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ScalarCancellationWarning)
+                ricci = alpha_ricci(m, alpha)
+            arrays += [ricci.ricci, ricci.inverse, np.float64(ricci.scalar)]
+        for arr in arrays:
+            h.update((arr + 0.0).tobytes())
+    return h.hexdigest()
+
+
+# keyed by n; the closed forms fix each array's value, and its bits up to the
+# sign of a zero, so the digests are of arr + 0.0.  Recorded with numpy 2.4 on
+# x86-64 with AVX2 and FMA, before each connection family became one
+# expression of T (which moved the sign of some zeros and no other bit)
+OUTPUT_DIGESTS = {
+    0: "6edd9f6f9cc92cded36e6c4a580933f9c9f1b90562b46903b806f21902a1a54f",
+    1: "25a007dedee2085fa95a5fb1991496c6ae26fe50e698803aa0494f6c7e03b731",
+    2: "b9a791c622adec35ce29681eece06f7b155ab31c05613481162fe8645a18dbd7",
+    3: "1f59647e044d1cb4eef4b2bd0428877d495dc0c3c949d25468f7a439e7d86ba3",
+    4: "97db1c50c04e66da7836bdbe6037ff7a7e38156dd67ad0333f32bb8e9eae1bf4",
+    5: "05c4972ff260bba992d605798e87820032215d097f025a1458832663653b7cdd",
+    6: "a63012e304dae428684d59a298465772013ab0e6f01f7d98e8baa222cf3a7099",
+    7: "ee8c68171e77494105b593b64c6a86b7d1f4759dc588e105388a08b4f79362ea",
+    8: "760fef77d993cb3c762ca1f99e9d80be0c430a3d64b4440f87f340e4a2b92bad",
+    9: "503088a60e9eee34dcea0dc8259bf0b46e95e81307bb133cc0ce200c935e2b8d",
+    16: "4e751e64d1d84d6a45b93d3712307b5d782a383fc4b1ecc300e5c08918195537",
+    32: "3099cda4c97ede499d8eb18487b166feaed669ba63c662850f40b4633846b2f2",
+    33: "20d49cbfc65da474d0b4cc26381e7894959c221b34a222a4c93145e84b97605f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(OUTPUT_DIGESTS))
+def test_outputs_are_pinned_up_to_the_sign_of_zero(n):
+    assert output_digest(n) == OUTPUT_DIGESTS[n]

@@ -35,7 +35,6 @@ from cepgeo.filters import (
 from cepgeo.quadrature import (
     QuadratureConfig,
     QuadratureUnconvergedWarning,
-    circle_nodes,
     connection_numeric,
     divergence,
     duality_check,
@@ -132,7 +131,7 @@ class TestMetricNumeric:
 
     def test_entries_match_independent_recomputation(self, arma11):
         g = metric_numeric(arma11, CFG).mixed
-        z = circle_nodes(CFG.nodes)
+        z = quadrature._nodes(CFG.nodes, 0, CFG.nodes)
         d = first_derivs(arma11)
         for i in range(2):
             for j in range(2):
@@ -522,7 +521,10 @@ LOG_SDF_EDGES = {
     # the groups are cut at 18 roots, where the product of the gaps reaches
     # 2^-954, and one product of all 24 at node 5 would underflow to 0
     "32-zeros-at-the-least-margin": validate(
-        FilterSpec(GAIN, zeros=tuple((1.0 - EPS_STAB_LEAST) * circle_nodes(1024)[LEAST_ANGLES])),
+        FilterSpec(
+            GAIN,
+            zeros=tuple((1.0 - EPS_STAB_LEAST) * quadrature._nodes(1024, 0, 1024)[LEAST_ANGLES]),
+        ),
         EPS_STAB_LEAST,
     ),
     # the invariance_suite twin whose zero 1/conj(2.3e-308), 4.3e307, is a group of its own
@@ -553,7 +555,7 @@ class TestLogDensity:
     def test_matches_mpmath_on_the_invariance_nodes(self, name):
         mp = pytest.importorskip("mpmath")
         f = LOG_SDF_EDGES[name]
-        z = circle_nodes(1024)[_edge_nodes(f)]
+        z = quadrature._nodes(1024, 0, 1024)[_edge_nodes(f)]
         got = quadrature._log_sdf(f, z)
         ref = np.array([_mp_log_sdf(mp, f, zk) for zk in z])
         terms = np.sum(np.abs(_log_moduli(f, z)), axis=0)
@@ -795,7 +797,7 @@ class TestDualityParts:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_second_moments_match_full_index_grid_means(self, n):
         f = _mixed_filter(30 + n, n)
-        z = circle_nodes(CFG.nodes)
+        z = quadrature._nodes(CFG.nodes, 0, CFG.nodes)
         d = first_derivs(f)
         dd = _second_derivs_direct(f, z)
         full, full2 = np.vstack([d, d.conj()]), np.vstack([dd, dd.conj()])
@@ -844,7 +846,7 @@ class TestDualityParts:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_one_row_step_matches_full_metric_difference(self, n):
         f = _mixed_filter(50 + n, n)
-        z = circle_nodes(CFG.nodes)
+        z = quadrature._nodes(CFG.nodes, 0, CFG.nodes)
         step = quadrature.DERIV_STEP
         _, hol, anti = quadrature._duality_pass(f, CFG)
         assert hol.shape == anti.shape == (n, 2 * n)
@@ -861,7 +863,7 @@ class TestDualityParts:
     def test_row_n_plus_i_is_the_other_derivative_conjugated(self, n):
         # what lets the check compare row i alone: g_{a+n,b+n} = conj(g_{ab})
         f = _mixed_filter(50 + n, n)
-        z = circle_nodes(CFG.nodes)
+        z = quadrature._nodes(CFG.nodes, 0, CFG.nodes)
         swap = _sample_order(n)  # the column halves exchanged
         for i in range(n):
             hol, anti = _full_metric_difference(f, i, quadrature.DERIV_STEP, z)
@@ -905,7 +907,8 @@ def test_memory_stays_flat_in_the_node_count(routine, m):
     # one (16, 65536) complex sample is 16 MiB; the node blocks and the n^3
     # moments fit 4 MiB
     f, cfg = _mixed_filter(81, 16), QuadratureConfig(nodes=m)
-    circle_nodes(m), circle_nodes(2 * m)  # a cached grid is not the routine's
+    # a cached grid is not the routine's
+    quadrature._nodes(m, 0, m), quadrature._nodes(2 * m, 0, 2 * m)
     assert peak_mib(lambda: MEMORY_ROUTINES[routine](f, cfg))[0] < 4
 
 
@@ -923,7 +926,7 @@ def test_divergence_memory_does_not_grow_past_the_cache():
 def test_duality_check_holds_no_full_index_cube(n):
     # a full-index (2n)^3 array would be 0.5 MiB at n = 16 and 4 MiB at n = 32
     f = _mixed_filter(81, n)
-    circle_nodes(CFG.nodes)
+    quadrature._nodes(CFG.nodes, 0, CFG.nodes)
     assert peak_mib(lambda: duality_check(f, 0.5, CFG))[0] <= 2
 
 
@@ -968,29 +971,29 @@ def test_the_oracle_runs_with_every_closed_form_disabled(monkeypatch, run):
 
 class TestGridCache:
     def test_grids_are_shared_and_read_only(self):
-        grid = circle_nodes(256)
-        assert circle_nodes(256) is grid
+        grid = quadrature._nodes(256, 0, 256)
+        assert quadrature._nodes(256, 0, 256).base is grid.base  # views of one cached grid
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.0
 
     def test_cached_grids_are_the_formula(self):
         m = 512
-        assert np.array_equal(circle_nodes(m), np.exp(2j * np.pi * np.arange(m) / m))
+        assert np.array_equal(quadrature._nodes(m, 0, m), np.exp(2j * np.pi * np.arange(m) / m))
         fine = np.exp(2j * np.pi * np.arange(2 * m) / (2 * m))
         # the even nodes of the doubled grid are the m-node grid, bit for bit
-        assert np.array_equal(circle_nodes(2 * m)[::2], circle_nodes(m))
-        assert np.array_equal(circle_nodes(2 * m), fine)
+        assert np.array_equal(quadrature._nodes(2 * m, 0, 2 * m)[::2], quadrature._nodes(m, 0, m))
+        assert np.array_equal(quadrature._nodes(2 * m, 0, 2 * m), fine)
 
     def test_only_grids_within_the_node_bound_are_cached(self):
         # four grids of at most 16384 nodes (256 KiB each): 1 MiB in all
         info = quadrature._grid.cache_info()
         assert info.maxsize * 16 * quadrature._CACHED_NODES <= 1 << 20
         limit = quadrature._CACHED_NODES
-        assert circle_nodes(limit) is circle_nodes(limit)
-        # a larger grid is formed, not kept, and read-only all the same
-        large = circle_nodes(2 * limit)
-        assert large is not circle_nodes(2 * limit) and not large.flags.writeable
+        assert quadrature._nodes(limit, 0, limit).base is quadrature._nodes(limit, 0, limit).base
+        # a larger grid is formed, not kept
+        large = quadrature._nodes(2 * limit, 0, 2 * limit)
+        assert not np.shares_memory(large, quadrature._nodes(2 * limit, 0, 2 * limit))
         f, before = _mixed_filter(82, 2), quadrature._grid.cache_info()
         cfg = QuadratureConfig(nodes=1 << 15)  # grids of 2^15 and 2^16 nodes
         metric_numeric(f, cfg), duality_check(f, 0.5, cfg), divergence(make_filter(), f, 0.0, cfg)
@@ -1004,12 +1007,12 @@ class TestGridCache:
         divergence(make_filter(), f, 0.0, QuadratureConfig())  # the doubled grid
         misses = quadrature._grid.cache_info().misses
         for m in (1024, 4096, 8192):
-            circle_nodes(m)
+            quadrature._nodes(m, 0, m)
         assert quadrature._grid.cache_info().misses == misses
 
     def test_blocks_formed_from_indices_match_the_grid(self):
         m = 1 << 17  # too large to cache
-        expected = circle_nodes(m)
+        expected = quadrature._nodes(m, 0, m)
         for start, stop, step in [(0, 4096, 1), (1, m, 2), (m - 10, m, 2), (70000, 70500, 1)]:
             assert np.array_equal(quadrature._nodes(m, start, stop, step), expected[start:stop:step])
 

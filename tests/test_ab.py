@@ -1,4 +1,4 @@
-"""The A/B driver's schedule and summary arithmetic, with a fake runner: no timing here."""
+"""The A/B comparison's schedule and summary arithmetic, with a fake runner: no timing here."""
 
 import importlib.util
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""A/B driver for the benchmark: ``perfbench/run.py`` on two commits, in alternating pairs.
+"""A/B comparison for the benchmark: ``perfbench/run.py`` on two commits, in alternating pairs.
 
     python3 tools/ab.py --base <commit> --head <commit> --pairs 5 --aa-pairs 2 \
         --seed 4100 --out BENCH.json

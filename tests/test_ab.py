@@ -28,7 +28,7 @@ def fake_export(commit, dest):
     (dest / "COMMIT").write_text(commit)
 
 
-def fake_runner(checkout, workload, seed, seconds):
+def fake_runner(checkout, workload, seed):
     commit = (checkout / "COMMIT").read_text()
     values = dict(VALUES[commit])
     values["item_p50_ms"] += 0.1 * (checkout.name == "slot1")
@@ -46,7 +46,7 @@ def fake_runner(checkout, workload, seed, seconds):
 @pytest.fixture
 def runs(tmp_path):
     plan = ab.schedule(4, 2, seed=100)
-    return ab.drive("b0", "h1", ["oracle", "cli"], plan, 30, tmp_path,
+    return ab.drive("b0", "h1", plan, tmp_path,
                     export=fake_export, runner=fake_runner, probe=lambda: 1.0)
 
 
@@ -64,7 +64,7 @@ def test_schedule_balances_slot_and_order():
 
 
 def test_drive_runs_every_side_in_its_slot_and_restores_the_checkouts(runs, tmp_path):
-    assert len(runs) == 6 * 2 * 2
+    assert len(runs) == 6 * len(ab.WORKLOADS) * 2
     assert {r["commit"] for r in runs if r["kind"] == "aa"} == {"b0"}
     assert {(r["side"], r["commit"]) for r in runs} == {
         ("base", "b0"), ("base2", "b0"), ("head", "h1")
@@ -76,7 +76,7 @@ def test_drive_runs_every_side_in_its_slot_and_restores_the_checkouts(runs, tmp_
 
 def test_summary_arithmetic(runs):
     summary = ab.summarize(runs, SPECS)
-    assert list(summary) == ["oracle", "cli"]
+    assert list(summary) == ab.WORKLOADS == ["oracle", "geometry", "cli"]
     p50 = summary["oracle"]["item_p50_ms"]
     # base alternates slot 0 and slot 1: 1.0, 1.1, 1.0, 1.1; head 0.9, 0.8, 0.9, 0.8
     assert p50["pairs"] == pytest.approx([(1.0, 0.9), (1.1, 0.8), (1.0, 0.9), (1.1, 0.8)])
@@ -84,18 +84,56 @@ def test_summary_arithmetic(runs):
     assert p50["head"] == pytest.approx({"median": 0.85, "q1": 0.8, "q3": 0.9, "n": 4})
     assert p50["head_wins"] == "4/4"
     assert p50["change"] == pytest.approx(-0.2 / 1.05)
-    assert not p50["worse_than_bound"]
+    assert p50["noise"] == pytest.approx(0.1) and p50["verdict"] == "within bound"
     assert p50["gap_over_base_iqr"] == pytest.approx(2.0)
     # the A/A pairs differ only by the slot
     assert p50["aa_pairs"] == pytest.approx([(1.0, 1.1), (1.1, 1.0)])
     assert p50["aa_spread"] == pytest.approx(0.1)
     rate = summary["oracle"]["items_per_s"]
     assert rate["head_wins"] == "0/4" and rate["change"] == pytest.approx(0.1)
-    assert not rate["worse_than_bound"] and rate["gap_over_base_iqr"] is None
+    assert rate["verdict"] == "within bound" and rate["gap_over_base_iqr"] is None
     assert rate["aa_spread"] == 0.0
     setup = summary["cli"]["setup_s"]
-    assert setup["change"] == pytest.approx(1.0) and setup["worse_than_bound"]
+    assert setup["change"] == pytest.approx(1.0) and setup["verdict"] == "worse"
     assert summary["cli"]["failed_frac"] == pytest.approx({"base": 0.0, "head": 0.1})
+
+
+def _runs(ab_pairs, aa_pairs):
+    """Run records of one workload and metric, ``item_tail_ms``, from (base, other) pairs."""
+    runs = []
+    for kind, pairs, other in (("ab", ab_pairs, "head"), ("aa", aa_pairs, "base2")):
+        for k, values in enumerate(pairs):
+            for side, value in zip(("base", other), values):
+                runs.append({
+                    "kind": kind, "pair": k, "workload": "cli", "side": side,
+                    "result": {"attempted": 1, "failed": 0,
+                               "metrics": {"item_tail_ms": {"value": value}}},
+                })
+    return runs
+
+
+TAIL = [{"name": "item_tail_ms", "better": "lower", "bound": 0.25}]
+
+
+@pytest.mark.parametrize(
+    "ab_pairs, aa_pairs, verdict",
+    [
+        # the medians read 5% better, but an A/A pair spreads by 40%
+        ([(100, 90), (100, 95), (100, 130)], [(100, 140)], "unresolved"),
+        # the same pairs with a narrow A/A spread
+        ([(100, 90), (100, 95), (100, 130)], [(100, 110)], "within bound"),
+        # no A/A pairs, but the base IQR is 40% of its median
+        ([(60, 90), (100, 95), (140, 130)], [], "unresolved"),
+        # a wide spread, but every head run beats every base run
+        ([(100, 90), (100, 95), (100, 80)], [(100, 140)], "within bound"),
+        # a narrow spread and the head median 30% worse
+        ([(100, 130), (100, 125), (100, 140)], [(100, 105)], "worse"),
+        # 30% worse, but the spread is wider than the bound
+        ([(100, 130), (100, 125), (100, 140)], [(100, 130)], "unresolved"),
+    ],
+)
+def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved(ab_pairs, aa_pairs, verdict):
+    assert ab.summarize(_runs(ab_pairs, aa_pairs), TAIL)["cli"]["item_tail_ms"]["verdict"] == verdict
 
 
 def test_stats_of_one_value():

@@ -16,10 +16,11 @@ every run a calibration probe, the median time of a 256 x 256 complex matrix
 product on one BLAS thread, shows a slow spell of the machine.
 
 ``run.py`` runs unchanged, one workload per process, from the root of its
-slot.  The JSON written to ``--out`` holds every run and, per workload and
-end-to-end metric, the pairs, each side's median and quartiles, the pairs
-the head wins, the relative change of the medians, whether it is worse than
-the bound in ``BENCHMARK.json``, and the A/A spread.
+slot, on every workload of ``BENCHMARK.json`` for its ``run_seconds``.  The
+JSON written to ``--out`` holds every run and, per workload and end-to-end
+metric, the pairs, each side's median and quartiles, the pairs the head
+wins, the relative change of the medians, the A/A spread, and a verdict
+against the metric's bound in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ for _ in range(21):
 print(1e3 * sorted(times)[10])
 """
 ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCH["workloads"]]
+SECONDS = BENCH["run_seconds"]
 
 
 def schedule(pairs: int, aa_pairs: int, seed: int) -> list[dict]:
@@ -82,12 +86,12 @@ def git_export(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """One unchanged ``perfbench/run.py`` process in ``checkout``: its machine line and result."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(SECONDS)],
         cwd=checkout, capture_output=True, text=True, timeout=900,
     )
     lines = proc.stdout.strip().splitlines()
@@ -121,7 +125,7 @@ def occupying(checkouts: dict[str, Path], slots: tuple[Path, Path], sides: tuple
             slot.rename(checkouts[side])
 
 
-def drive(base, head, workloads, plan, seconds, work: Path,
+def drive(base, head, plan, work: Path,
           export=git_export, runner=run_perfbench, probe=probe_ms, log=None) -> list[dict]:
     """Every run of ``plan``, each pair over every workload, as records in run order."""
     commits = {"base": base, "head": head, "base2": base}
@@ -132,7 +136,7 @@ def drive(base, head, workloads, plan, seconds, work: Path,
     runs = []
     for pair in plan:
         with occupying(checkouts, slots, pair["slots"]):
-            for workload in workloads:
+            for workload in WORKLOADS:
                 for side in pair["order"]:
                     slot = pair["slots"].index(side)
                     record = {
@@ -140,7 +144,7 @@ def drive(base, head, workloads, plan, seconds, work: Path,
                         "workload": workload, "side": side, "commit": commits[side],
                         "slot": slot, "first": pair["order"][0], "probe_ms": round(probe(), 3),
                     }
-                    record.update(runner(slots[slot], workload, pair["seed"], seconds))
+                    record.update(runner(slots[slot], workload, pair["seed"]))
                     runs.append(record)
                     if log:
                         log(f"{pair['kind']} {pair['pair']} {workload} {side} slot{slot}: "
@@ -170,13 +174,18 @@ def _failed_share(run):
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and metric: pairs, each side's stats, head wins, change, bound, A/A spread.
+    """Per workload and metric: pairs, each side's stats, head wins, change, spreads, verdict.
 
     ``change`` is the head median relative to the base median, signed so that
-    a positive value is worse; ``worse_than_bound`` compares it with the
-    metric's bound.  ``aa_spread`` is the largest relative gap between the
-    two sides of an A/A pair, None without A/A pairs.  ``failed_frac`` is
-    each side's failed items over its attempted items, over all its runs.
+    a positive value is worse.  ``aa_spread`` is the largest relative gap
+    between the two sides of an A/A pair, None without A/A pairs, and
+    ``noise`` the larger of it and the base IQR over the base median.  The
+    ``verdict`` is "unresolved" when the noise exceeds the metric's bound and
+    some head run is no better than some base run: the medians cannot then
+    tell a move within the bound from one beyond it.  Otherwise it is "worse"
+    when the change exceeds the bound and "within bound" when it does not.
+    ``failed_frac`` is each side's failed items over its attempted items,
+    over all its runs.
     """
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -195,6 +204,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             base, head = stats([b for b, _ in pairs]), stats([h for _, h in pairs])
             gap, iqr = head["median"] - base["median"], base["q3"] - base["q1"]
             change = sign * gap / base["median"]
+            aa_spread = max((abs(b - a) / abs(a) for a, b in aa), default=None)
+            noise = max(aa_spread or 0.0, iqr / abs(base["median"]))
+            # every head run better than every base run
+            clear = max(sign * h for _, h in pairs) < min(sign * b for b, _ in pairs)
+            if noise > spec["bound"] and not clear:
+                verdict = "unresolved"
+            else:
+                verdict = "worse" if change > spec["bound"] else "within bound"
             entry[name] = {
                 "better": spec["better"],
                 "pairs": pairs,
@@ -203,25 +220,23 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "head_wins": f"{sum(sign * (b - h) > 0 for b, h in pairs)}/{len(pairs)}",
                 "change": change,
                 "bound": spec["bound"],
-                "worse_than_bound": change > spec["bound"],
                 "gap_over_base_iqr": abs(gap) / iqr if iqr > 0 else None,
                 "aa_pairs": aa,
-                "aa_spread": max((abs(b - a) / abs(a) for a, b in aa), default=None),
+                "aa_spread": aa_spread,
+                "noise": noise,
+                "verdict": verdict,
             }
         summary[workload] = entry
     return summary
 
 
 def main(argv=None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--head", default="HEAD", help="the changed commit")
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--aa-pairs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--work", type=Path, help="an empty directory for the checkouts")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -234,19 +249,19 @@ def main(argv=None) -> int:
     plan = schedule(args.pairs, args.aa_pairs, args.seed)
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="ab-")))
-        runs = drive(base, head, args.workloads, plan, args.seconds, work,
+        runs = drive(base, head, plan, work,
                      log=lambda line: print(line, file=sys.stderr, flush=True))
     probes = [run["probe_ms"] for run in runs]
     args.out.write_text(json.dumps({
         "what": "perfbench/run.py end-to-end metrics, base commit against head in alternating "
                 "pairs with swapped slot directories, plus A/A pairs of the base commit",
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g}",
+                   f"--seconds {SECONDS:g}",
         "base": base,
         "head": head,
         "machine": sorted({run["machine"] for run in runs if run["machine"]}),
         "probe_ms": {**stats(probes), "min": min(probes), "max": max(probes)},
-        "summary": summarize(runs, bench["end_to_end"]),
+        "summary": summarize(runs, BENCH["end_to_end"]),
         "runs": runs,
     }, indent=1) + "\n")
     return 0

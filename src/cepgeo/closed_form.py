@@ -29,15 +29,26 @@ part), and only :func:`metric_determinant` forms det g; the Li2 argument in
 ``connection0``, ``t_tensor`` and ``ricci0`` are the alpha = 0 reads of
 ``alpha_connection`` and ``alpha_ricci``.
 
+Every third-order tensor is a function of three O(n^2) generators,
+
+    u_{ik} = c_i / (1 - xi^i conj(xi^k)),   s_k = -2 c_k conj(xi^k),
+    T_{ik,lbar} = s_l u_{il} u_{kl},
+    Gamma^{(alpha)}_{ij,kbar} = Gamma^0_{ij,kbar} - (alpha/2) T_{ij,kbar},
+
+with Gamma^0 zero off its i = j block.  :func:`alpha_connection` forms only
+u, s and that block, read-only, in O(n^2) time and memory; each n^3 family
+is formed when it is read from the record, fresh on every read, and no
+family is cached.
+
 Every entry is computed with one fixed operand order, so a point gets the
 same bits from every call, and no function holds an n^3 temporary beyond
-the arrays it returns.  An array is fixed in value, and to the bit up to the
-sign of a zero, which is left as the arithmetic gives it: a report turns
--0.0 into 0.0 as it is written, and is fixed to the byte.  T is one
-broadcast product of the factors c_i / (1 - xi^i conj(xi^k)) whose strict
-lower triangle is multiplied again with the operands swapped, so it is
-exactly symmetric in its first two indices; the mask of that triangle,
-cached by n, is the module's one cache.
+the array it returns and one operand of it.  An array is fixed in value,
+and to the bit up to the sign of a zero, which is left as the arithmetic
+gives it: a report turns -0.0 into 0.0 as it is written, and is fixed to
+the byte.  T is one broadcast product of the u factors whose strict lower
+triangle is multiplied again with the operands swapped, so it is exactly
+symmetric in its first two indices; the mask of that triangle, cached by
+n, is the module's one cache.
 The blocks that vanish on the constant-gain manifold (the pure metric
 g_{ij}, Gamma_{ij,k} and T_{ijk}) are not allocated: each is a read-only,
 zero-strided view of one +0.0, so only the dense blocks cost memory and
@@ -137,37 +148,74 @@ class HermitianMetric:
 
     ``mixed[i][j]`` is g_{i jbar}; ``pure[i][j]`` is g_{ij}, which vanishes
     whenever the zeroth cepstrum coefficient is constant in the parameters
-    (always the case on the constant-gain submanifold).  The closed form's
-    ``pure`` is a read-only view with zero strides; copy it to write to it.
+    (always the case on the constant-gain submanifold).  ``pure`` is a
+    read-only view with zero strides; copy it to write to it.
     """
 
     mixed: np.ndarray
     pure: np.ndarray
-    residual: float = 0.0
-    converged: bool = True
 
 
 @dataclass(frozen=True)
 class ConnectionTensors:
-    """Connection components and symmetric cubic tensor, barred index last.
+    """The alpha-connection and the cubic tensor T, held as their generators.
 
-    ``gamma_mixed`` holds Gamma^{(alpha)}_{ij,kbar}, ``gamma_pure``
-    Gamma^{(alpha)}_{ij,k}, ``gamma_cross`` Gamma^{(alpha)}_{i jbar,k} and
-    ``gamma_cross_bar`` Gamma^{(alpha)}_{i jbar,kbar}; ``t_mixed`` and
-    ``t_pure`` the corresponding T components.  The closed form's
-    ``gamma_pure`` and ``t_pure`` vanish and are read-only views with zero
-    strides; copy them to write to them.
+    The record holds ``alpha`` and three read-only arrays, O(n^2) numbers:
+
+    - ``u[i][k] = c_i / (1 - xi^i conj(xi^k))``;
+    - ``s[k] = -2 c_k conj(xi^k)``;
+    - ``gamma0[j][k] = Gamma^0_{jj,kbar} = c_j c_k conj(xi^k) / (1 - xi^j conj(xi^k))^2``,
+      the Levi-Civita connection's only nonzero block.
+
+    Each family is a property that forms a fresh n^3 array, barred index
+    last, every time it is read, from T_{ik,lbar} = s_l u_il u_kl:
+    ``gamma_mixed`` is Gamma^{(alpha)}_{ij,kbar}, ``gamma_pure``
+    Gamma^{(alpha)}_{ij,k}, ``gamma_cross`` Gamma^{(alpha)}_{i jbar,k},
+    ``gamma_cross_bar`` Gamma^{(alpha)}_{i jbar,kbar}, and ``t_mixed`` and
+    ``t_pure`` the T components.  Nothing read is kept, so a caller that
+    reads a family twice pays for it twice.  ``gamma_pure`` and ``t_pure``
+    vanish and are read-only views with zero strides; copy them to write to
+    them.
     """
 
     alpha: float
-    gamma_mixed: np.ndarray
-    gamma_pure: np.ndarray
-    gamma_cross: np.ndarray
-    gamma_cross_bar: np.ndarray
-    t_mixed: np.ndarray
-    t_pure: np.ndarray
-    residual: float = 0.0
-    converged: bool = True
+    u: np.ndarray
+    s: np.ndarray
+    gamma0: np.ndarray
+
+    @property
+    def t_mixed(self) -> np.ndarray:
+        """T_{ik,lbar} = s_l u_il u_kl, exactly symmetric in i, k."""
+        return _t(self.u, self.s)
+
+    @property
+    def gamma_mixed(self) -> np.ndarray:
+        """Gamma^{(alpha)}_{ij,kbar} = Gamma^0_{ij,kbar} - (alpha/2) T_{ij,kbar}."""
+        n = len(self.s)
+        gamma = self.t_mixed
+        np.multiply(-0.5 * self.alpha, gamma, out=gamma)
+        gamma.reshape(n * n, n)[:: n + 1] += self.gamma0  # i = j, as a view
+        return gamma
+
+    @property
+    def gamma_cross(self) -> np.ndarray:
+        """Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar}."""
+        return np.multiply(-0.5 * self.alpha, self.t_mixed.transpose(0, 2, 1), order="C")
+
+    @property
+    def gamma_cross_bar(self) -> np.ndarray:
+        """Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar})."""
+        return np.conjugate(self.gamma_cross.transpose(1, 2, 0), order="C")
+
+    @property
+    def gamma_pure(self) -> np.ndarray:
+        """Gamma^{(alpha)}_{ij,k}, zero on the constant-gain manifold."""
+        return _zeros((len(self.s),) * 3)
+
+    @property
+    def t_pure(self) -> np.ndarray:
+        """T_{ijk}, zero on the constant-gain manifold."""
+        return _zeros((len(self.s),) * 3)
 
 
 @dataclass(frozen=True)
@@ -346,16 +394,14 @@ def metric_determinant(m: ModelPoint) -> float:
     return det
 
 
-def _t(xi: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _t(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     # Complex products need not commute bitwise: one broadcast product forms
     # u_i u_j, and its strict lower triangle (i > j) is multiplied again with
     # the operands swapped, so every entry is u_min(i,j) u_max(i,j) and T is
     # exactly symmetric in i, j, with no array beside T itself.
-    n = len(xi)
-    u = c[:, None] / a  # u[i][k] = c_i / (1 - xi^i conj(xi^k))
     t = u[:, None, :] * u[None, :, :]
-    np.multiply(u[None, :, :], u[:, None, :], out=t, where=_strict_lower(n)[:, :, None])
-    np.multiply(-2.0 * c * xi.conj(), t, out=t)
+    np.multiply(u[None, :, :], u[:, None, :], out=t, where=_strict_lower(len(s))[:, :, None])
+    np.multiply(s, t, out=t)
     return t
 
 
@@ -375,26 +421,16 @@ def alpha_connection(m: ModelPoint, alpha: float) -> ConnectionTensors:
     The purely mixed-pair components carry only the alpha term:
     Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar} and
     Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar}).
-    T is built once and each family is one expression of it, written into
-    its own C-ordered array, so the call holds no n^3 array beyond the four
-    dense ones it returns; ``gamma_pure`` and ``t_pure`` are zero views.
+    The call forms only the generators u, s and Gamma^0's i = j block, in
+    O(n^2); each family is formed from them when it is read (see
+    :class:`ConnectionTensors`).
     """
     xi, c, a = _arrays(m)
-    n = m.n
-    t = _t(xi, c, a)
-    # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
-    gamma_mixed = np.multiply(-0.5 * alpha, t)
-    gamma_mixed.reshape(n * n, n)[:: n + 1] += c[:, None] * c * xi.conj() / a**2  # i = j, as a view
-    gamma_cross = np.multiply(-0.5 * alpha, t.transpose(0, 2, 1), order="C")
-    return ConnectionTensors(
-        alpha=float(alpha),
-        gamma_mixed=gamma_mixed,
-        gamma_pure=_zeros(t.shape),
-        gamma_cross=gamma_cross,
-        gamma_cross_bar=np.conjugate(gamma_cross.transpose(1, 2, 0), order="C"),
-        t_mixed=t,
-        t_pure=_zeros(t.shape),
-    )
+    xic = xi.conj()
+    generators = (c[:, None] / a, -2.0 * c * xic, c[:, None] * c * xic / a**2)
+    for x in generators:
+        x.flags.writeable = False
+    return ConnectionTensors(float(alpha), *generators)
 
 
 def ricci0(m: ModelPoint) -> CurvatureReport:

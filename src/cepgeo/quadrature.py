@@ -9,9 +9,9 @@ rational integrands at hand).  First and second parameter derivatives of
 log h are analytic rational expressions, never differenced; only
 derivatives *of tensors* use central Wirtinger differences.  This module
 never calls the closed forms in :mod:`cepgeo.closed_form`, so agreement
-between the two is a genuine cross-check: it takes only the record classes
-``HermitianMetric`` and ``ConnectionTensors`` from there, and imports them
-where it builds one.
+between the two is a genuine cross-check: it imports nothing from there, and
+returns records of its own, :class:`OracleMetric` and
+:class:`OracleConnection`, with the closed forms' field names.
 
 Every tensor is a grid mean of products of d_i log h: the metric is a
 second moment, the connections and T are the two third moments
@@ -65,7 +65,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +79,6 @@ from .filters import (
     reflect_zero_out,
     validate,
 )
-
-if TYPE_CHECKING:  # imported where built, so divergence and duality_check never load closed_form
-    from .closed_form import ConnectionTensors, HermitianMetric
 
 NODES_DEFAULT = 4096
 # the Wirtinger step of duality_check's central differences
@@ -132,6 +129,38 @@ class QuadratureConfig:
             # no routine holds the grid, but one that no process could hold would never finish
             raise ValueError(f"nodes = {nodes}: the doubled grid is too large to allocate")
         object.__setattr__(self, "nodes", nodes)
+
+
+class OracleMetric(NamedTuple):
+    """Metric blocks by quadrature, as :class:`cepgeo.closed_form.HermitianMetric` names them.
+
+    ``residual`` is the largest change under grid doubling, and ``converged``
+    whether it is within the tolerance.
+    """
+
+    mixed: np.ndarray
+    pure: np.ndarray
+    residual: float
+    converged: bool
+
+
+class OracleConnection(NamedTuple):
+    """The four connection families and T by quadrature, each a dense array.
+
+    The fields are named as the properties of
+    :class:`cepgeo.closed_form.ConnectionTensors`; ``residual`` and
+    ``converged`` are those of grid doubling over all six.
+    """
+
+    alpha: float
+    gamma_mixed: np.ndarray
+    gamma_pure: np.ndarray
+    gamma_cross: np.ndarray
+    gamma_cross_bar: np.ndarray
+    t_mixed: np.ndarray
+    t_pure: np.ndarray
+    residual: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -288,22 +317,20 @@ def _grid_means(blocks, n: int, products=(), third=(), ricci: bool = False):
 
 def metric_numeric(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
-) -> HermitianMetric:
+) -> OracleMetric:
     """Metric by quadrature: mixed_{ij} = mean over nodes of d_i log h conj(d_j log h).
 
     The pure block uses the same average without conjugation and vanishes on
     the constant-gain submanifold.  No routine of the package calls it: only
     the benchmark and the tests do.
     """
-    from .closed_form import HermitianMetric
-
     def blocks(half):
         (mixed, pure), _ = _grid_means(half, f.dimension, [("d", "dc"), ("d", "d")])
         return _hermitian(mixed), (pure + pure.T) / 2  # exactly symmetric
 
     halves = map(blocks, _halves(f, cfg.nodes))
     (mixed, pure), residual, converged = _checked(*halves, _TOL, "metric")
-    return HermitianMetric(mixed, pure, residual, converged)
+    return OracleMetric(mixed, pure, residual, converged)
 
 
 def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
@@ -316,7 +343,7 @@ def _gamma(triple: np.ndarray, second: np.ndarray, alpha: float) -> np.ndarray:
 
 def connection_numeric(
     f: ValidatedFilter, alpha: float, cfg: QuadratureConfig = QuadratureConfig()
-) -> ConnectionTensors:
+) -> OracleConnection:
     """All four alpha-connection index families and T by quadrature.
 
     The second-derivative term contributes only when the first two indices
@@ -327,8 +354,6 @@ def connection_numeric(
 
     and the residual is the largest change under grid doubling of all six.
     """
-    from .closed_form import ConnectionTensors
-
     def blocks(half):
         # gamma_mixed, gamma_pure, gamma_cross, gamma_cross_bar, t_mixed, t_pure
         seconds = [("dd", "dc"), ("dd", "d")]
@@ -344,12 +369,12 @@ def connection_numeric(
 
     halves = map(blocks, _halves(f, cfg.nodes, f.dimension))
     fams, residual, converged = _checked(*halves, _TOL, "connection")
-    return ConnectionTensors(float(alpha), *fams, residual=residual, converged=converged)
+    return OracleConnection(float(alpha), *fams, residual, converged)
 
 
 def t_tensor_numeric(
     f: ValidatedFilter, cfg: QuadratureConfig = QuadratureConfig()
-) -> ConnectionTensors:
+) -> OracleConnection:
     """T, read at alpha = 0; public only because the benchmark imports it."""
     return connection_numeric(f, 0.0, cfg)
 

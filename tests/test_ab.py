@@ -85,21 +85,23 @@ def test_summary_arithmetic(runs):
     assert p50["head_wins"] == "4/4"
     assert p50["change"] == pytest.approx(-0.2 / 1.05)
     assert p50["noise"] == pytest.approx(0.1) and p50["verdict"] == "within bound"
-    assert p50["gap_over_base_iqr"] == pytest.approx(2.0)
+    assert p50["gap_over_base_iqr"] == pytest.approx(2.0) and p50["gain"] is True
     # the A/A pairs differ only by the slot
     assert p50["aa_pairs"] == pytest.approx([(1.0, 1.1), (1.1, 1.0)])
     assert p50["aa_spread"] == pytest.approx(0.1)
     rate = summary["oracle"]["items_per_s"]
     assert rate["head_wins"] == "0/4" and rate["change"] == pytest.approx(0.1)
     assert rate["verdict"] == "within bound" and rate["gap_over_base_iqr"] is None
+    assert rate["gain"] is False
     assert rate["aa_spread"] == 0.0
     setup = summary["cli"]["setup_s"]
     assert setup["change"] == pytest.approx(1.0) and setup["verdict"] == "worse"
+    assert setup["gain"] is False
     assert summary["cli"]["failed_frac"] == pytest.approx({"base": 0.0, "head": 0.1})
 
 
-def _runs(ab_pairs, aa_pairs):
-    """Run records of one workload and metric, ``item_tail_ms``, from (base, other) pairs."""
+def _runs(ab_pairs, aa_pairs, name="item_tail_ms"):
+    """Run records of one workload and metric, ``name``, from (base, other) pairs."""
     runs = []
     for kind, pairs, other in (("ab", ab_pairs, "head"), ("aa", aa_pairs, "base2")):
         for k, values in enumerate(pairs):
@@ -107,7 +109,7 @@ def _runs(ab_pairs, aa_pairs):
                 runs.append({
                     "kind": kind, "pair": k, "workload": "cli", "side": side,
                     "result": {"attempted": 1, "failed": 0,
-                               "metrics": {"item_tail_ms": {"value": value}}},
+                               "metrics": {name: {"value": value}}},
                 })
     return runs
 
@@ -134,6 +136,38 @@ TAIL = [{"name": "item_tail_ms", "better": "lower", "bound": 0.25}]
 )
 def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved(ab_pairs, aa_pairs, verdict):
     assert ab.summarize(_runs(ab_pairs, aa_pairs), TAIL)["cli"]["item_tail_ms"]["verdict"] == verdict
+
+
+# ten base runs of 100 +- 2: their quartiles are 99 and 101
+BASE = [98, 99, 100, 101, 102, 98, 99, 100, 101, 102]
+
+
+@pytest.mark.parametrize(
+    "heads, gain",
+    [
+        # 9 of 10 pairs won, the median 10 below the base's 100
+        ([90] * 9 + [130], True),
+        # 8 of 10 won
+        ([90] * 8 + [130] * 2, False),
+        # 9 won and a tie: a tie counts for neither side, so 9 of 10 still
+        ([90] * 9 + [BASE[9]], True),
+        # 8 won and two ties: 8 of 10
+        ([90] * 8 + BASE[8:], False),
+        # every pair won, by less than the base IQR: the median is 1 below 100
+        ([b - 1 for b in BASE], False),
+    ],
+)
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_base_iqr(heads, gain):
+    pairs = list(zip(BASE, heads))
+    assert ab.summarize(_runs(pairs, []), TAIL)["cli"]["item_tail_ms"]["gain"] is gain
+
+
+def test_gain_of_a_higher_is_better_metric():
+    rate = [{"name": "items_per_s", "better": "higher", "bound": 0.25}]
+    faster = list(zip(BASE, [110] * 9 + [90]))
+    assert ab.summarize(_runs(faster, [], "items_per_s"), rate)["cli"]["items_per_s"]["gain"]
+    slower = [(b, h) for h, b in faster]
+    assert not ab.summarize(_runs(slower, [], "items_per_s"), rate)["cli"]["items_per_s"]["gain"]
 
 
 def test_stats_of_one_value():

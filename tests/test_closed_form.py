@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import sys
 import warnings
 from fractions import Fraction
@@ -623,14 +624,29 @@ class TestAlphaConnection:
             for got, want in pairs:
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n
 
-    def test_holds_no_n3_temporary(self):
-        # the four dense (32, 32, 32) complex results hold 2 MiB and the two
-        # zero views nothing; T is written in place and the (n, n) work
-        # arrays stay well under 1/4 MiB
+    def test_alpha_connection_holds_no_n3_array(self):
+        # at n = 32 one (32, 32, 32) complex family is 1/2 MiB: the call forms
+        # only (n, n) generators, and a family read holds at most one array
+        # beside its result
         m = random_points(23, 1, n=32, signature=mixed_signature(32), radius=0.95, sep=1e-3)[0]
         peak, conn = peak_mib(lambda: alpha_connection(m, 0.5))
-        assert conn.gamma_mixed.nbytes == 2**19
-        assert peak <= 2.25
+        assert peak <= 0.25
+        for name in CONNECTION_BLOCKS:
+            peak, block = peak_mib(lambda name=name: getattr(conn, name))
+            assert block.shape == (32, 32, 32)
+            assert peak <= 1.25, name
+        assert len(pickle.dumps(conn)) < 64 * 2**10
+        for generator in (conn.u, conn.s, conn.gamma0):
+            with pytest.raises(ValueError):
+                generator[0] = 0.0
+
+    def test_each_read_forms_a_fresh_array(self):
+        conn = alpha_connection(ARMA11, 0.5)
+        for name in ("gamma_mixed", "gamma_cross", "gamma_cross_bar", "t_mixed"):
+            first, second = getattr(conn, name), getattr(conn, name)
+            assert first is not second and not np.shares_memory(first, second), name
+            assert first.flags.writeable and first.flags.c_contiguous, name
+            assert first.tobytes() == second.tobytes(), name
 
     @pytest.mark.parametrize("n", [0, 1, 32])
     def test_pure_blocks_are_read_only_zero_views(self, n):
@@ -654,22 +670,27 @@ class TestAlphaConnection:
         assert np.all(alpha_connection(m, 0.0).gamma_cross == 0.0)
 
 
-# one wrong expression per connection family, each as the fields it replaces,
-# with the tests that must catch it: a family written as a transpose of
-# another has no test of its own that could fail, since the test restates it
+# one wrong expression per connection family, as the property it replaces,
+# and one wrong generator, as the field it replaces, each with the tests that
+# must catch it: a family written as a transpose of another has no test of its
+# own that could fail, since the test restates it
 CONNECTION_MUTANTS = {
     "cross-bar-unconjugated": (
-        lambda conn: {"gamma_cross_bar": conn.gamma_cross.transpose(1, 2, 0).copy()},
-        {"oracle"},
+        "gamma_cross_bar", lambda conn: conn.gamma_cross.transpose(1, 2, 0).copy(), {"oracle"}
     ),
     "cross-bar-transposed-201": (
-        lambda conn: {"gamma_cross_bar": np.conjugate(conn.gamma_cross.transpose(2, 0, 1))},
+        "gamma_cross_bar",
+        lambda conn: np.conjugate(conn.gamma_cross.transpose(2, 0, 1)),
         {"oracle"},
     ),
     "mixed-without-levi-civita": (
-        lambda conn: {"gamma_mixed": np.multiply(-0.5 * conn.alpha, conn.t_mixed)},
+        "gamma_mixed",
+        lambda conn: np.multiply(-0.5 * conn.alpha, conn.t_mixed),
         {"oracle", "levi-civita"},
     ),
+    "u-conjugated": ("u", lambda conn: conn.u.conj(), {"oracle"}),
+    "s-negated": ("s", lambda conn: -conn.s, {"oracle"}),
+    "levi-civita-transposed": ("gamma0", lambda conn: conn.gamma0.T, {"oracle", "levi-civita"}),
 }
 
 
@@ -677,20 +698,23 @@ CONNECTION_MUTANTS = {
 def test_each_connection_mutant_fails_a_family_test(monkeypatch, name):
     import test_quadrature  # imported here, so its tests are not collected twice
 
-    edit, catchers = CONNECTION_MUTANTS[name]
+    member, edit, catchers = CONNECTION_MUTANTS[name]
+    if member in {field.name for field in dataclasses.fields(closed_form.ConnectionTensors)}:
 
-    def mutant(m, alpha):
-        conn = closed_form.alpha_connection(m, alpha)
-        return dataclasses.replace(conn, **edit(conn))
+        def mutant(m, alpha):
+            conn = closed_form.alpha_connection(m, alpha)
+            return dataclasses.replace(conn, **{member: edit(conn)})
 
+        monkeypatch.setattr(sys.modules[__name__], "alpha_connection", mutant)
+        monkeypatch.setattr(test_quadrature, "alpha_connection", mutant)
+    else:
+        monkeypatch.setattr(closed_form.ConnectionTensors, member, property(edit))
     bitwise = TestAlphaConnection().test_is_the_levi_civita_diagonal_minus_half_alpha_t_bitwise
     families = test_quadrature.TestConnectionFamiliesAtNonzeroAlpha()
     checks = {
         "levi-civita": lambda: bitwise(0.5),
         "oracle": families.test_every_family_matches_closed_form,
     }
-    monkeypatch.setattr(sys.modules[__name__], "alpha_connection", mutant)
-    monkeypatch.setattr(test_quadrature, "alpha_connection", mutant)
     failed = set()
     for check, run in checks.items():
         try:

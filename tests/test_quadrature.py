@@ -930,21 +930,17 @@ def test_duality_check_holds_no_full_index_cube(n):
     assert peak_mib(lambda: duality_check(f, 0.5, CFG))[0] <= 2
 
 
-def test_oracle_imports_only_closed_form_types():
-    # the oracle must never call the closed forms it checks: it takes the two
-    # record classes by name, and never reaches the module as a name or an
-    # attribute (``closed_form.f``, ``cepgeo.closed_form.f``)
+def test_oracle_imports_nothing_from_closed_form():
+    # the oracle must never call the closed forms it checks: it imports
+    # nothing from them, not even a record class, and never reaches the module
+    # as a name or an attribute (``closed_form.f``, ``cepgeo.closed_form.f``)
     tree = ast.parse(Path(quadrature.__file__).read_text())
-    allowed = {"ConnectionTensors", "HermitianMetric"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any("closed_form" in alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            if "closed_form" in (node.module or ""):
-                assert names <= allowed, names
-            else:
-                assert "closed_form" not in names
+            assert "closed_form" not in (node.module or ""), ast.unparse(node)
+            assert "closed_form" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Attribute):
             assert node.attr != "closed_form", ast.unparse(node)
         elif isinstance(node, ast.Name):

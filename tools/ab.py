@@ -19,8 +19,9 @@ product on one BLAS thread, shows a slow spell of the machine.
 slot, on every workload of ``BENCHMARK.json`` for its ``run_seconds``.  The
 JSON written to ``--out`` holds every run and, per workload and end-to-end
 metric, the pairs, each side's median and quartiles, the pairs the head
-wins, the relative change of the medians, the A/A spread, and a verdict
-against the metric's bound in ``BENCHMARK.json``.
+wins, the relative change of the medians, the A/A spread, a verdict
+against the metric's bound in ``BENCHMARK.json``, and whether the head
+shows a gain.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _failed_share(run):
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and metric: pairs, each side's stats, head wins, change, spreads, verdict.
+    """Per workload and metric: pairs, each side's stats, head wins, change, spreads, verdicts.
 
     ``change`` is the head median relative to the base median, signed so that
     a positive value is worse.  ``aa_spread`` is the largest relative gap
@@ -184,8 +185,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     some head run is no better than some base run: the medians cannot then
     tell a move within the bound from one beyond it.  Otherwise it is "worse"
     when the change exceeds the bound and "within bound" when it does not.
-    ``failed_frac`` is each side's failed items over its attempted items,
-    over all its runs.
+    ``gain`` is true when the head wins at least nine tenths of the pairs,
+    a tie counting for neither side, and its median is better than the base
+    median by more than the base IQR.  ``failed_frac`` is each side's failed
+    items over its attempted items, over all its runs.
     """
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -208,6 +211,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             noise = max(aa_spread or 0.0, iqr / abs(base["median"]))
             # every head run better than every base run
             clear = max(sign * h for _, h in pairs) < min(sign * b for b, _ in pairs)
+            wins = sum(sign * (b - h) > 0 for b, h in pairs)
             if noise > spec["bound"] and not clear:
                 verdict = "unresolved"
             else:
@@ -217,7 +221,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "pairs": pairs,
                 "base": base,
                 "head": head,
-                "head_wins": f"{sum(sign * (b - h) > 0 for b, h in pairs)}/{len(pairs)}",
+                "head_wins": f"{wins}/{len(pairs)}",
                 "change": change,
                 "bound": spec["bound"],
                 "gap_over_base_iqr": abs(gap) / iqr if iqr > 0 else None,
@@ -225,6 +229,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "aa_spread": aa_spread,
                 "noise": noise,
                 "verdict": verdict,
+                "gain": 10 * wins >= 9 * len(pairs) and -sign * gap > iqr,
             }
         summary[workload] = entry
     return summary

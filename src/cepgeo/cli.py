@@ -177,7 +177,7 @@ def _cmd_tensors(args) -> dict:
     point = closed_form.ModelPoint.from_filter(f)
     potential = closed_form.kahler_potential(point)
     g = closed_form.metric(point)
-    conn = closed_form.alpha_connection(point, args.alpha)
+    conn = closed_form.alpha_connection(point, args.alpha).families()  # T formed once
     curv = closed_form.alpha_ricci(point, args.alpha)  # with g^{i jbar}
     labels = point.labels
     return {
@@ -195,14 +195,14 @@ def _cmd_tensors(args) -> dict:
             labels,
             args.alpha,
             [
-                (conn.gamma_mixed, (HOL, HOL, BAR)),
-                (conn.gamma_pure, (HOL, HOL, HOL)),
-                (conn.gamma_cross, (HOL, BAR, HOL)),
-                (conn.gamma_cross_bar, (HOL, BAR, BAR)),
+                (conn["gamma_mixed"], (HOL, HOL, BAR)),
+                (conn["gamma_pure"], (HOL, HOL, HOL)),
+                (conn["gamma_cross"], (HOL, BAR, HOL)),
+                (conn["gamma_cross_bar"], (HOL, BAR, BAR)),
             ],
         ),
         "t_tensor": serialization.tensor_to_document(
-            labels, None, [(conn.t_mixed, (HOL, HOL, BAR)), (conn.t_pure, (HOL, HOL, HOL))]
+            labels, None, [(conn["t_mixed"], (HOL, HOL, BAR)), (conn["t_pure"], (HOL, HOL, HOL))]
         ),
         "ricci": serialization.tensor_to_document(labels, args.alpha, [(curv.ricci, (HOL, BAR))]),
         "scalar_curvature": curv.scalar,

@@ -173,7 +173,8 @@ class ConnectionTensors:
     Gamma^{(alpha)}_{ij,k}, ``gamma_cross`` Gamma^{(alpha)}_{i jbar,k},
     ``gamma_cross_bar`` Gamma^{(alpha)}_{i jbar,kbar}, and ``t_mixed`` and
     ``t_pure`` the T components.  Nothing read is kept, so a caller that
-    reads a family twice pays for it twice.  ``gamma_pure`` and ``t_pure``
+    reads a family twice pays for it twice, and each read forms T again;
+    :meth:`families` forms all six from one T.  ``gamma_pure`` and ``t_pure``
     vanish and are read-only views with zero strides; copy them to write to
     them.
     """
@@ -191,21 +192,19 @@ class ConnectionTensors:
     @property
     def gamma_mixed(self) -> np.ndarray:
         """Gamma^{(alpha)}_{ij,kbar} = Gamma^0_{ij,kbar} - (alpha/2) T_{ij,kbar}."""
-        n = len(self.s)
-        gamma = self.t_mixed
-        np.multiply(-0.5 * self.alpha, gamma, out=gamma)
-        gamma.reshape(n * n, n)[:: n + 1] += self.gamma0  # i = j, as a view
-        return gamma
+        t = self.t_mixed
+        return self._gamma_mixed(t, out=t)
 
     @property
     def gamma_cross(self) -> np.ndarray:
         """Gamma^{(alpha)}_{i jbar,k} = -(alpha/2) T_{ik,jbar}."""
-        return np.multiply(-0.5 * self.alpha, self.t_mixed.transpose(0, 2, 1), order="C")
+        return self._gamma_cross(self.t_mixed)
 
     @property
     def gamma_cross_bar(self) -> np.ndarray:
         """Gamma^{(alpha)}_{i jbar,kbar} = -(alpha/2) conj(T_{jk,ibar})."""
-        return np.conjugate(self.gamma_cross.transpose(1, 2, 0), order="C")
+        t = self.t_mixed
+        return _cross_bar(np.multiply(-0.5 * self.alpha, t, out=t))
 
     @property
     def gamma_pure(self) -> np.ndarray:
@@ -216,6 +215,41 @@ class ConnectionTensors:
     def t_pure(self) -> np.ndarray:
         """T_{ijk}, zero on the constant-gain manifold."""
         return _zeros((len(self.s),) * 3)
+
+    def families(self) -> dict[str, np.ndarray]:
+        """All six families by property name, from one T.
+
+        For a caller that reads every family: the arrays are those the
+        properties give, to the bit, but T is formed once where six reads
+        form it four times.
+        """
+        t = self.t_mixed
+        gamma_cross = self._gamma_cross(t)
+        return {
+            "gamma_mixed": self._gamma_mixed(t, out=None),
+            "gamma_pure": self.gamma_pure,
+            "gamma_cross": gamma_cross,
+            # gamma_cross transposed back is -(alpha/2) T, as a view
+            "gamma_cross_bar": _cross_bar(gamma_cross.transpose(0, 2, 1)),
+            "t_mixed": t,
+            "t_pure": self.t_pure,
+        }
+
+    def _gamma_mixed(self, t: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        # Gamma^0 - (alpha/2) T entrywise, Gamma^0 being zero off i = j
+        n = len(self.s)
+        gamma = np.multiply(-0.5 * self.alpha, t, out=out)
+        gamma.reshape(n * n, n)[:: n + 1] += self.gamma0  # i = j, as a view
+        return gamma
+
+    def _gamma_cross(self, t: np.ndarray) -> np.ndarray:
+        return np.multiply(-0.5 * self.alpha, t.transpose(0, 2, 1), order="C")
+
+
+def _cross_bar(scaled_t: np.ndarray) -> np.ndarray:
+    # scaled_t is -(alpha/2) T; conj of its [k, j, i] entry at [i, j, k],
+    # since T_{kj,ibar} = T_{jk,ibar}
+    return np.conjugate(scaled_t.transpose(2, 1, 0), order="C")
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,9 @@ def test_summary_arithmetic(runs):
     assert p50["head_wins"] == "4/4"
     assert p50["change"] == pytest.approx(-0.2 / 1.05)
     assert p50["noise"] == pytest.approx(0.1) and p50["verdict"] == "within bound"
-    assert p50["gap_over_base_iqr"] == pytest.approx(2.0) and p50["gain"] is True
+    assert p50["gap_over_base_iqr"] == pytest.approx(2.0)
+    # won in every pair by twice the base IQR, but the head fails more items
+    assert p50["gain"] is False
     # the A/A pairs differ only by the slot
     assert p50["aa_pairs"] == pytest.approx([(1.0, 1.1), (1.1, 1.0)])
     assert p50["aa_spread"] == pytest.approx(0.1)
@@ -100,15 +102,18 @@ def test_summary_arithmetic(runs):
     assert summary["cli"]["failed_frac"] == pytest.approx({"base": 0.0, "head": 0.1})
 
 
-def _runs(ab_pairs, aa_pairs, name="item_tail_ms"):
-    """Run records of one workload and metric, ``name``, from (base, other) pairs."""
+def _runs(ab_pairs, aa_pairs, name="item_tail_ms", failed=(0, 0)):
+    """Run records of one workload and metric, ``name``, from (base, other) pairs.
+
+    Every run attempts ten items; ``failed`` is how many of them each side fails.
+    """
     runs = []
     for kind, pairs, other in (("ab", ab_pairs, "head"), ("aa", aa_pairs, "base2")):
         for k, values in enumerate(pairs):
-            for side, value in zip(("base", other), values):
+            for side, value, fails in zip(("base", other), values, failed):
                 runs.append({
                     "kind": kind, "pair": k, "workload": "cli", "side": side,
-                    "result": {"attempted": 1, "failed": 0,
+                    "result": {"attempted": 10, "failed": fails,
                                "metrics": {name: {"value": value}}},
                 })
     return runs
@@ -160,6 +165,14 @@ BASE = [98, 99, 100, 101, 102, 98, 99, 100, 101, 102]
 def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_base_iqr(heads, gain):
     pairs = list(zip(BASE, heads))
     assert ab.summarize(_runs(pairs, []), TAIL)["cli"]["item_tail_ms"]["gain"] is gain
+
+
+@pytest.mark.parametrize("failed, gain", [((0, 1), False), ((1, 1), True), ((1, 0), True)])
+def test_a_head_that_fails_more_items_shows_no_gain(failed, gain):
+    pairs = list(zip(BASE, [90] * 10))  # every pair won, 10 below the base
+    summary = ab.summarize(_runs(pairs, [], failed=failed), TAIL)["cli"]
+    assert summary["item_tail_ms"]["head_wins"] == "10/10"
+    assert summary["item_tail_ms"]["gain"] is gain
 
 
 def test_gain_of_a_higher_is_better_metric():

@@ -648,6 +648,23 @@ class TestAlphaConnection:
             assert first.flags.writeable and first.flags.c_contiguous, name
             assert first.tobytes() == second.tobytes(), name
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
+    def test_families_are_the_properties_from_one_t(self, alpha):
+        # every family to the bit, and at n = 32 the four dense (1/2 MiB)
+        # arrays it returns are all it holds, where the four reads that
+        # form them one by one form T four times
+        points = [ARMA11, *random_points(29, 3, n=6, signature=mixed_signature(6))]
+        for m in points:
+            conn = alpha_connection(m, alpha)
+            families = conn.families()
+            assert list(families) == list(CONNECTION_BLOCKS)
+            for name, block in families.items():
+                want = getattr(conn, name)
+                assert block.shape == want.shape and block.tobytes() == want.tobytes(), name
+        m = random_points(23, 1, n=32, signature=mixed_signature(32), radius=0.95, sep=1e-3)[0]
+        conn = alpha_connection(m, alpha)
+        assert peak_mib(conn.families)[0] <= 2.25
+
     @pytest.mark.parametrize("n", [0, 1, 32])
     def test_pure_blocks_are_read_only_zero_views(self, n):
         m = random_points(29, 1, n=n, signature=mixed_signature(n))[0]

@@ -187,8 +187,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     when the change exceeds the bound and "within bound" when it does not.
     ``gain`` is true when the head wins at least nine tenths of the pairs,
     a tie counting for neither side, and its median is better than the base
-    median by more than the base IQR.  ``failed_frac`` is each side's failed
-    items over its attempted items, over all its runs.
+    median by more than the base IQR, and it fails no larger share of its
+    items than the base.  ``failed_frac`` is each side's failed items over
+    its attempted items, over all its runs.
     """
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -197,6 +198,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             side: sum(p[i][0] for p in failed) / max(sum(p[i][1] for p in failed), 1)
             for i, side in enumerate(("base", "head"))
         }}
+        more_failed = entry["failed_frac"]["head"] > entry["failed_frac"]["base"]
         for spec in end_to_end:
             name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
 
@@ -229,7 +231,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "aa_spread": aa_spread,
                 "noise": noise,
                 "verdict": verdict,
-                "gain": 10 * wins >= 9 * len(pairs) and -sign * gap > iqr,
+                "gain": 10 * wins >= 9 * len(pairs) and -sign * gap > iqr and not more_failed,
             }
         summary[workload] = entry
     return summary

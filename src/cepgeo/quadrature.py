@@ -23,9 +23,11 @@ factor in a product of its own, and mirrors the rest.  The Ricci block is
 a projection of d^2 log h onto span{d log h}, read off a QR factor.
 :func:`oracle_tensors` reads the metric, Gamma^(0), T and Ricci from one
 sample, with the bits of every other entry point.
-:func:`connection_numeric` returns T with the four connection families, as
-the closed form does, and :func:`t_tensor_numeric` and
-:func:`ricci_numeric` are reads of it and of :func:`oracle_tensors`.
+:func:`connection_numeric` returns the four connection families and T as
+dense arrays, each formed once; the closed form's record holds only the
+generators u, s and Gamma^0 and forms a family each time it is read.
+:func:`t_tensor_numeric` and :func:`ricci_numeric` are reads of
+:func:`connection_numeric` and of :func:`oracle_tensors`.
 
 No routine holds a whole sampled grid: one sampler writes d log h, its
 conjugate and, where needed, d^2 log h for a fixed sequence of node blocks

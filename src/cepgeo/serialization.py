@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
@@ -159,20 +158,6 @@ def _rounded(x: Any) -> float:
     return x
 
 
-def _python_number(obj: Any) -> Any:
-    """A numpy floating or integer scalar as a Python float or int; anything else as it is.
-
-    numpy is read from ``sys.modules``, never imported: no numpy scalar
-    exists before numpy has been imported.
-    """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.floating):
-        return float(obj)
-    if np is not None and isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _entry_float(x: float) -> str:
     """``repr(fmt_float(x))``, without the float round trip where it cannot change the text.
 
@@ -257,10 +242,7 @@ def _write(obj: Any, out: list[str], nl: str) -> None:
     elif isinstance(obj, str):
         out.append(_quote(obj))
     else:
-        number = _python_number(obj)
-        if number is obj:
-            raise TypeError(f"unserialisable value of type {type(obj)!r}")
-        _write(number, out, nl)
+        raise TypeError(f"unserialisable value of type {type(obj)!r}")
 
 
 def dumps_report(report: dict[str, Any]) -> str:
@@ -281,8 +263,6 @@ def _plain(obj: Any) -> Any:
         return {_quote(key) and key: _keyed(key, _plain, value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_keyed(i, _plain, item) for i, item in enumerate(obj)]
-    if not isinstance(obj, (float, int)):
-        obj = _python_number(obj)
     if isinstance(obj, float):
         return _rounded(obj)
     _write(obj, [], "")  # refuses a value JSON has no type for, as the writer does

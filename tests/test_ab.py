@@ -63,6 +63,19 @@ def test_schedule_balances_slot_and_order():
     assert {p["slots"] for p in plan if p["kind"] == "aa"} == {("base", "base2"), ("base2", "base")}
 
 
+@pytest.mark.parametrize("aa_pairs", range(6))
+def test_schedule_plans_the_asked_pairs(aa_pairs):
+    for pairs in range(12):
+        plan = ab.schedule(pairs, aa_pairs, seed=0)
+        kinds = [p["kind"] for p in plan]
+        assert (kinds.count("ab"), kinds.count("aa")) == (pairs, aa_pairs)
+        for kind in ("ab", "aa"):
+            assert [p["pair"] for p in plan if p["kind"] == kind] == list(range(kinds.count(kind)))
+    # the plan of a 10-pair comparison with 2 A/A pairs is kept, so its runs can be repeated
+    plan = ab.schedule(10, 2, seed=0)
+    assert [i for i, p in enumerate(plan) if p["kind"] == "aa"] == [4, 8]
+
+
 def test_drive_runs_every_side_in_its_slot_and_restores_the_checkouts(runs, tmp_path):
     assert len(runs) == 6 * len(ab.WORKLOADS) * 2
     assert {r["commit"] for r in runs if r["kind"] == "aa"} == {"b0"}

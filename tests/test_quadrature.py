@@ -59,7 +59,6 @@ from conftest import (
 CFG = QuadratureConfig(nodes=2048)
 # the unpatched density, for the tests that patch quadrature._log_sdf
 LOG_SDF = quadrature._log_sdf
-LI2_QUARTER = float(sum(0.25**r / r**2 for r in range(1, 201)))
 
 
 def sampled(f, m=CFG.nodes, conj=0, second=0):
@@ -71,6 +70,12 @@ def sampled(f, m=CFG.nodes, conj=0, second=0):
 def first_derivs(f, m=CFG.nodes):
     """d_i log h on the m-node grid."""
     return sampled(f, m)
+
+
+def _signature_draw(kind, n, seed):
+    """A filter of n roots of modulus at most 0.9: all poles, all zeros, or half of each."""
+    p = {"ar": n, "ma": 0, "arma": n // 2}[kind]
+    return arma_from_roots(sample_root_tuples(seed, 1, n, 0.9, 0.05)[0], p)
 
 
 def triples(d, *third):
@@ -138,8 +143,17 @@ class TestMetricNumeric:
                 direct = np.mean(d[i] * d[j].conj())
                 assert abs(g[i, j] - direct) < 1e-12
 
-    def test_pure_block_vanishes_at_constant_gain(self, arma11):
-        assert np.max(np.abs(metric_numeric(arma11, CFG).pure)) < 1e-12
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in ("ar", "ma", "arma") for n in (1, 2, 4, 8) if kind != "arma" or n > 1],
+    )
+    def test_pure_block_vanishes_at_constant_gain(self, kind, n):
+        f = _signature_draw(kind, n, seed=30 + n)
+        cfg = QuadratureConfig(nodes=512)
+        g, conn = metric_numeric(f, cfg), connection_numeric(f, 0.5, cfg)
+        blocks = [(g.pure, g.mixed), (conn.gamma_pure, conn.gamma_mixed), (conn.t_pure, conn.t_mixed)]
+        for pure, mixed in blocks:
+            assert np.max(np.abs(pure)) <= 1e-12 * np.max(np.abs(mixed))
 
     def test_gain_coordinate_orthogonal_to_roots(self, arma11):
         # with the gain as a coordinate, d_sigma log h = 2/sigma is a constant
@@ -371,10 +385,15 @@ class TestDivergence:
         for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
             assert divergence(arma11, arma11, alpha, CFG).value == 0.0
 
-    def test_zero_alpha_equals_potential_for_normalised_filter(self, ar1):
-        allpass = make_filter()
-        d = divergence(allpass, ar1, 0.0, CFG)
-        assert d.value == pytest.approx(LI2_QUARTER, abs=1e-12)
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["ar", "ma", "arma"])
+    def test_zero_alpha_equals_potential_for_normalised_filter(self, kind, n):
+        # D0(all-pass || h) is the Kahler potential of h
+        f = _signature_draw(kind, n, seed=40 + n)
+        d = divergence(make_filter(), f, 0.0, QuadratureConfig(nodes=4096))
+        assert d.converged
+        k = closed_form.kahler_potential(ModelPoint.from_filter(f)).value
+        assert d.value == pytest.approx(k, rel=1e-12)
 
     def test_reciprocal_pair_swaps_alpha_sign(self):
         rows = sample_root_tuples(8, 4, 4, 0.9, 0.0)

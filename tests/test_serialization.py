@@ -45,10 +45,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return serialization.fmt_float(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"unserialisable value of type {type(obj)!r}")
 
 
@@ -145,7 +141,6 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 1e16, 1e-5, 123456789012.5, 1e300, 5e-324, 2.2250738585072014e-308]),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
 )
 _TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["0̄", "idx", "re", "im", "é"]))
 _SCALARS = st.one_of(
@@ -153,7 +148,6 @@ _SCALARS = st.one_of(
     st.booleans(),
     _FLOATS,
     st.integers(-(2**70), 2**70),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
     _TEXT,
 )
 _TOKENS = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda i: f"{i}̄"), _SCALARS)
@@ -230,9 +224,7 @@ def test_entry_floats_at_the_notation_boundaries_match_the_stdlib_encoder():
     ]
 
 
-@pytest.mark.parametrize(
-    "value", [math.inf, -math.inf, math.nan, np.float32("inf")], ids=["inf", "-inf", "nan", "f32-inf"]
-)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_non_finite_floats_raise_value_error(value):
     report = {"entries": [{"idx": [0, "0̄"], "re": 1.0, "im": value}], "x": [value]}
     block = np.ones((2, 2), dtype=complex)
@@ -247,12 +239,14 @@ def test_non_finite_floats_raise_value_error(value):
 
 @pytest.mark.parametrize(
     "value",
-    [{1, 2}, 1j, np.bool_(True), np.zeros(2), object()],
-    ids=["set", "complex", "numpy-bool", "ndarray", "object"],
+    [{1, 2}, 1j, np.bool_(True), np.float32(1.0), np.int64(1), np.zeros(2), object()],
+    ids=["set", "complex", "numpy-bool", "numpy-float32", "numpy-int64", "ndarray", "object"],
 )
 def test_unsupported_values_raise_type_error(value):
-    with pytest.raises(TypeError):
-        dumps_report({"x": [1.0, value]})
+    # a numpy.float64 is a Python float; no other numpy scalar is converted
+    for write in (dumps_report, render_table):
+        with pytest.raises(TypeError):
+            write({"x": [1.0, value]})
 
 
 def test_tensor_entries_are_left_for_the_writer_to_round():

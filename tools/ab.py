@@ -59,10 +59,12 @@ def schedule(pairs: int, aa_pairs: int, seed: int) -> list[dict]:
     """The pairs in run order: A/A pairs spread among the A/B ones, one seed per pair.
 
     Within each kind, pair k puts its first side in slot k % 2 and runs its
-    first side first when (k // 2) is even.
+    first side first when (k // 2) is even.  With at least one A/B pair the
+    A/A targets lie at least one position apart, so no two round to the same
+    position; with none, every position holds an A/A pair.
     """
     total = pairs + aa_pairs
-    aa_at = {round((j + 1) * total / (aa_pairs + 1)) for j in range(aa_pairs)}
+    aa_at = {round((j + 1) * total / (aa_pairs + 1)) if pairs else j for j in range(aa_pairs)}
     counts = {"ab": 0, "aa": 0}
     plan = []
     for position in range(total):
